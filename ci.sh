@@ -205,6 +205,12 @@ echo "== batch gate (lane-parallel reveal-verify >= 2x scalar) =="
 # point is >= 2x the sequential lane on the same 2048-reveal workload
 # (see DESIGN.md §12). Each lane's name is matched with its trailing
 # comma so dap_reveal_verify does not also match its _batched sibling.
+# The premise is a multi-lane kernel against the portable block. Where
+# compress_many runs SHA-NI (the lane's "kernel" field), both lanes
+# hash on the same single-message kernel, so the ratio is printed and
+# the gate skipped -- the host-capability rule the crypto gate below
+# applies to compress_x8 without AVX2. The lane kernels stay gated on
+# every host through the compress_x4/compress_x8 ratio records.
 for pair in "dap_reveal_verify dap_reveal_verify_batched" \
             "teslapp_reveal_verify teslapp_reveal_verify_batched"; do
     set -- $pair
@@ -212,9 +218,17 @@ for pair in "dap_reveal_verify dap_reveal_verify_batched" \
         | grep -o '"frames_per_sec":[0-9.]*' | cut -d: -f2)
     batched=$(grep "\"name\":\"$2\"," target/BENCH_net.json \
         | grep -o '"frames_per_sec":[0-9.]*' | cut -d: -f2)
-    test -n "$scalar" && test -n "$batched"
+    kernel=$(grep "\"name\":\"$2\"," target/BENCH_net.json \
+        | grep -o '"kernel":"[^"]*"' | cut -d'"' -f4)
+    test -n "$scalar" && test -n "$batched" && test -n "$kernel"
+    if [ "$kernel" = "sha-ni" ]; then
+        ratio=$(echo "$batched $scalar" | awk '{ printf "%.2f", $1 / $2 }')
+        echo "  $2 $batched frames/s vs $1 $scalar frames/s (${ratio}x)" \
+            "-- skipped: compress_many runs SHA-NI, one message per block"
+        continue
+    fi
     echo "$batched $scalar" | awk '{ exit !($1 >= 2.0 * $2) }' || {
-        echo "$2 at $batched frames/s is < 2x $1 at $scalar frames/s" >&2
+        echo "$2 at $batched frames/s is < 2x $1 at $scalar frames/s ($kernel kernel)" >&2
         exit 1
     }
 done

@@ -1,40 +1,49 @@
-//! Multi-lane (multi-buffer) SHA-256 compression over *independent*
-//! messages.
+//! SHA-256 compression kernels and the dispatch that picks one.
 //!
-//! A single SHA-256 compression is a long serial dependency chain — no
-//! instruction-level trick makes one message hash faster. But the
-//! verification hot path of this workspace never hashes one message: a
-//! pool shard draining its ingress window re-keys and re-MACs a whole
-//! batch of frames whose hashes are mutually independent. This module
-//! runs `W` such compressions in lockstep, one 32-bit SIMD lane per
-//! message: 4 lanes on SSE2 (`__m128i`), 8 lanes on AVX2 (`__m256i`).
+//! Two ways to make hashing cheaper live here. The first is the x86
+//! SHA extensions (SHA-NI): `sha256rnds2` runs two rounds of one
+//! message per instruction, so a single compression takes ~50 ns
+//! instead of the portable kernel's ~370 ns. The second is multi-buffer
+//! hashing over *independent* messages: a pool shard draining its
+//! ingress window re-keys and re-MACs a whole batch of frames whose
+//! hashes are mutually independent, and `W` such compressions run in
+//! lockstep, one 32-bit SIMD lane per message: 4 lanes on SSE2
+//! (`__m128i`), 8 lanes on AVX2 (`__m256i`).
 //!
-//! Everything is std-only and runtime-detected via
-//! `std::arch::is_x86_feature_detected!`; the scalar
-//! [`Sha256::compress_from`] is the always-correct fallback, so results
-//! are bit-identical across hosts and lane widths (pinned by the
-//! `tests/simd_lanes.rs` property suite and the NIST/RFC vectors below).
+//! Both hashing entry points dispatch on the CPU alone, detected once
+//! per process with `std::arch::is_x86_feature_detected!`:
+//! [`Sha256::compress_from`] (one message) runs SHA-NI where the CPU
+//! has it and the portable [`Sha256::compress_portable`] otherwise;
+//! [`compress_many`] (a batch) runs [`detected`], which prefers SHA-NI
+//! (one ~50 ns block per message beats the 8-lane kernel's ~80 ns per
+//! block), then AVX2, then SSE2. The portable kernel is the reference
+//! every other kernel is pinned to, so results are bit-identical across
+//! hosts and kernels (the `tests/simd_lanes.rs` property suite and the
+//! NIST/RFC vectors run through each kernel).
 //!
 //! The batch entry points are [`digest_many`] (full hashes) and
 //! [`digest_many_from_midstates`] (per-lane cached midstates — the HMAC
 //! shape: every lane resumes from its own ipad/opad state with the same
 //! number of prior bytes). [`crate::hmac::PreparedMacKey::mac_many`],
 //! [`crate::mac::mac80_many`] and friends are built on top.
-#![allow(unsafe_code)] // SIMD intrinsics; every unsafe call sits behind a feature check.
+#![allow(unsafe_code)] // SIMD and SHA intrinsics; every unsafe call sits behind a feature check.
 
 use std::sync::OnceLock;
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE};
 
-/// How many independent messages one compression call advances.
+/// A SHA-256 compression kernel, named by how many independent messages
+/// one call advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LaneWidth {
-    /// One lane: the scalar [`Sha256::compress_from`] reference.
+    /// One lane: the portable [`Sha256::compress_portable`] reference.
     Scalar,
     /// Four lanes in an SSE2 `__m128i` register per state word.
     W4,
     /// Eight lanes in an AVX2 `__m256i` register per state word.
     W8,
+    /// One lane on the x86 SHA extensions (`sha256rnds2`/`sha256msg*`).
+    ShaNi,
 }
 
 impl LaneWidth {
@@ -42,7 +51,7 @@ impl LaneWidth {
     #[must_use]
     pub fn lanes(self) -> usize {
         match self {
-            LaneWidth::Scalar => 1,
+            LaneWidth::Scalar | LaneWidth::ShaNi => 1,
             LaneWidth::W4 => 4,
             LaneWidth::W8 => 8,
         }
@@ -55,20 +64,27 @@ impl std::fmt::Display for LaneWidth {
             LaneWidth::Scalar => f.write_str("scalar"),
             LaneWidth::W4 => f.write_str("x4"),
             LaneWidth::W8 => f.write_str("x8"),
+            LaneWidth::ShaNi => f.write_str("sha-ni"),
         }
     }
 }
 
-/// The widest kernel this host supports, detected once per process.
+/// The kernel [`compress_many`] runs on this host, detected once per
+/// process: the last of [`supported`]. [`Sha256::compress_from`] runs
+/// SHA-NI exactly when this is [`LaneWidth::ShaNi`].
 #[must_use]
+#[inline]
 pub fn detected() -> LaneWidth {
     static CACHE: OnceLock<LaneWidth> = OnceLock::new();
     *CACHE.get_or_init(|| *supported().last().expect("scalar is always supported"))
 }
 
-/// Every lane width usable on this host, narrowest first. Always starts
-/// with [`LaneWidth::Scalar`]; equality tests iterate this to pin each
-/// kernel against the scalar reference.
+/// Every kernel usable on this host, in ascending order of preference
+/// for batches. Always starts with [`LaneWidth::Scalar`]; equality tests
+/// iterate this to pin each kernel against the portable reference.
+///
+/// SHA-NI is listed when the CPU reports `sha`, `ssse3` and `sse4.1`
+/// (the kernel's shuffles and blends need the latter two).
 #[must_use]
 pub fn supported() -> &'static [LaneWidth] {
     static CACHE: OnceLock<Vec<LaneWidth>> = OnceLock::new();
@@ -82,15 +98,37 @@ pub fn supported() -> &'static [LaneWidth] {
             if std::arch::is_x86_feature_detected!("avx2") {
                 widths.push(LaneWidth::W8);
             }
+            if std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+            {
+                widths.push(LaneWidth::ShaNi);
+            }
         }
         widths
     })
 }
 
+/// One compression of one message: SHA-NI where the CPU has it, the
+/// portable kernel otherwise. This is the body of
+/// [`Sha256::compress_from`].
+#[inline]
+pub(crate) fn compress_one(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+    #[cfg(target_arch = "x86_64")]
+    if detected() == LaneWidth::ShaNi {
+        let mut out = *state;
+        // SAFETY: `detected()` is ShaNi only when `supported()` found
+        // sha, ssse3 and sse4.1 on this CPU at run time.
+        unsafe { x86::compress_ni(&mut out, block) };
+        return out;
+    }
+    Sha256::compress_portable(state, block)
+}
+
 /// Block-parallel compression: `states[i] ← compress(states[i],
-/// blocks[i])` for every lane, using the widest kernel the host
-/// supports. Lane count is arbitrary; full-width chunks go through the
-/// SIMD kernels and the ragged tail through the scalar reference, so the
+/// blocks[i])` for every lane, using the kernel [`detected`] picked.
+/// Lane count is arbitrary; full-width chunks go through the SIMD
+/// kernels and the ragged tail through the portable reference, so the
 /// result never depends on the batch size.
 ///
 /// # Panics
@@ -100,9 +138,11 @@ pub fn compress_many(states: &mut [[u32; 8]], blocks: &[[u8; BLOCK_LEN]]) {
     compress_many_with(detected(), states, blocks);
 }
 
-/// [`compress_many`] pinned to a specific kernel width (full-width
-/// chunks at `width`, then any narrower supported kernels, then scalar).
-/// Exposed so tests and benches can exercise each kernel explicitly.
+/// [`compress_many`] pinned to a specific kernel. For `W8` and `W4`:
+/// full-width chunks at `width`, then 4-lane chunks, then the portable
+/// kernel for the tail; `ShaNi` compresses every message on SHA-NI and
+/// `Scalar` every message on the portable kernel. Exposed so tests and
+/// benches can exercise each kernel explicitly.
 ///
 /// # Panics
 ///
@@ -117,7 +157,15 @@ pub fn compress_many_with(width: LaneWidth, states: &mut [[u32; 8]], blocks: &[[
     let mut i = 0;
     #[cfg(target_arch = "x86_64")]
     {
-        if width >= LaneWidth::W8 {
+        if width == LaneWidth::ShaNi {
+            for (state, block) in states.iter_mut().zip(blocks) {
+                // SAFETY: ShaNi is in `supported()` only when sha, ssse3
+                // and sse4.1 were runtime-detected on this CPU.
+                unsafe { x86::compress_ni(state, block) };
+            }
+            return;
+        }
+        if width == LaneWidth::W8 {
             while i + 8 <= n {
                 // SAFETY: W8 is in `supported()` only when AVX2 was
                 // runtime-detected on this CPU.
@@ -125,17 +173,18 @@ pub fn compress_many_with(width: LaneWidth, states: &mut [[u32; 8]], blocks: &[[
                 i += 8;
             }
         }
-        if width >= LaneWidth::W4 {
+        if matches!(width, LaneWidth::W4 | LaneWidth::W8) {
             while i + 4 <= n {
-                // SAFETY: W4 (or wider) is in `supported()` only when
-                // SSE2 was runtime-detected on this CPU.
+                // SAFETY: W4 is in `supported()` only when SSE2 was
+                // runtime-detected, and W8 only when AVX2 (a superset
+                // of SSE2) was.
                 unsafe { x86::compress4(&mut states[i..i + 4], &blocks[i..i + 4]) };
                 i += 4;
             }
         }
     }
     while i < n {
-        states[i] = Sha256::compress_from(&states[i], &blocks[i]);
+        states[i] = Sha256::compress_portable(&states[i], &blocks[i]);
         i += 1;
     }
 }
@@ -168,6 +217,25 @@ pub fn digest_many_from_midstates(
     prior_bytes: u64,
     tails: &[&[u8]],
 ) -> Vec<[u8; DIGEST_LEN]> {
+    digest_many_from_midstates_with(detected(), states, prior_bytes, tails)
+}
+
+/// [`digest_many_from_midstates`] with every block compressed by
+/// [`compress_many_with`] at `width`, so tests can route the standard
+/// vectors through each kernel.
+///
+/// # Panics
+///
+/// Panics if the lengths differ, `prior_bytes` is not a multiple of
+/// [`BLOCK_LEN`], or the batch is non-empty and `width` is not in
+/// [`supported`].
+#[must_use]
+pub fn digest_many_from_midstates_with(
+    width: LaneWidth,
+    states: &[[u32; 8]],
+    prior_bytes: u64,
+    tails: &[&[u8]],
+) -> Vec<[u8; DIGEST_LEN]> {
     assert_eq!(states.len(), tails.len(), "one tail per lane midstate");
     assert!(
         prior_bytes.is_multiple_of(BLOCK_LEN as u64),
@@ -195,7 +263,7 @@ pub fn digest_many_from_midstates(
                 lane_blocks.push(padded_block(tails[i], prior_bytes, k, block_counts[i]));
             }
         }
-        compress_many(&mut lane_states, &lane_blocks);
+        compress_many_with(width, &mut lane_states, &lane_blocks);
         for (slot, i) in idx.iter().enumerate() {
             st[*i] = lane_states[slot];
         }
@@ -238,14 +306,15 @@ fn padded_block(tail: &[u8], prior_bytes: u64, k: usize, total_blocks: usize) ->
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2 / AVX2 multi-buffer kernels. Layout is struct-of-arrays:
-    //! vector register `j` holds state word `j` of every lane, so the 64
-    //! rounds are the textbook scalar schedule with each `u32` op
-    //! replaced by its packed-`epi32` counterpart.
+    //! SSE2 / AVX2 multi-buffer kernels and the SHA-NI single-message
+    //! kernel. The multi-buffer layout is struct-of-arrays: vector
+    //! register `j` holds state word `j` of every lane, so the 64 rounds
+    //! are the textbook scalar schedule with each `u32` op replaced by
+    //! its packed-`epi32` counterpart.
     //!
-    //! Every function here is `unsafe fn` + `#[target_feature]`: callers
-    //! (only [`super::compress_many_with`]) must runtime-check the
-    //! feature first.
+    //! Every kernel here is `unsafe fn` + `#[target_feature]`: callers
+    //! (only [`super::compress_many_with`] and [`super::compress_one`])
+    //! must runtime-check the feature first.
 
     use core::arch::x86_64::*;
 
@@ -450,6 +519,91 @@ mod x86 {
             }
         }
     }
+
+    /// `W[4q..4q + 4]` from the four previous schedule quads `W[4q -
+    /// 16..4q]`: `sha256msg1` adds `σ0(W[t - 15])` to `W[t - 16]`,
+    /// `palignr` supplies `W[t - 7]`, and `sha256msg2` adds
+    /// `σ1(W[t - 2])`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(partial, w3)
+    }
+
+    /// Rounds `4q..4q + 4`. Each `sha256rnds2` runs two rounds on the
+    /// low two words of `W + K` and returns the new ABEF; the old ABEF is
+    /// then the new CDGH, so the two state registers swap roles between
+    /// the calls and end where they started.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, q: usize) {
+        let k = &K[4 * q..4 * q + 4];
+        let wk = _mm_add_epi32(
+            w,
+            _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+        );
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    /// One SHA-256 compression on the SHA extensions: `state ←
+    /// compress(state, block)`.
+    ///
+    /// `sha256rnds2` wants the eight state words split across two
+    /// registers as ABEF and CDGH, so the state is permuted into that
+    /// layout on entry and back on exit. Register names list lanes
+    /// highest first, as Intel's do: `dcba` holds `a` in lane 0.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_ni(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        // Reverses the bytes of each 32-bit lane: the block's words are
+        // big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let words = state.as_mut_ptr().cast::<__m128i>();
+        let bytes = block.as_ptr().cast::<__m128i>();
+
+        // SAFETY: `state` is 32 bytes, so `words` and `words.add(1)`
+        // cover it exactly; `loadu` has no alignment requirement.
+        let (dcba, hgfe) = (_mm_loadu_si128(words), _mm_loadu_si128(words.add(1)));
+        let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        // SAFETY: `block` is 64 bytes, so `bytes.add(0..4)` are the four
+        // 16-byte quarters inside it; `loadu` has no alignment
+        // requirement.
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(bytes), bswap);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(bytes.add(1)), bswap);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(bytes.add(2)), bswap);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(bytes.add(3)), bswap);
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for q in (4..16).step_by(4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, q);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, q + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, q + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, q + 3);
+        }
+
+        let feba = _mm_shuffle_epi32::<0x1b>(_mm_add_epi32(abef, abef_in));
+        let dchg = _mm_shuffle_epi32::<0xb1>(_mm_add_epi32(cdgh, cdgh_in));
+        // SAFETY: as for the loads — `words` and `words.add(1)` are the
+        // two halves of the 32-byte `state`, and `storeu` is unaligned.
+        _mm_storeu_si128(words, _mm_blend_epi16::<0xf0>(feba, dchg));
+        _mm_storeu_si128(words.add(1), _mm_alignr_epi8::<8>(dchg, feba));
+    }
 }
 
 #[cfg(test)]
@@ -474,12 +628,14 @@ mod tests {
         assert_eq!(LaneWidth::Scalar.lanes(), 1);
         assert_eq!(LaneWidth::W4.lanes(), 4);
         assert_eq!(LaneWidth::W8.lanes(), 8);
+        assert_eq!(LaneWidth::ShaNi.lanes(), 1);
         assert_eq!(LaneWidth::W4.to_string(), "x4");
+        assert_eq!(LaneWidth::ShaNi.to_string(), "sha-ni");
     }
 
     #[test]
     fn every_width_matches_the_scalar_compression() {
-        // 17 lanes exercises 8-chunk + 4-chunk + scalar-tail dispatch.
+        // 17 lanes exercises 8-chunk + 4-chunk + portable-tail dispatch.
         let n = 17;
         let states: Vec<[u32; 8]> = (0..n)
             .map(|i| {
@@ -500,7 +656,7 @@ mod tests {
         let reference: Vec<[u32; 8]> = states
             .iter()
             .zip(blocks.iter())
-            .map(|(s, b)| Sha256::compress_from(s, b))
+            .map(|(s, b)| Sha256::compress_portable(s, b))
             .collect();
         for width in supported() {
             let mut got = states.clone();

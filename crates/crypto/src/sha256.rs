@@ -236,9 +236,21 @@ impl Sha256 {
     }
 
     /// Applies the SHA-256 compression function to `state` for one
-    /// 64-byte `block` — the pure fast path behind midstate caching.
+    /// 64-byte `block` — the pure fast path behind midstate caching, and
+    /// the one every single-message hash in the crate goes through. Runs
+    /// the SHA-NI kernel where the CPU has it and
+    /// [`Sha256::compress_portable`] otherwise (see [`crate::lanes`]).
     #[must_use]
+    #[inline]
     pub fn compress_from(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+        crate::lanes::compress_one(state, block)
+    }
+
+    /// The portable SHA-256 compression function, written straight from
+    /// FIPS 180-4 §6.2.2. Every other kernel is tested against it, and
+    /// it runs wherever the CPU offers no faster one.
+    #[must_use]
+    pub fn compress_portable(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

@@ -1,21 +1,24 @@
-//! Lane-vs-scalar equality for the multi-buffer SHA-256 stack, on the
-//! in-tree `dap-testkit` harness (deterministic, seeded, shrinking).
+//! Kernel-vs-portable equality for the SHA-256 stack, on the in-tree
+//! `dap-testkit` harness (deterministic, seeded, shrinking).
 //!
-//! Every batch API in `dap-crypto` must be bit-identical to the scalar
-//! loop it replaces, on every lane width this host supports and on
-//! ragged batch sizes (0, 1, 3, lanes-1, lanes, lanes+1, and random) —
-//! a SIMD kernel is a pure throughput trade-off, never an observable
-//! one. The standard vectors (FIPS 180-4 for SHA-256, RFC 4231 for
-//! HMAC-SHA-256) are also routed through the multi-lane path so the
-//! kernels are pinned to the specification, not just to our own scalar
-//! code.
+//! Every compression kernel this host supports — SSE2 ×4, AVX2 ×8 and
+//! SHA-NI — and every batch API built on them must be bit-identical to
+//! the portable kernel, on ragged batch sizes (0, 1, 3, lanes-1, lanes,
+//! lanes+1, and random): a faster kernel is a pure throughput
+//! trade-off, never an observable one. The standard vectors (FIPS 180-4
+//! for SHA-256, RFC 4231 for HMAC-SHA-256) are also routed through each
+//! kernel, so the kernels are pinned to the specification, not just to
+//! our own portable code.
 
 use dap_crypto::hmac::{hmac_sha256, PreparedMacKey};
 use dap_crypto::lanes::{
-    compress_many_with, digest_many, digest_many_from_midstates, supported, LaneWidth,
+    compress_many_with, detected, digest_many, digest_many_from_midstates_with, supported,
+    LaneWidth,
 };
 use dap_crypto::mac::{mac80, mac80_many, verify_mac80, verify_mac80_many, Mac80};
-use dap_crypto::sha256::{digest, digest_from_midstate, Sha256, BLOCK_LEN, INITIAL_STATE};
+use dap_crypto::sha256::{
+    digest, digest_from_midstate, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE,
+};
 use dap_crypto::Key;
 use dap_testkit::{check, Gen};
 
@@ -51,7 +54,7 @@ fn compress_many_equals_scalar_loop_on_every_width_and_ragged_size() {
                 let reference: Vec<[u32; 8]> = states
                     .iter()
                     .zip(blocks.iter())
-                    .map(|(s, b)| Sha256::compress_from(s, b))
+                    .map(|(s, b)| Sha256::compress_portable(s, b))
                     .collect();
                 let mut got = states.clone();
                 compress_many_with(width, &mut got, &blocks);
@@ -59,6 +62,35 @@ fn compress_many_equals_scalar_loop_on_every_width_and_ragged_size() {
             }
         }
     });
+}
+
+#[test]
+fn compress_from_equals_the_portable_kernel() {
+    // The single-message entry point dispatches (SHA-NI where the CPU
+    // has it); whatever it picked must be the portable function.
+    check("compress_from_vs_portable", |g| {
+        let state = arb_state(g);
+        let block = arb_block(g);
+        assert_eq!(
+            Sha256::compress_from(&state, &block),
+            Sha256::compress_portable(&state, &block)
+        );
+    });
+}
+
+/// The kernel choice is CPU detection alone: SHA-NI exactly when the
+/// CPU reports the extensions its kernel needs. A detection bug would
+/// otherwise cost every hash its fastest kernel without failing a test.
+#[test]
+fn dispatcher_picks_sha_ni_whenever_the_cpu_has_it() {
+    #[cfg(target_arch = "x86_64")]
+    let has_sha_ni = std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    let has_sha_ni = false;
+    assert_eq!(detected() == LaneWidth::ShaNi, has_sha_ni);
+    assert_eq!(supported().contains(&LaneWidth::ShaNi), has_sha_ni);
 }
 
 #[test]
@@ -87,17 +119,28 @@ fn midstate_batches_equal_the_scalar_midstate_path() {
         let prefixes: Vec<[u8; BLOCK_LEN]> = (0..n).map(|_| arb_block(g)).collect();
         let states: Vec<[u32; 8]> = prefixes
             .iter()
-            .map(|p| Sha256::compress_from(&INITIAL_STATE, p))
+            .map(|p| Sha256::compress_portable(&INITIAL_STATE, p))
             .collect();
         let tails: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..150)).collect();
         let tail_refs: Vec<&[u8]> = tails.iter().map(Vec::as_slice).collect();
-        let got = digest_many_from_midstates(&states, BLOCK_LEN as u64, &tail_refs);
+        // The portable kernel under the batch padding is the reference;
+        // it must also agree with the single-message padding code.
+        let reference = digest_many_from_midstates_with(
+            LaneWidth::Scalar,
+            &states,
+            BLOCK_LEN as u64,
+            &tail_refs,
+        );
         for i in 0..n {
             assert_eq!(
-                got[i],
+                reference[i],
                 digest_from_midstate(&states[i], BLOCK_LEN as u64, &tails[i]),
                 "lane {i} of {n}"
             );
+        }
+        for &width in supported() {
+            let got = digest_many_from_midstates_with(width, &states, BLOCK_LEN as u64, &tail_refs);
+            assert_eq!(got, reference, "width {width}, batch {n}");
         }
     });
 }
@@ -182,9 +225,10 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// FIPS 180-4 SHA-256 vectors, all submitted as ONE ragged batch so the
-/// answers come out of the lane-parallel kernels (on hosts that have
-/// them) rather than one-message scalar code.
+/// FIPS 180-4 SHA-256 vectors, all submitted as ONE ragged batch: once
+/// through `digest_many` (the batch kernel the host picked) and once
+/// through every kernel the host supports, SHA-NI and the portable
+/// reference included.
 #[test]
 fn fips_180_4_vectors_through_the_multi_lane_path() {
     let million_a = vec![b'a'; 1_000_000];
@@ -200,16 +244,51 @@ fn fips_180_4_vectors_through_the_multi_lane_path() {
         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
     ];
-    let got = digest_many(&messages);
-    for (i, want) in expected.iter().enumerate() {
-        assert_eq!(hex(&got[i]), *want, "FIPS vector {i}");
+    let mut paths = vec![("digest_many".to_string(), digest_many(&messages))];
+    for &width in supported() {
+        let got = digest_many_from_midstates_with(width, &[INITIAL_STATE; 4], 0, &messages);
+        paths.push((width.to_string(), got));
+    }
+    for (path, got) in paths {
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(hex(&got[i]), *want, "FIPS vector {i} via {path}");
+        }
     }
 }
 
+/// HMAC-SHA-256 (RFC 2104) with every compression — key hashing, the
+/// ipad/opad midstates and both passes — on `width`.
+fn hmac_many_with(width: LaneWidth, keys: &[&[u8]], data: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
+    let block_keys: Vec<[u8; BLOCK_LEN]> = keys
+        .iter()
+        .map(|key| {
+            let mut block = [0u8; BLOCK_LEN];
+            if key.len() > BLOCK_LEN {
+                let hashed = digest_many_from_midstates_with(width, &[INITIAL_STATE], 0, &[key]);
+                block[..DIGEST_LEN].copy_from_slice(&hashed[0]);
+            } else {
+                block[..key.len()].copy_from_slice(key);
+            }
+            block
+        })
+        .collect();
+    let pad_states = |pad: u8| {
+        let blocks: Vec<[u8; BLOCK_LEN]> = block_keys.iter().map(|k| k.map(|b| b ^ pad)).collect();
+        let mut states = vec![INITIAL_STATE; blocks.len()];
+        compress_many_with(width, &mut states, &blocks);
+        states
+    };
+    let inner = digest_many_from_midstates_with(width, &pad_states(0x36), BLOCK_LEN as u64, data);
+    let inner_refs: Vec<&[u8]> = inner.iter().map(<[u8; DIGEST_LEN]>::as_slice).collect();
+    digest_many_from_midstates_with(width, &pad_states(0x5c), BLOCK_LEN as u64, &inner_refs)
+}
+
 /// RFC 4231 HMAC-SHA-256 test cases 1-4, 6 and 7 (case 5 specifies a
-/// truncated output and is out of scope), all through
+/// truncated output and is out of scope), through
 /// [`PreparedMacKey::new_many`] + [`PreparedMacKey::mac_many`] — the
-/// lane-parallel HMAC pipeline the reveal-verify batch path uses.
+/// batched HMAC pipeline the reveal-verify batch path uses — and through
+/// every kernel the host supports, SHA-NI and the portable reference
+/// included.
 #[test]
 fn rfc_4231_vectors_through_the_multi_lane_path() {
     let case4_key: Vec<u8> = (1..=25).collect();
@@ -242,8 +321,16 @@ fn rfc_4231_vectors_through_the_multi_lane_path() {
     ];
     let prepared = PreparedMacKey::new_many(&keys);
     let prepared_refs: Vec<&PreparedMacKey> = prepared.iter().collect();
-    let got = PreparedMacKey::mac_many(&prepared_refs, &data);
-    for (i, want) in expected.iter().enumerate() {
-        assert_eq!(hex(&got[i]), *want, "RFC 4231 case {i}");
+    let mut paths = vec![(
+        "mac_many".to_string(),
+        PreparedMacKey::mac_many(&prepared_refs, &data),
+    )];
+    for &width in supported() {
+        paths.push((width.to_string(), hmac_many_with(width, &keys, &data)));
+    }
+    for (path, got) in paths {
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(hex(&got[i]), *want, "RFC 4231 case {i} via {path}");
+        }
     }
 }

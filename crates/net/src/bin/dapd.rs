@@ -637,6 +637,7 @@ fn run_receiver(opts: &Opts) {
     // the interval the first frame claims (loose sync by first contact).
     let mut clock: Option<RealClock> = None;
     let mut buf = vec![0u8; dap_core::codec::MAX_FRAME_LEN];
+    let mut socket_failed = false;
     while Instant::now() < deadline && !sigint::interrupted() {
         match transport.recv(&mut buf) {
             Ok(Some(n)) => {
@@ -652,7 +653,11 @@ fn run_receiver(opts: &Opts) {
                 handle.ingest(&buf[..n], at);
             }
             Ok(None) => {}
-            Err(e) => panic!("receiver socket error: {e}"),
+            Err(e) => {
+                eprintln!("receiver socket error: {e}; draining shards and snapshotting");
+                socket_failed = true;
+                break;
+            }
         }
     }
     if sigint::interrupted() {
@@ -669,6 +674,9 @@ fn run_receiver(opts: &Opts) {
     println!("receiver done: {auth}/{total} reveals authenticated");
     if let Some(server) = server {
         server.stop();
+    }
+    if socket_failed {
+        std::process::exit(1);
     }
 }
 

@@ -16,6 +16,7 @@ use std::time::Instant;
 use dap_bench::json::{array, JsonObject};
 use dap_bench::timer::measure_counted;
 use dap_core::{codec, DapMessage, DapParams, DapReceiver, DapSender, Reveal, SenderId};
+use dap_crypto::lanes::{self, LaneWidth};
 use dap_net::adversary::AdversaryClass;
 use dap_net::fleet::{run_fleet, FleetSpec};
 use dap_net::loopback::{run_loopback, LoopbackSpec};
@@ -55,6 +56,9 @@ struct Lane {
     /// Overload-matrix cells carry their survival numbers into the
     /// JSON; absent for pure throughput/latency lanes.
     survival: Option<Survival>,
+    /// The `compress_many` kernel behind a batched lane; ci.sh reads it
+    /// to decide which batch gate applies on this host.
+    kernel: Option<LaneWidth>,
 }
 
 impl Lane {
@@ -69,6 +73,7 @@ impl Lane {
             frames: iters,
             quantiles: None,
             survival: None,
+            kernel: None,
         }
     }
 
@@ -81,6 +86,7 @@ impl Lane {
             frames,
             quantiles: None,
             survival: None,
+            kernel: None,
         }
     }
 
@@ -333,8 +339,8 @@ fn bench_teslapp_verify() -> (Lane, Lane) {
 /// of many sessions — so every flush hands the multi-lane compressor a
 /// full batch. Timed per window: one `precompute_reveals` over all 64
 /// reveals, then the sequential consume loop. The scalar reference is
-/// the `dap_reveal_verify` lane; ci.sh gates this one at ≥ 2× its
-/// frames/sec.
+/// the `dap_reveal_verify` lane; where the batch kernel is multi-lane,
+/// ci.sh gates this one at ≥ 2× its frames/sec.
 fn bench_dap_reveal_batched() -> Lane {
     const PAIRS: usize = 64;
     const INTERVALS: u64 = 32;
@@ -391,12 +397,14 @@ fn bench_dap_reveal_batched() -> Lane {
         PAIRS as u64 * INTERVALS,
         "bench reveals must authenticate for the timing to mean anything"
     );
-    Lane::from_hist(
+    let mut lane = Lane::from_hist(
         "dap_reveal_verify_batched",
         PAIRS as u64 * INTERVALS,
         elapsed,
         &hist,
-    )
+    );
+    lane.kernel = Some(lanes::detected());
+    lane
 }
 
 /// Batched TESLA++ reveal verify over the same fleet shape, against the
@@ -451,12 +459,14 @@ fn bench_teslapp_reveal_batched() -> Lane {
         PAIRS as u64 * INTERVALS,
         "bench reveals must authenticate for the timing to mean anything"
     );
-    Lane::from_hist(
+    let mut lane = Lane::from_hist(
         "teslapp_reveal_verify_batched",
         PAIRS as u64 * INTERVALS,
         elapsed,
         &hist,
-    )
+    );
+    lane.kernel = Some(lanes::detected());
+    lane
 }
 
 /// The adversary-class × defender-posture survival matrix (DESIGN §11,
@@ -584,6 +594,9 @@ fn main() {
                 .u64("p50_ns", p50)
                 .u64("p95_ns", p95)
                 .u64("p99_ns", p99);
+        }
+        if let Some(kernel) = lane.kernel {
+            object = object.str("kernel", &kernel.to_string());
         }
         if let Some(survival) = &lane.survival {
             object = object

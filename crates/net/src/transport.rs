@@ -20,8 +20,8 @@ use dap_simnet::{keys, ChannelModel, Metrics, SimRng};
 /// A broadcast medium a node can send frames into and read frames from.
 ///
 /// `recv` is pull-based and non-blocking-ish: `Ok(None)` means "nothing
-/// right now" (timeout on UDP, empty queue on loopback), so a reader
-/// loop can interleave shutdown checks.
+/// right now" (timeout or signal on UDP, empty queue on loopback), so a
+/// reader loop can interleave shutdown checks.
 pub trait Transport: Send {
     /// Broadcasts one frame.
     ///
@@ -35,7 +35,8 @@ pub trait Transport: Send {
     ///
     /// # Errors
     ///
-    /// I/O errors other than the timeout family.
+    /// I/O errors other than the timeout family and signal
+    /// interruptions.
     fn recv(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>>;
 }
 
@@ -102,18 +103,28 @@ impl Transport for UdpTransport {
     }
 
     fn recv(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>> {
-        match self.socket.recv_from(buf) {
-            Ok((n, _peer)) => Ok(Some(n)),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
+        datagram_or_nothing(self.socket.recv_from(buf).map(|(n, _peer)| n))
+    }
+}
+
+/// Maps one `recv_from` result onto the [`Transport::recv`] contract.
+/// The read timeout surfaces as `WouldBlock` or `TimedOut`; a signal
+/// landing mid-wait surfaces as `Interrupted`, because a socket with a
+/// receive timeout fails with `EINTR` even under `SA_RESTART`
+/// (signal(7)). Both mean "no datagram", so a Ctrl-C reaches the reader
+/// loop's shutdown check instead of its error path.
+fn datagram_or_nothing(received: io::Result<usize>) -> io::Result<Option<usize>> {
+    match received {
+        Ok(n) => Ok(Some(n)),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(None)
         }
+        Err(e) => Err(e),
     }
 }
 
@@ -333,6 +344,20 @@ mod tests {
         let mut rx = UdpTransport::receiver("127.0.0.1:0", Duration::from_millis(10)).unwrap();
         let mut buf = [0u8; 8];
         assert_eq!(rx.recv(&mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn timeouts_and_signals_are_no_datagram_and_other_errors_surface() {
+        use io::ErrorKind::{ConnectionRefused, Interrupted, Other, TimedOut, WouldBlock};
+        assert_eq!(datagram_or_nothing(Ok(7)).unwrap(), Some(7));
+        for kind in [WouldBlock, TimedOut, Interrupted] {
+            let got = datagram_or_nothing(Err(io::Error::from(kind)));
+            assert_eq!(got.unwrap(), None, "{kind:?}");
+        }
+        for kind in [ConnectionRefused, Other] {
+            let got = datagram_or_nothing(Err(io::Error::from(kind)));
+            assert_eq!(got.unwrap_err().kind(), kind);
+        }
     }
 
     #[test]
