@@ -8,6 +8,12 @@ cd "$(dirname "$0")"
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== benchmark build (recvbench against the workspace crates) =="
+# recvbench is a package of its own that builds against the workspace
+# crates' APIs: a dap-net change that breaks it fails here, not in the
+# benchmark run. --locked keeps recvbench/Cargo.lock as committed.
+cargo build --release --offline --locked --manifest-path recvbench/Cargo.toml
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 

@@ -86,6 +86,14 @@ impl AdversaryClass {
         }
     }
 
+    /// Whether a flood ramp ([`AdversaryPlan::ramped`]) applies: only
+    /// the Bernoulli flooder follows one; the other classes shape their
+    /// own share.
+    #[must_use]
+    pub fn ramps(self) -> bool {
+        self == AdversaryClass::Bernoulli
+    }
+
     /// Every class, in report order.
     pub const ALL: [AdversaryClass; 6] = [
         AdversaryClass::Bernoulli,
@@ -194,6 +202,11 @@ pub struct AdversaryPlan {
     /// campaign was asked for).
     cap: FloodIntensity,
     share_cap: f64,
+    /// The Bernoulli flooder's share once its ramp plateaus — the cap
+    /// itself on a stationary wire (see [`AdversaryPlan::ramped`]).
+    share_end: f64,
+    /// Intervals the ramp spends climbing from the cap to `share_end`.
+    ramp_intervals: u64,
     /// Authentic copies each sender pumps per interval (the flood
     /// arithmetic's `authentic` operand).
     copies: u64,
@@ -248,6 +261,8 @@ impl AdversaryPlan {
             class,
             cap: FloodIntensity::of_bandwidth(p),
             share_cap: p,
+            share_end: p,
+            ramp_intervals: 1,
             copies,
             unpinned,
             colluders,
@@ -261,6 +276,31 @@ impl AdversaryPlan {
         }
     }
 
+    /// This plan with the Bernoulli flooder's share ramped linearly from
+    /// the cap `p` at interval 1 to `p_end` across the first half of an
+    /// `intervals`-long campaign, then held at `p_end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class does not [ramp](AdversaryClass::ramps) or
+    /// `p_end` is outside `[0, 1)`.
+    #[must_use]
+    pub fn ramped(self, p_end: f64, intervals: u64) -> Self {
+        assert!(
+            self.class.ramps(),
+            "a flood ramp drives the Bernoulli flooder only"
+        );
+        assert!(
+            (0.0..1.0).contains(&p_end),
+            "bandwidth share must be in [0,1)"
+        );
+        Self {
+            share_end: p_end,
+            ramp_intervals: (intervals / 2).max(1),
+            ..self
+        }
+    }
+
     /// The class this plan runs.
     #[must_use]
     pub fn class(&self) -> AdversaryClass {
@@ -268,13 +308,23 @@ impl AdversaryPlan {
     }
 
     /// The bandwidth share currently in play (the cap for the static
-    /// classes, the escalated share for adaptive).
+    /// classes — a ramped plan's starting share — and the escalated
+    /// share for adaptive).
     #[must_use]
     pub fn share(&self) -> f64 {
         match self.class {
             AdversaryClass::Adaptive => self.adaptive_share,
             _ => self.share_cap,
         }
+    }
+
+    /// Whether the class reads [`PostureView`] in
+    /// [`AdversaryPlan::observe`]. Only then must a driver settle each
+    /// interval boundary before observing, so the view is a function
+    /// of the traffic and not of worker scheduling.
+    #[must_use]
+    pub fn reads_posture(&self) -> bool {
+        self.class == AdversaryClass::Adaptive
     }
 
     /// How many times the adaptive class has escalated so far.
@@ -290,8 +340,13 @@ impl AdversaryPlan {
     pub fn spoof_copies(&self, victim: SenderId, interval: u64) -> u64 {
         match self.class {
             // Indiscriminate: every sender, pinned or not, sees share p
-            // of forged traffic — exactly the PR 4 flooder.
-            AdversaryClass::Bernoulli => self.cap.forged_copies(self.copies),
+            // of forged traffic — the paper's §V flooder, at the ramp's
+            // share for this interval.
+            AdversaryClass::Bernoulli => {
+                let t = (interval.saturating_sub(1) as f64 / self.ramp_intervals as f64).min(1.0);
+                let share = self.share_cap + (self.share_end - self.share_cap) * t;
+                FloodIntensity::of_bandwidth(share).forged_copies(self.copies)
+            }
             AdversaryClass::Adaptive if self.unpinned.contains(&victim.0) => {
                 self.adaptive.forged_copies(self.copies)
             }
@@ -349,7 +404,7 @@ impl AdversaryPlan {
     /// *actually in force* — and a defender that gives up invites the
     /// full cap at once: flooding a surrendered node is free.
     pub fn observe(&mut self, posture: &PostureView) {
-        if self.class != AdversaryClass::Adaptive {
+        if !self.reads_posture() {
             return;
         }
         let shed_delta = posture.shed_frames.saturating_sub(self.last_shed);
@@ -482,6 +537,21 @@ mod tests {
         // p=0.9, 4 authentic → 36 forged, pinned or not.
         assert_eq!(plan.spoof_copies(SenderId(1), 3), 36);
         assert_eq!(plan.spoof_copies(SenderId(5), 3), 36);
+        // Ramped 0.5 → 0.9 over an 8-interval campaign's first four
+        // intervals: 4 forged, then 9 at share 0.7, then 36 held.
+        let plan =
+            AdversaryPlan::new(AdversaryClass::Bernoulli, 0.5, 4, 1, &pins(&[])).ramped(0.9, 8);
+        assert_eq!(plan.spoof_copies(SenderId(1), 1), 4);
+        assert_eq!(plan.spoof_copies(SenderId(1), 3), 9);
+        assert_eq!(plan.spoof_copies(SenderId(1), 5), 36);
+        assert_eq!(plan.spoof_copies(SenderId(1), 8), 36);
+    }
+
+    #[test]
+    #[should_panic(expected = "Bernoulli flooder only")]
+    fn only_the_bernoulli_flooder_ramps() {
+        let _ =
+            AdversaryPlan::new(AdversaryClass::Collusion, 0.5, 4, 4, &pins(&[])).ramped(0.9, 10);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use dap_core::{codec, DapMessage, DapParams, DapReceiver, DapSender, Reveal, Sen
 use dap_crypto::lanes::{self, LaneWidth};
 use dap_net::adversary::AdversaryClass;
 use dap_net::fleet::{run_fleet, FleetSpec};
-use dap_net::loopback::{run_loopback, LoopbackSpec};
 use dap_net::pool::{DapShard, FrameVerifier, LiveCounters, TeslaPpShard};
 use dap_obs::Histogram;
 use dap_simnet::{keys, Registry, SimDuration, SimRng, SimTime};
@@ -108,7 +107,7 @@ impl Lane {
 /// the flight recorder sampling every datagram — the pair is the
 /// observability-overhead measurement ci.sh gates at ≤ 10%.
 fn bench_ingest_pair() -> (Lane, Lane) {
-    let spec_with = |trace_depth, span_every| LoopbackSpec {
+    let spec_with = |trace_depth, span_every| FleetSpec {
         // Floor of 1000 even on the smoke budget: the traced/untraced
         // pair feeds a ratio gate, and under ~1000 intervals the fixed
         // setup costs (thread spawn, ring prealloc, trace collection)
@@ -116,7 +115,7 @@ fn bench_ingest_pair() -> (Lane, Lane) {
         intervals: (budget_ms() * 10).clamp(1000, 4000),
         trace_depth,
         span_every,
-        ..LoopbackSpec::default()
+        ..FleetSpec::untagged()
     };
     // The traced twin runs the flight-recorder posture: per-shard
     // retain-last-8192 rings (the black-box model — keep the recent
@@ -131,7 +130,7 @@ fn bench_ingest_pair() -> (Lane, Lane) {
     for _ in 0..4 {
         for (i, spec) in specs.iter().enumerate() {
             let t0 = Instant::now();
-            let report = run_loopback(spec);
+            let report = run_fleet(spec);
             frames[i] = report.frames;
             best[i] = best[i].min(t0.elapsed().as_nanos());
         }

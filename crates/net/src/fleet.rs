@@ -1,23 +1,35 @@
-//! The deterministic fleet campaign: many tagged senders, per-sender
-//! spoofing flooders, and a session-table receiver — crowd-scale DAP on
-//! one seeded loopback wire.
+//! The deterministic campaign driver: a roster of senders, a flooder
+//! and a sharded receiver pool on one seeded loopback wire.
 //!
-//! Where [`crate::loopback`] reproduces the paper's flood experiment for
-//! a single chain, this module runs it for a *fleet*: `N` senders each
-//! walking their own key chain, emitting [`SenderId`]-tagged frames,
-//! while the flooder spoofs each sender's tag with forged announces at
-//! bandwidth share `p`. Frames route to shards by sender
-//! ([`RoutePolicy::BySender`]), each shard owns a [`SessionTable`]
-//! slice of the fleet, and the per-sender `1 − p^m` arithmetic holds
-//! independently for every resident session — the many-to-one setting
-//! the paper's crowdsensing scenario actually describes.
+//! The run reproduces the paper's §V flood experiment on the wire: in
+//! every interval each sender emits `g` genuine announce copies, the
+//! flooder interleaves `f = round(g·p/(1−p))` forged copies among them
+//! (a seeded shuffle — the attacker does not get to always pre-empt the
+//! genuine copies), and the sender's reveal follows one interval later.
+//! With `m` buffers a genuine reveal authenticates iff a genuine copy
+//! survived reservoir sampling: probability `≈ 1 − p^m` (exactly
+//! hypergeometric at finite `n`).
 //!
-//! Determinism follows the loopback recipe: one driver thread plays all
-//! traffic in virtual time, [`OverflowPolicy::Block`] forbids
-//! timing-dependent shedding, frozen clocks zero the stopwatches, and
-//! every shard RNG forks from the pool seed — so two same-seed runs
-//! render byte-identical registries (the fleet-soak ci gate `cmp`s
-//! exactly this).
+//! The roster decides everything else ([`FleetSpec::untagged`]):
+//!
+//! - **one untagged sender** — the paper's single-chain experiment:
+//!   the chain derives from the bare seed, frames use the legacy
+//!   untagged wire shapes, and frames route by interval
+//!   ([`RoutePolicy::ByInterval`]) to [`DapShard`]s;
+//! - **`N` tagged senders** — the crowdsensing setting: every sender
+//!   walks its own chain ([`fleet_chain_seed`]) and emits
+//!   [`SenderId`]-tagged frames while the flooder spoofs each sender's
+//!   tag; frames route by sender ([`RoutePolicy::BySender`]) to
+//!   [`FleetShard`]s, each owning a [`SessionTable`] slice of the fleet,
+//!   and the per-sender `1 − p^m` arithmetic holds independently for
+//!   every resident session.
+//!
+//! Determinism: one driver thread plays all traffic in virtual time and
+//! drains the wire into the pool after every interval,
+//! [`OverflowPolicy::Block`] forbids timing-dependent shedding, frozen
+//! clocks zero the stopwatches, and every shard RNG forks from the pool
+//! seed — so two same-seed runs render byte-identical registries and
+//! traces (the ci.sh soak gates `cmp` exactly this).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -34,22 +46,27 @@ use dap_simnet::{keys, ChannelModel, Metrics, Registry, SimDuration, SimRng, Sim
 use crate::adversary::{AdversaryClass, AdversaryEmit, AdversaryPlan, PostureView};
 use crate::control::{ControlConfig, ControlPlane};
 use crate::pool::{
-    BufferNote, FrameVerdict, FrameVerifier, LiveCounters, OverflowPolicy, PoolConfig, PoolObs,
-    PostureUpdate, ReceiverPool, RoutePolicy,
+    dap_verdict, DapShard, FrameVerdict, FrameVerifier, LiveCounters, OverflowPolicy, PoolConfig,
+    PoolObs, PostureUpdate, ReceiverPool, RoutePolicy,
 };
 use crate::pump::Flooder;
 use crate::session::{Admission, PriorityClass, SessionConfig, SessionTable};
 use crate::telemetry::SharedRegistry;
 use crate::transport::{LoopbackTransport, Transport};
 
-/// Everything a fleet campaign needs; all fields seeded/explicit so a
-/// spec fully determines the run.
+/// Everything a campaign needs; all fields seeded/explicit so a spec
+/// fully determines the run.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
-    /// Master seed (per-sender chains, flooder MACs, shard sampling).
+    /// Master seed (per-sender chains, wire faults, flooder MACs, shard
+    /// sampling).
     pub seed: u64,
     /// Fleet size — sender ids run `1..=senders`.
     pub senders: u64,
+    /// Plays the roster as one untagged sender: the paper's
+    /// single-chain experiment on the legacy wire shapes (see
+    /// [`FleetSpec::untagged`]). Needs `senders == 1`.
+    pub untagged: bool,
     /// Intervals of traffic per sender.
     pub intervals: u64,
     /// Receiver buffers `m` per pending interval per session.
@@ -58,15 +75,30 @@ pub struct FleetSpec {
     pub shards: usize,
     /// Per-shard ingress queue depth.
     pub queue_depth: usize,
-    /// Flooder bandwidth share `p ∈ [0, 1)`, spoofed per sender.
+    /// Flooder bandwidth share `p ∈ [0, 1)` at campaign start, spoofed
+    /// per sender.
     pub flood: f64,
+    /// Flooder bandwidth share at the end of the ramp: the wire's `p`
+    /// ramps linearly `flood → flood_end` over the first half of the
+    /// campaign, then holds at `flood_end`. `None` (the default) keeps
+    /// the wire stationary at [`flood`]. Ramps the Bernoulli flooder
+    /// only ([`AdversaryPlan::ramped`]).
+    ///
+    /// [`flood`]: FleetSpec::flood
+    pub flood_end: Option<f64>,
     /// Genuine announce copies per sender per interval.
     pub copies: u32,
+    /// Wire loss probability.
+    pub loss: f64,
+    /// Wire corruption probability (one flipped bit per hit).
+    pub corrupt: f64,
     /// Per-shard session-count cap.
     pub max_sessions: usize,
     /// Per-shard session memory budget in bits.
     pub memory_budget_bits: u64,
-    /// Per-source trace ring capacity; 0 disables tracing.
+    /// Per-source trace ring capacity; 0 disables tracing. Traced runs
+    /// stay bit-reproducible: the pool runs on frozen clocks and every
+    /// record is stamped with protocol time.
     pub trace_depth: usize,
     /// Flight-recorder sampling cadence ([`PoolObs::span_every`]):
     /// every `span_every`-th verified datagram per shard emits a
@@ -86,13 +118,29 @@ pub struct FleetSpec {
     pub drain_budget: usize,
     /// Runs the live control plane: the driver feeds reveal-time buffer
     /// evidence to a [`ControlPlane`] at every quiesced interval
-    /// boundary and broadcasts the resulting directives, so every
-    /// shard's whole session-table slice re-provisions `m` toward the
-    /// game's optimum as the measured flood changes.
+    /// boundary and broadcasts the resulting directives, so every shard
+    /// re-sizes `m` toward the game's optimum as the measured flood
+    /// changes. Determinism survives the feedback edge: evidence is
+    /// read only at quiesced boundaries.
     pub adaptive: bool,
 }
 
 impl FleetSpec {
+    /// The paper's single-sender campaign: one untagged sender,
+    /// 400 intervals, `m = 4`, `p = 0.9`, 4 genuine copies, clean wire
+    /// — the ci.sh soak-gate shape.
+    #[must_use]
+    pub fn untagged() -> Self {
+        Self {
+            senders: 1,
+            untagged: true,
+            intervals: 400,
+            queue_depth: 256,
+            flood: 0.9,
+            ..Self::default()
+        }
+    }
+
     /// The pin set in the shared form the pool, session tables and
     /// adversary plan consume.
     #[must_use]
@@ -112,12 +160,16 @@ impl Default for FleetSpec {
         Self {
             seed: 2016,
             senders: 64,
+            untagged: false,
             intervals: 8,
             buffers: 4,
             shards: 4,
             queue_depth: 4096,
             flood: 0.8,
+            flood_end: None,
             copies: 4,
+            loss: 0.0,
+            corrupt: 0.0,
             max_sessions: usize::MAX,
             memory_budget_bits: 16 * 1024 * 1024,
             trace_depth: 0,
@@ -130,7 +182,7 @@ impl Default for FleetSpec {
     }
 }
 
-/// What a fleet campaign produced.
+/// What a campaign produced.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Merged pool + wire + session counters.
@@ -142,7 +194,9 @@ pub struct FleetReport {
     pub trace: Vec<TraceRecord>,
     /// Aggregate `authenticated / reveals` across the fleet.
     pub auth_rate: f64,
-    /// The paper's per-sender prediction `1 − p^m`.
+    /// The paper's per-sender prediction `1 − p^m` at the starting
+    /// share [`FleetSpec::flood`] — a ramped wire's rate does not track
+    /// it.
     pub expected_rate: f64,
     /// Frames the driver pushed into the pool.
     pub frames: u64,
@@ -233,8 +287,13 @@ pub fn fleet_directory(
     chain_len: usize,
     params: DapParams,
 ) -> Arc<Vec<DapBootstrap>> {
+    bootstraps(&fleet_chains(fleet_seed, senders, chain_len), params)
+}
+
+/// The bootstrap records (commitment + `params`) of `chains`, shared.
+fn bootstraps(chains: &[KeyChain], params: DapParams) -> Arc<Vec<DapBootstrap>> {
     Arc::new(
-        fleet_chains(fleet_seed, senders, chain_len)
+        chains
             .iter()
             .map(|chain| DapBootstrap {
                 commitment: *chain.commitment(),
@@ -330,15 +389,16 @@ impl FrameVerifier for FleetShard {
         registry: &mut Registry,
         live: &LiveCounters,
     ) -> FrameVerdict {
-        let interval = match frame {
-            DapMessage::Announce(a) => a.index,
-            DapMessage::Reveal(r) => r.index,
-        };
-        // Pop unconditionally for every reveal — even ones the early
-        // returns below discard — so the queue stays aligned with the
-        // window's reveal sequence.
+        // Pop unconditionally for every reveal — even one the early
+        // return below discards — so the queue stays aligned with the
+        // window's reveal sequence; a precompute serves only the sender
+        // it was made for.
         let pre = match frame {
-            DapMessage::Reveal(_) => self.pre.pop_front().flatten(),
+            DapMessage::Reveal(_) => self
+                .pre
+                .pop_front()
+                .flatten()
+                .and_then(|(claimed, pre)| (claimed == sender.0).then_some(pre)),
             DapMessage::Announce(_) => None,
         };
         let (directory, buffers) = (&self.directory, self.params.buffers);
@@ -358,7 +418,10 @@ impl FrameVerifier for FleetShard {
             registry.incr(keys::NET_SESSION_UNKNOWN);
             return FrameVerdict {
                 outcome: "unknown_sender",
-                interval,
+                interval: match frame {
+                    DapMessage::Announce(a) => a.index,
+                    DapMessage::Reveal(r) => r.index,
+                },
                 buffer: None,
                 key_reveal: false,
                 evicted: None,
@@ -371,89 +434,25 @@ impl FrameVerifier for FleetShard {
         }
         registry.add(keys::NET_SESSION_EVICTED, session.evicted.len() as u64);
         let evicted = session.evicted.first().copied();
-        let receiver = session.receiver;
-        match frame {
-            DapMessage::Announce(a) => {
-                use dap_core::AnnounceOutcome;
-                let announce = receiver.on_announce(a, at, rng);
-                let (key, outcome, kept) = match announce {
-                    AnnounceOutcome::Stored => (keys::NET_ANNOUNCE_STORED, "stored", true),
-                    AnnounceOutcome::Dropped => {
-                        (keys::NET_ANNOUNCE_SAMPLED_OUT, "sampled_out", false)
-                    }
-                    AnnounceOutcome::Unsafe => (keys::NET_ANNOUNCE_UNSAFE, "unsafe", false),
-                };
-                registry.incr(key);
-                let buffer = (announce != AnnounceOutcome::Unsafe).then(|| BufferNote {
-                    kept,
-                    offered: receiver.offered(a.index),
-                    capacity: receiver.buffer_capacity() as u64,
-                });
-                FrameVerdict {
-                    outcome,
-                    interval,
-                    buffer,
-                    key_reveal: false,
-                    evicted,
-                }
-            }
-            DapMessage::Reveal(r) => {
-                use dap_core::RevealOutcome;
-                registry.incr(keys::NET_REVEAL_TOTAL);
-                let before = *receiver.stats();
-                let reveal_outcome = match pre {
-                    Some((claimed, p)) if claimed == sender.0 => {
-                        receiver.on_reveal_precomputed(r, at, &p)
-                    }
-                    _ => receiver.on_reveal(r, at),
-                };
-                let after = receiver.stats();
-                live.count_reveal_evidence(
-                    after.buffered_decided - before.buffered_decided,
-                    after.buffered_forged - before.buffered_forged,
-                );
-                let (key, outcome, attempt, success) = match reveal_outcome {
-                    RevealOutcome::Authenticated { .. } => {
-                        live.count_authenticated();
-                        (keys::NET_REVEAL_AUTH, "auth", true, true)
-                    }
-                    RevealOutcome::WeakRejected { .. } => (
-                        keys::NET_REVEAL_WEAK_REJECTED,
-                        "weak_rejected",
-                        false,
-                        false,
-                    ),
-                    RevealOutcome::StrongRejected { .. } => (
-                        keys::NET_REVEAL_STRONG_REJECTED,
-                        "strong_rejected",
-                        true,
-                        false,
-                    ),
-                    RevealOutcome::NoCandidate { .. } => {
-                        (keys::NET_REVEAL_NO_CANDIDATE, "no_candidate", false, false)
-                    }
-                };
-                registry.incr(key);
-                if attempt {
-                    let tally = self.reveal_outcomes.entry(sender.0).or_insert((0, 0));
-                    tally.1 += 1;
-                    if success {
-                        tally.0 += 1;
-                    }
-                    // The EWMA feeds the drain/eviction priority: every
-                    // verdict on a genuine reveal nudges the sender's
-                    // score toward its recent auth rate.
-                    self.table.record_auth(sender, success);
-                }
-                FrameVerdict {
-                    outcome,
-                    interval,
-                    buffer: None,
-                    key_reveal: true,
-                    evicted,
-                }
-            }
+        let (verdict, attempt) = dap_verdict(
+            session.receiver,
+            frame,
+            pre.as_ref(),
+            at,
+            rng,
+            registry,
+            live,
+        );
+        if let Some(success) = attempt {
+            let tally = self.reveal_outcomes.entry(sender.0).or_insert((0, 0));
+            tally.0 += u64::from(success);
+            tally.1 += 1;
+            // The EWMA feeds the drain/eviction priority: every verdict
+            // on a genuine reveal nudges the sender's score toward its
+            // recent auth rate.
+            self.table.record_auth(sender, success);
         }
+        FrameVerdict { evicted, ..verdict }
     }
 
     fn on_shutdown(&mut self, registry: &mut Registry) {
@@ -537,19 +536,22 @@ impl FrameVerifier for FleetShard {
     }
 }
 
-/// Runs one seeded fleet campaign; see the module docs.
+/// Runs one seeded campaign; see the module docs.
 ///
 /// # Panics
 ///
-/// Panics on invalid spec fields (zero shards/buffers/senders,
-/// `p ∉ [0, 1)`) and if a pool worker panics.
+/// Panics on invalid spec fields (zero shards/buffers/senders, an
+/// untagged roster of more than one sender, `p ∉ [0, 1)`, loss or
+/// corruption outside `[0, 1]`, a flood ramp under a non-Bernoulli
+/// adversary) and if a pool worker panics.
 #[must_use]
 pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     run_fleet_with(spec, None)
 }
 
 /// [`run_fleet`] with an optional live telemetry registry (slot `i` =
-/// shard `i`; must have at least `spec.shards` slots).
+/// shard `i`; must have at least `spec.shards` slots, and a slot
+/// `spec.shards` receives the control plane's posture gauges).
 ///
 /// # Panics
 ///
@@ -557,6 +559,10 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
 #[must_use]
 pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) -> FleetReport {
     assert!(spec.senders >= 1, "need at least one sender");
+    assert!(
+        !spec.untagged || spec.senders == 1,
+        "an untagged roster is exactly one sender"
+    );
     let params = fleet_params(spec.buffers);
     let schedule = params.schedule();
     let d = params.disclosure_delay;
@@ -568,49 +574,70 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     let flooder_seed = rng.next_u64();
     let mut shuffle_rng = rng.fork(4);
 
-    // The fleet: every sender its own chain, all chains derived in one
-    // lane-parallel batch walk. The same chains seed the shared
+    // Every sender its own chain — a tagged roster derives all of them
+    // in one lane-parallel batch walk. The same chains seed the shared
     // directory, so the shards never re-walk a chain on admission.
-    let chains = fleet_chains(spec.seed, spec.senders, chain_len);
-    let directory: Arc<Vec<DapBootstrap>> = Arc::new(
-        chains
-            .iter()
-            .map(|chain| DapBootstrap {
-                commitment: *chain.commitment(),
-                params,
-            })
-            .collect(),
-    );
-    let mut fleet: Vec<DapSender> = chains
+    let chains = if spec.untagged {
+        vec![KeyChain::generate(
+            &spec.seed.to_be_bytes(),
+            chain_len,
+            Domain::F,
+        )]
+    } else {
+        fleet_chains(spec.seed, spec.senders, chain_len)
+    };
+    let directory = bootstraps(&chains, params);
+    let mut roster: Vec<DapSender> = chains
         .into_iter()
         .map(|chain| DapSender::with_chain(chain, params))
         .collect();
 
-    let wire = LoopbackTransport::new(wire_rng_seed, ChannelModel::perfect(), 0.0);
+    let wire = LoopbackTransport::new(wire_rng_seed, ChannelModel::lossy(spec.loss), spec.corrupt);
+    // Reserved trace source ids: shards take 0..shards, the pool's
+    // socket reader takes `shards`, the wire one past it and the
+    // control plane two past.
+    let wire_source = u32::try_from(spec.shards).expect("shard count fits u32") + 1;
     if spec.trace_depth > 0 {
-        let wire_source = u32::try_from(spec.shards).expect("shard count fits u32") + 1;
         wire.enable_trace(wire_source, spec.trace_depth);
     }
     let pins = spec.pin_set();
-    let pool = ReceiverPool::spawn_with_obs(
-        PoolConfig {
-            shards: spec.shards,
-            queue_depth: spec.queue_depth,
-            overflow: OverflowPolicy::Block,
-            route: RoutePolicy::BySender,
-            drain_budget: spec.drain_budget,
-            pins: Arc::clone(&pins),
+    let config = PoolConfig {
+        shards: spec.shards,
+        queue_depth: spec.queue_depth,
+        overflow: OverflowPolicy::Block,
+        route: if spec.untagged {
+            RoutePolicy::ByInterval
+        } else {
+            RoutePolicy::BySender
         },
-        pool_seed,
-        |shard| FleetShard::with_directory(spec, shard, Arc::clone(&directory)),
-        PoolObs {
-            time: TimeSource::frozen(),
-            trace_depth: spec.trace_depth,
-            publish: publish.clone(),
-            publish_every: 64,
-            span_every: spec.span_every,
-        },
-    );
+        drain_budget: spec.drain_budget,
+        pins: Arc::clone(&pins),
+    };
+    let obs = PoolObs {
+        // Frozen clocks: stopwatch durations collapse to 0, so the
+        // latency histograms carry only deterministic sample counts.
+        time: TimeSource::frozen(),
+        trace_depth: spec.trace_depth,
+        publish: publish.clone(),
+        publish_every: 64,
+        span_every: spec.span_every,
+    };
+    let pool = if spec.untagged {
+        let bootstrap = directory[0];
+        ReceiverPool::spawn_with_obs(
+            config,
+            pool_seed,
+            |shard| DapShard::new(bootstrap, &[b'l', b'o', shard as u8]),
+            obs,
+        )
+    } else {
+        ReceiverPool::spawn_with_obs(
+            config,
+            pool_seed,
+            |shard| FleetShard::with_directory(spec, shard, Arc::clone(&directory)),
+            obs,
+        )
+    };
     let handle = pool.handle();
     let mut flooder = Flooder::new(wire.clone(), flooder_seed, spec.flood);
     let mut adversary = AdversaryPlan::new(
@@ -620,6 +647,9 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
         spec.senders,
         &pins,
     );
+    if let Some(end) = spec.flood_end {
+        adversary = adversary.ramped(end, spec.intervals);
+    }
 
     let mut controller = spec.adaptive.then(|| {
         ControlPlane::new(
@@ -628,11 +658,18 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
         )
     });
     // Control-plane narration: p̂ estimate samples trace at their own
-    // reserved source id (one past the wire).
-    let ctrl_source = u32::try_from(spec.shards).expect("shard count fits u32") + 2;
-    let mut ctrl_trace = (spec.adaptive && spec.trace_depth > 0)
-        .then(|| dap_obs::TraceEmitter::new(ctrl_source, dap_obs::RingSink::new(spec.trace_depth)));
+    // reserved source id, so the forensic audit can line the
+    // estimator's view up against the wire's actual behaviour.
+    let mut ctrl_trace = (spec.adaptive && spec.trace_depth > 0).then(|| {
+        dap_obs::TraceEmitter::new(wire_source + 1, dap_obs::RingSink::new(spec.trace_depth))
+    });
 
+    // Settle interval boundaries only where something reads them: a
+    // windowed drain closes its window at the tick, and the control
+    // plane and a posture-reading adversary read pool state after the
+    // quiesce. Elsewhere the tick would flush an empty window and the
+    // quiesce would only stall the driver behind the shards.
+    let settle = spec.drain_budget != usize::MAX || spec.adaptive || adversary.reads_posture();
     let mut tx = wire.clone();
     let mut rx = wire.clone();
     let mut recv_buf = vec![0u8; codec::MAX_FRAME_LEN];
@@ -644,8 +681,8 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
 
     for i in 1..=spec.intervals {
         let at = SimTime(schedule.start_of(i).ticks() + 10);
-        // The previous interval fully drained (tick + quiesce below), so
-        // the posture the adaptive class observes is a deterministic
+        // A plan that reads this view had the previous boundary settled
+        // (below), so the posture it observes is a deterministic
         // function of the traffic so far — not of worker scheduling.
         adversary.observe(&PostureView {
             buffers: spec.buffers,
@@ -656,44 +693,50 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
             live_buffers: handle.live().live_buffers(),
             give_up: handle.live().give_up(),
         });
-        for (slot, sender) in fleet.iter_mut().enumerate() {
+        for (slot, sender) in roster.iter_mut().enumerate() {
             let id = SenderId(slot as u64 + 1);
+            let tag = (!spec.untagged).then_some(id);
+            let forged = adversary.spoof_copies(id, i);
             if adversary.suppresses(id, i) {
                 // Post-turn, a farmed sender's genuine traffic is
                 // withheld: the farmer rides the priority class its
                 // honest phase earned with forgeries alone.
-                for _ in 0..adversary.spoof_copies(id, i) {
-                    flooder.send_forged_as(id, i).expect("loopback send");
+                for _ in 0..forged {
+                    forge(&mut flooder, tag, i);
                 }
                 continue;
             }
             // The reveal for i − d leads the interval (Algorithm 1).
             if i > d {
                 if let Some(reveal) = sender.reveal(i - d) {
-                    let frame = codec::encode_tagged(id, &DapMessage::Reveal(reveal))
-                        .expect("encodable reveal");
+                    let frame = encode_as(tag, &DapMessage::Reveal(reveal));
                     adversary.tap(i, &frame);
                     tx.send(&frame).expect("loopback send");
                 }
             }
-            // Genuine copies and spoofed forgeries, uniformly
-            // interleaved per sender by seeded draw.
+            // Genuine copies and forgeries, uniformly interleaved per
+            // sender by seeded draw.
+            let payload = match tag {
+                Some(id) => format!("s{} reading {i}", id.0),
+                None => format!("reading {i}"),
+            };
             let announce = sender
-                .announce(i, format!("s{} reading {i}", id.0).as_bytes())
+                .announce(i, payload.as_bytes())
                 .expect("chain sized for the run");
-            let genuine = codec::encode_tagged(id, &DapMessage::Announce(announce))
-                .expect("encodable announce");
+            let genuine = encode_as(tag, &DapMessage::Announce(announce));
             adversary.tap(i, &genuine);
-            let forged = adversary.spoof_copies(id, i);
             let total = u64::from(spec.copies) + forged;
             let mut genuine_left = u64::from(spec.copies);
             let mut slots_left = total;
             for _ in 0..total {
+                // P(this slot genuine) = genuine_left / slots_left — a
+                // uniform interleave without materialising the
+                // permutation.
                 if genuine_left > 0 && shuffle_rng.below(slots_left) < genuine_left {
                     tx.send(&genuine).expect("loopback send");
                     genuine_left -= 1;
                 } else {
-                    flooder.send_forged_as(id, i).expect("loopback send");
+                    forge(&mut flooder, tag, i);
                 }
                 slots_left -= 1;
             }
@@ -712,8 +755,10 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
             }
         }
         drain(&mut rx, at);
-        handle.tick();
-        handle.quiesce();
+        if settle {
+            handle.tick();
+            handle.quiesce();
+        }
         // The interval boundary is quiesced, so the evidence counters
         // are a deterministic function of the traffic so far; a
         // directive posted here lands before any interval-`i + 1`
@@ -751,20 +796,21 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     // Tail: flush the last reveals.
     for i in spec.intervals.saturating_sub(d) + 1..=spec.intervals {
         let at = SimTime(schedule.start_of(i + d).ticks() + 10);
-        for (slot, sender) in fleet.iter_mut().enumerate() {
+        for (slot, sender) in roster.iter_mut().enumerate() {
             let id = SenderId(slot as u64 + 1);
             if adversary.suppresses(id, i + d) {
                 continue;
             }
             if let Some(reveal) = sender.reveal(i) {
-                let frame = codec::encode_tagged(id, &DapMessage::Reveal(reveal))
-                    .expect("encodable reveal");
+                let frame = encode_as((!spec.untagged).then_some(id), &DapMessage::Reveal(reveal));
                 tx.send(&frame).expect("loopback send");
             }
         }
         drain(&mut rx, at);
-        handle.tick();
-        handle.quiesce();
+        if settle {
+            handle.tick();
+            handle.quiesce();
+        }
     }
 
     let frames = handle.live().frames();
@@ -815,9 +861,336 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     }
 }
 
+/// The wire bytes of `message` from `tag` (untagged when `None`).
+fn encode_as(tag: Option<SenderId>, message: &DapMessage) -> Vec<u8> {
+    match tag {
+        Some(id) => codec::encode_tagged(id, message),
+        None => codec::encode(message),
+    }
+    .expect("encodable frame")
+}
+
+/// One forged announce for `interval`, spoofing `tag` (untagged when
+/// `None`).
+fn forge<T: Transport>(flooder: &mut Flooder<T>, tag: Option<SenderId>, interval: u64) {
+    match tag {
+        Some(id) => flooder.send_forged_as(id, interval),
+        None => flooder.send_forged(interval),
+    }
+    .expect("loopback send");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn same_seed_gives_identical_metrics() {
+        let spec = FleetSpec {
+            intervals: 60,
+            ..FleetSpec::untagged()
+        };
+        let a = run_fleet(&spec);
+        let b = run_fleet(&spec);
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.frames, b.frames);
+        assert!(a.frames > 0);
+    }
+
+    #[test]
+    fn adaptive_ramp_converges_to_the_ess_and_stays_deterministic() {
+        use dap_game::{optimal_buffer_count, DosGameParams};
+        let spec = FleetSpec {
+            intervals: 300,
+            buffers: 2,
+            flood: 0.1,
+            flood_end: Some(0.9),
+            adaptive: true,
+            trace_depth: 1 << 16,
+            ..FleetSpec::untagged()
+        };
+        let a = run_fleet(&spec);
+        let b = run_fleet(&spec);
+        // Determinism survives the feedback edge: metrics *and* the
+        // full trace (including every PostureChange) are identical.
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.trace, b.trace);
+        // The loop actuated, and narrated every re-size.
+        let directives = a.metrics.get(keys::CONTROL_DIRECTIVES);
+        assert!(directives >= 1, "ramp must trigger at least one re-size");
+        let changes = a
+            .trace
+            .iter()
+            .filter(|r| r.event.name() == "posture_change")
+            .count() as u64;
+        assert_eq!(
+            changes,
+            directives * spec.shards as u64,
+            "each directive re-sizes every shard exactly once"
+        );
+        // Converged near the offline Algorithm 3 optimum at the plateau.
+        let offline = optimal_buffer_count(DosGameParams::paper_defaults(0.9, 1), 50);
+        let live_m = a.metrics.get(keys::CONTROL_M) as u32;
+        assert!(
+            live_m.abs_diff(offline.m) <= 1,
+            "live m {live_m} vs offline m* {}",
+            offline.m
+        );
+    }
+
+    #[test]
+    fn stationary_clean_adaptive_run_never_flips_posture() {
+        let spec = FleetSpec {
+            intervals: 120,
+            buffers: 1,
+            flood: 0.0,
+            adaptive: true,
+            copies: 1,
+            ..FleetSpec::untagged()
+        };
+        let report = run_fleet(&spec);
+        assert_eq!(report.metrics.get(keys::CONTROL_DIRECTIVES), 0);
+        assert_eq!(report.metrics.get(keys::CONTROL_M), 1);
+        assert!(report.metrics.get(keys::CONTROL_SAMPLES) > 0);
+        assert!((report.auth_rate - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn ramp_without_adaptive_defense_is_the_static_baseline() {
+        let base = FleetSpec {
+            intervals: 200,
+            buffers: 2,
+            flood: 0.1,
+            flood_end: Some(0.9),
+            adaptive: false,
+            ..FleetSpec::untagged()
+        };
+        let static_run = run_fleet(&base);
+        let adaptive_run = run_fleet(&FleetSpec {
+            adaptive: true,
+            ..base
+        });
+        assert_eq!(static_run.metrics.get(keys::CONTROL_DIRECTIVES), 0);
+        // The adaptive defender grows `m` under the ramp, so it must
+        // authenticate at least as much as the frozen m = 2 baseline.
+        assert!(
+            adaptive_run.metrics.get(keys::NET_REVEAL_AUTH)
+                >= static_run.metrics.get(keys::NET_REVEAL_AUTH),
+            "adaptive {} < static {}",
+            adaptive_run.metrics.get(keys::NET_REVEAL_AUTH),
+            static_run.metrics.get(keys::NET_REVEAL_AUTH)
+        );
+    }
+
+    #[test]
+    fn clean_channel_authenticates_everything() {
+        let spec = FleetSpec {
+            intervals: 50,
+            flood: 0.0,
+            copies: 1,
+            ..FleetSpec::untagged()
+        };
+        let report = run_fleet(&spec);
+        assert_eq!(report.metrics.get(keys::NET_REVEAL_TOTAL), 50);
+        assert_eq!(report.metrics.get(keys::NET_REVEAL_AUTH), 50);
+        assert!((report.auth_rate - 1.0).abs() < f64::EPSILON);
+        assert_eq!(report.metrics.get(keys::NET_DECODE_ERRORS), 0);
+        assert_eq!(report.metrics.get(keys::NET_INGRESS_DROPPED), 0);
+    }
+
+    #[test]
+    fn flooded_run_tracks_one_minus_p_to_m() {
+        let spec = FleetSpec {
+            intervals: 400,
+            buffers: 3,
+            flood: 0.8,
+            copies: 2,
+            ..FleetSpec::untagged()
+        };
+        let report = run_fleet(&spec);
+        // Every reveal still weak-authenticates; only eviction hurts.
+        assert_eq!(report.metrics.get(keys::NET_REVEAL_WEAK_REJECTED), 0);
+        assert_eq!(
+            report.metrics.get(keys::NET_REVEAL_AUTH)
+                + report.metrics.get(keys::NET_REVEAL_STRONG_REJECTED)
+                + report.metrics.get(keys::NET_REVEAL_NO_CANDIDATE),
+            report.metrics.get(keys::NET_REVEAL_TOTAL)
+        );
+        // 1 − 0.8³ = 0.488; seeded run, wide tolerance for the finite-n
+        // hypergeometric correction.
+        assert!(
+            (report.auth_rate - report.expected_rate).abs() < 0.1,
+            "rate {} expected {}",
+            report.auth_rate,
+            report.expected_rate
+        );
+    }
+
+    #[test]
+    fn lossy_wire_still_balances_counters() {
+        let spec = FleetSpec {
+            intervals: 120,
+            loss: 0.2,
+            flood: 0.5,
+            copies: 2,
+            ..FleetSpec::untagged()
+        };
+        let report = run_fleet(&spec);
+        let m = &report.metrics;
+        assert_eq!(
+            m.get(keys::NET_WIRE_SENT),
+            m.get(keys::NET_WIRE_LOST) + report.frames
+        );
+        // Reveals can be lost, so fewer than `intervals` arrive — but
+        // every one that does is accounted for.
+        assert!(m.get(keys::NET_REVEAL_TOTAL) <= 120);
+        assert_eq!(
+            m.get(keys::NET_REVEAL_AUTH)
+                + m.get(keys::NET_REVEAL_STRONG_REJECTED)
+                + m.get(keys::NET_REVEAL_NO_CANDIDATE)
+                + m.get(keys::NET_REVEAL_WEAK_REJECTED),
+            m.get(keys::NET_REVEAL_TOTAL)
+        );
+    }
+
+    #[test]
+    fn corruption_surfaces_as_decode_or_auth_failures() {
+        let spec = FleetSpec {
+            intervals: 80,
+            flood: 0.0,
+            copies: 1,
+            corrupt: 0.3,
+            ..FleetSpec::untagged()
+        };
+        let report = run_fleet(&spec);
+        let corrupted = report.metrics.get(keys::NET_WIRE_CORRUPTED);
+        assert!(corrupted > 0, "corruption never sampled");
+        // A flipped bit can land anywhere (tag, index, MAC, key,
+        // message): decode errors, weak rejects, strong rejects and
+        // missing candidates are all legitimate fates — what must hold
+        // is that not everything authenticates.
+        assert!(report.metrics.get(keys::NET_REVEAL_AUTH) < 80);
+    }
+
+    #[test]
+    fn dap_and_one_sender_fleet_shards_map_verdicts_identically() {
+        use dap_crypto::{Key, Mac80};
+        // One seeded stream per (m, forged copies per interval): four
+        // genuine copies among the forgeries, plus a wrong-key reveal,
+        // a duplicate reveal and a stale announce replay every third
+        // interval, so every announce and reveal outcome occurs.
+        for (m, forged) in [(1usize, 0u64), (2, 4), (3, 9), (4, 36)] {
+            let spec = FleetSpec {
+                senders: 1,
+                intervals: 30,
+                buffers: m,
+                ..FleetSpec::default()
+            };
+            let chain_len = usize::try_from(spec.intervals).unwrap() + 2;
+            let params = fleet_params(m);
+            let directory = fleet_directory(spec.seed, 1, chain_len, params);
+            let mut dap = DapShard::new(directory[0], b"parity");
+            let mut fleet = FleetShard::with_directory(&spec, 0, Arc::clone(&directory));
+            let chain = fleet_chains(spec.seed, 1, chain_len).remove(0);
+            let mut sender = DapSender::with_chain(chain, params);
+            let mut stream = SimRng::new(forged);
+            let (mut dap_rng, mut fleet_rng) = (SimRng::new(7), SimRng::new(7));
+            let (mut dap_registry, mut fleet_registry) = (Registry::new(), Registry::new());
+            let (dap_live, fleet_live) = (LiveCounters::default(), LiveCounters::default());
+            let mut last_announce = None;
+            let mut outcomes = BTreeSet::new();
+            for i in 1..=spec.intervals + 1 {
+                let mut frames = Vec::new();
+                let odd = i % 3 == 0;
+                if let Some(reveal) = (i > 1).then(|| sender.reveal(i - 1)).flatten() {
+                    if odd {
+                        let wrong = Key::from_slice(&[0x5a; Key::LEN]).unwrap();
+                        frames.push(DapMessage::Reveal(Reveal {
+                            key: wrong,
+                            ..reveal.clone()
+                        }));
+                    }
+                    frames.push(DapMessage::Reveal(reveal.clone()));
+                    if odd {
+                        frames.push(DapMessage::Reveal(reveal));
+                    }
+                }
+                if let Some(stale) = last_announce.take().filter(|_| odd) {
+                    frames.push(stale);
+                }
+                if i <= spec.intervals {
+                    let genuine = DapMessage::Announce(sender.announce(i, b"parity").unwrap());
+                    let (mut genuine_left, mut slots_left) = (4u64, 4 + forged);
+                    while slots_left > 0 {
+                        if genuine_left > 0 && stream.below(slots_left) < genuine_left {
+                            frames.push(genuine.clone());
+                            genuine_left -= 1;
+                        } else {
+                            let mut mac = [0u8; Mac80::LEN];
+                            stream.fill_bytes(&mut mac);
+                            frames.push(DapMessage::Announce(dap_core::Announce {
+                                index: i,
+                                mac: Mac80::from_slice(&mac).unwrap(),
+                            }));
+                        }
+                        slots_left -= 1;
+                    }
+                    last_announce = Some(genuine);
+                }
+                let at = SimTime((i - 1) * 100 + 10);
+                for frame in &frames {
+                    let expected = dap.on_frame(
+                        SenderId::UNTAGGED,
+                        frame,
+                        at,
+                        &mut dap_rng,
+                        &mut dap_registry,
+                        &dap_live,
+                    );
+                    let verdict = fleet.on_frame(
+                        SenderId(1),
+                        frame,
+                        at,
+                        &mut fleet_rng,
+                        &mut fleet_registry,
+                        &fleet_live,
+                    );
+                    assert_eq!(
+                        verdict, expected,
+                        "m = {m}, forged = {forged}, interval {i}"
+                    );
+                    outcomes.insert(expected.outcome);
+                }
+            }
+            let protocol_counters = |registry: &Registry| -> Vec<(&'static str, u64)> {
+                registry
+                    .counters()
+                    .iter()
+                    .filter(|(key, _)| {
+                        key.starts_with("net.announce.") || key.starts_with("net.reveal.")
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                protocol_counters(&fleet_registry),
+                protocol_counters(&dap_registry)
+            );
+            assert_eq!(fleet_live.authenticated(), dap_live.authenticated());
+            assert_eq!(fleet_live.buffered_decided(), dap_live.buffered_decided());
+            assert_eq!(fleet_live.buffered_forged(), dap_live.buffered_forged());
+            let mut expected_outcomes =
+                vec!["auth", "no_candidate", "stored", "unsafe", "weak_rejected"];
+            if forged > 0 {
+                expected_outcomes.extend(["sampled_out", "strong_rejected"]);
+            }
+            for outcome in expected_outcomes {
+                assert!(
+                    outcomes.contains(outcome),
+                    "m = {m}, forged = {forged}: no {outcome}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn same_seed_fleets_render_identically() {

@@ -23,12 +23,14 @@
 //!   owns a [`SessionTable`] mapping `SenderId` to chain anchor, skew
 //!   and reservoirs, bounded by LRU + memory-budget eviction so fixed
 //!   RAM serves an unbounded sender population (DESIGN §10);
-//! * [`loopback`] — the seeded single-driver campaign the ci.sh soak
-//!   gate runs: same seed ⇒ byte-identical metrics, and with
+//! * [`fleet`] — the seeded campaign driver the ci.sh soak gates run:
+//!   a roster of senders, a flooder and the sharded pool on one
+//!   loopback wire. The roster decides the rest — one untagged sender
+//!   ([`FleetSpec::untagged`], the paper's single-chain experiment,
+//!   [`DapShard`]s routed by interval) or `N` tagged senders
+//!   (per-sender spoofing, [`FleetShard`] session tables routed by
+//!   sender). Same seed ⇒ byte-identical metrics, and with
 //!   `trace_depth > 0` a byte-identical structured trace too;
-//! * [`fleet`] — the loopback campaign at fleet scale: `N` tagged
-//!   senders, per-sender spoofing flooders, session-table shards — the
-//!   `tests/fleet_soak.rs` and ci.sh fleet-gate scenario;
 //! * [`adversary`] — the adaptive adversary suite (DESIGN §11): four
 //!   deterministic attack plans beyond the Bernoulli flooder
 //!   (burst-at-reanchor, collusion, replay-at-the-edge, adaptive),
@@ -51,9 +53,10 @@
 //! reveals, shard stalls) ordered by per-source sequence numbers.
 //!
 //! Three binaries ship with the crate: `dapd` (sender / receiver /
-//! flooder roles over UDP, plus `--loopback`; `--telemetry <addr>`
-//! serves live metrics, `--trace-out <path>` writes the trace as
-//! JSONL, and the receiver prints its final sorted snapshot on Ctrl-C),
+//! flooder roles over UDP plus the seeded `--loopback` and `--fleet`
+//! campaigns; `--telemetry <addr>` serves live metrics, `--trace-out
+//! <path>` writes the trace as JSONL, and the receiver prints its final
+//! sorted snapshot on Ctrl-C),
 //! `daptrace` (forensic audit / report / timeline over a `--trace-out`
 //! file, exiting nonzero when a causal invariant is violated) and
 //! `netbench` (ingress throughput and per-frame verify latency
@@ -63,11 +66,11 @@
 //! ## Quickstart (in-process)
 //!
 //! ```
-//! use dap_net::loopback::{run_loopback, LoopbackSpec};
+//! use dap_net::fleet::{run_fleet, FleetSpec};
 //!
-//! let report = run_loopback(&LoopbackSpec {
+//! let report = run_fleet(&FleetSpec {
 //!     intervals: 40,
-//!     ..LoopbackSpec::default()
+//!     ..FleetSpec::untagged()
 //! });
 //! // p = 0.9, m = 4 ⇒ about 1 − 0.9⁴ ≈ 34% of reveals authenticate.
 //! assert!(report.auth_rate > 0.1 && report.auth_rate < 0.7);
@@ -81,7 +84,6 @@ pub mod clock;
 pub mod control;
 pub mod fleet;
 pub mod forensics;
-pub mod loopback;
 pub mod opts;
 pub mod pool;
 pub mod pump;
@@ -97,7 +99,6 @@ pub use fleet::{run_fleet, FleetReport, FleetShard, FleetSpec};
 pub use forensics::{
     attack_onset, audit, forged_share_trajectory, render_report, render_timeline, Violation,
 };
-pub use loopback::{run_loopback, LoopbackReport, LoopbackSpec};
 pub use pool::{
     BufferNote, DapShard, FrameVerdict, FrameVerifier, LiveCounters, OverflowPolicy, PoolConfig,
     PoolHandle, PoolObs, PoolReport, ReceiverPool, RoutePolicy, TeslaPpShard,

@@ -1,6 +1,13 @@
 //! A tiny `--key value` / `--flag` argument parser for the binaries
 //! (the workspace is hermetic — no clap).
+//!
+//! Every lookup is recorded, so once a mode has read all its options
+//! [`Opts::unread`] names the ones it never looked at — a misspelling
+//! or an option of another mode — instead of letting them pass
+//! silently.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::str::FromStr;
 
 /// Parsed command-line options.
@@ -8,6 +15,8 @@ use std::str::FromStr;
 pub struct Opts {
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
+    /// Every key and flag name looked up so far, given or not.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Opts {
@@ -52,6 +61,7 @@ impl Opts {
     /// The value of `--key`, if given (last occurrence wins).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.pairs
             .iter()
             .rev()
@@ -76,7 +86,27 @@ impl Opts {
     /// Whether `--name` (a known flag) was given.
     #[must_use]
     pub fn flag(&self, name: &str) -> bool {
+        self.read.borrow_mut().insert(name.to_string());
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// The options given (keys and flags, sorted, without the `--`)
+    /// that no [`Opts::get`], [`Opts::get_or`] or [`Opts::flag`] call
+    /// has looked up.
+    #[must_use]
+    pub fn unread(&self) -> Vec<String> {
+        let read = self.read.borrow();
+        let given: BTreeSet<&String> = self
+            .pairs
+            .iter()
+            .map(|(k, _)| k)
+            .chain(&self.flags)
+            .collect();
+        given
+            .into_iter()
+            .filter(|name| !read.contains(*name))
+            .cloned()
+            .collect()
     }
 }
 
@@ -106,6 +136,41 @@ mod tests {
     fn last_occurrence_wins() {
         let opts = Opts::from_iter(args(&["--m", "1", "--m", "2"]), &[]);
         assert_eq!(opts.get_or("m", 0u32), 2);
+    }
+
+    #[test]
+    fn misspelled_option_stays_unread() {
+        // A misspelling must not fall back to the default silently:
+        // the mode reads `intervals`, never `intervls`.
+        let opts = Opts::from_iter(args(&["--loopback", "--intervls", "5"]), &["loopback"]);
+        assert!(opts.flag("loopback"));
+        assert_eq!(opts.get_or("intervals", 400u64), 400);
+        assert_eq!(opts.unread(), ["intervls"]);
+    }
+
+    #[test]
+    fn option_the_mode_never_reads_stays_unread() {
+        // A mode that never asks for --flood-end must name it rather
+        // than run a stationary flood (as `--loopback` names
+        // `--senders`).
+        let opts = Opts::from_iter(
+            args(&[
+                "--fleet",
+                "--flood",
+                "0.1",
+                "--flood-end",
+                "0.9",
+                "--adaptive",
+            ]),
+            &["fleet", "adaptive"],
+        );
+        assert!(opts.flag("fleet") && opts.flag("adaptive"));
+        assert!((opts.get_or("flood", 0.8f64) - 0.1).abs() < 1e-12);
+        assert_eq!(opts.unread(), ["flood-end"]);
+        // Asking counts as reading, whether or not the option was given.
+        assert_eq!(opts.get("flood-end"), Some("0.9"));
+        assert!(!opts.flag("assert-soak"));
+        assert!(opts.unread().is_empty());
     }
 
     #[test]

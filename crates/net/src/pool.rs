@@ -459,68 +459,20 @@ impl FrameVerifier for DapShard {
         registry: &mut Registry,
         live: &LiveCounters,
     ) -> FrameVerdict {
-        match frame {
-            DapMessage::Announce(a) => {
-                let announce = self.receiver.on_announce(a, at, rng);
-                let (key, outcome, kept) = match announce {
-                    AnnounceOutcome::Stored => (keys::NET_ANNOUNCE_STORED, "stored", true),
-                    AnnounceOutcome::Dropped => {
-                        (keys::NET_ANNOUNCE_SAMPLED_OUT, "sampled_out", false)
-                    }
-                    AnnounceOutcome::Unsafe => (keys::NET_ANNOUNCE_UNSAFE, "unsafe", false),
-                };
-                registry.incr(key);
-                // An unsafe announce never reached the reservoir.
-                let buffer = (announce != AnnounceOutcome::Unsafe).then(|| BufferNote {
-                    kept,
-                    offered: self.receiver.offered(a.index),
-                    capacity: self.receiver.buffer_capacity() as u64,
-                });
-                FrameVerdict {
-                    outcome,
-                    interval: a.index,
-                    buffer,
-                    key_reveal: false,
-                    evicted: None,
-                }
-            }
-            DapMessage::Reveal(r) => {
-                registry.incr(keys::NET_REVEAL_TOTAL);
-                let before = *self.receiver.stats();
-                let outcome = match self.pre.pop_front() {
-                    Some(pre) => self.receiver.on_reveal_precomputed(r, at, &pre),
-                    None => self.receiver.on_reveal(r, at),
-                };
-                let after = self.receiver.stats();
-                live.count_reveal_evidence(
-                    after.buffered_decided - before.buffered_decided,
-                    after.buffered_forged - before.buffered_forged,
-                );
-                let (key, outcome) = match outcome {
-                    RevealOutcome::Authenticated { .. } => {
-                        live.count_authenticated();
-                        (keys::NET_REVEAL_AUTH, "auth")
-                    }
-                    RevealOutcome::WeakRejected { .. } => {
-                        (keys::NET_REVEAL_WEAK_REJECTED, "weak_rejected")
-                    }
-                    RevealOutcome::StrongRejected { .. } => {
-                        (keys::NET_REVEAL_STRONG_REJECTED, "strong_rejected")
-                    }
-                    RevealOutcome::NoCandidate { .. } => {
-                        (keys::NET_REVEAL_NO_CANDIDATE, "no_candidate")
-                    }
-                };
-                registry.incr(key);
-                FrameVerdict {
-                    outcome,
-                    interval: r.index,
-                    buffer: None,
-                    key_reveal: true,
-                    evicted: None,
-                }
-            }
-        }
+        let pre = match frame {
+            DapMessage::Reveal(_) => self.pre.pop_front(),
+            DapMessage::Announce(_) => None,
+        };
+        dap_verdict(
+            &mut self.receiver,
+            frame,
+            pre.as_ref(),
+            at,
+            rng,
+            registry,
+            live,
+        )
+        .0
     }
 
     fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
@@ -546,6 +498,83 @@ impl FrameVerifier for DapShard {
             to_m: to as u64,
         })
     }
+}
+
+/// Algorithm 2's verdict mapping, shared by every DAP verifier
+/// ([`DapShard`] and [`crate::fleet::FleetShard`]): runs one frame
+/// through `receiver` — a reveal through `pre` when the drain window
+/// prefetched it — counts the outcome under `net.announce.*` /
+/// `net.reveal.*`, feeds the live auth and reveal-time evidence
+/// counters, and returns the verdict. The second value is set for a
+/// reveal that reached a verdict (an auth *attempt*): `Some(true)`
+/// authenticated, `Some(false)` strong-rejected.
+#[inline]
+pub(crate) fn dap_verdict(
+    receiver: &mut DapReceiver,
+    frame: &DapMessage,
+    pre: Option<&RevealPrecompute>,
+    at: SimTime,
+    rng: &mut SimRng,
+    registry: &mut Registry,
+    live: &LiveCounters,
+) -> (FrameVerdict, Option<bool>) {
+    let (key, outcome, interval, buffer, attempt) = match frame {
+        DapMessage::Announce(a) => {
+            let announce = receiver.on_announce(a, at, rng);
+            let (key, outcome, kept) = match announce {
+                AnnounceOutcome::Stored => (keys::NET_ANNOUNCE_STORED, "stored", true),
+                AnnounceOutcome::Dropped => (keys::NET_ANNOUNCE_SAMPLED_OUT, "sampled_out", false),
+                AnnounceOutcome::Unsafe => (keys::NET_ANNOUNCE_UNSAFE, "unsafe", false),
+            };
+            // An unsafe announce never reached the reservoir.
+            let buffer = (announce != AnnounceOutcome::Unsafe).then(|| BufferNote {
+                kept,
+                offered: receiver.offered(a.index),
+                capacity: receiver.buffer_capacity() as u64,
+            });
+            (key, outcome, a.index, buffer, None)
+        }
+        DapMessage::Reveal(r) => {
+            registry.incr(keys::NET_REVEAL_TOTAL);
+            let before = *receiver.stats();
+            let outcome = match pre {
+                Some(pre) => receiver.on_reveal_precomputed(r, at, pre),
+                None => receiver.on_reveal(r, at),
+            };
+            let after = receiver.stats();
+            live.count_reveal_evidence(
+                after.buffered_decided - before.buffered_decided,
+                after.buffered_forged - before.buffered_forged,
+            );
+            let (key, outcome, attempt) = match outcome {
+                RevealOutcome::Authenticated { .. } => {
+                    live.count_authenticated();
+                    (keys::NET_REVEAL_AUTH, "auth", Some(true))
+                }
+                RevealOutcome::WeakRejected { .. } => {
+                    (keys::NET_REVEAL_WEAK_REJECTED, "weak_rejected", None)
+                }
+                RevealOutcome::StrongRejected { .. } => (
+                    keys::NET_REVEAL_STRONG_REJECTED,
+                    "strong_rejected",
+                    Some(false),
+                ),
+                RevealOutcome::NoCandidate { .. } => {
+                    (keys::NET_REVEAL_NO_CANDIDATE, "no_candidate", None)
+                }
+            };
+            (key, outcome, r.index, None, attempt)
+        }
+    };
+    registry.incr(key);
+    let verdict = FrameVerdict {
+        outcome,
+        interval,
+        buffer,
+        key_reveal: matches!(frame, DapMessage::Reveal(_)),
+        evicted: None,
+    };
+    (verdict, attempt)
 }
 
 /// A TESLA++ receiver behind the same fabric and codec — DAP and

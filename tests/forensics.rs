@@ -6,21 +6,21 @@
 
 use std::collections::BTreeSet;
 
+use crowdsense_dap::net::fleet::{run_fleet, FleetSpec};
 use crowdsense_dap::net::forensics;
-use crowdsense_dap::net::loopback::{run_loopback, LoopbackSpec};
 use crowdsense_dap::obs::{header_line, parse_trace, render_jsonl, TraceEvent};
 
 /// The seeded flood capture every test here forensically examines:
 /// heavy flood (`p = 0.9`), deep enough rings that nothing is shed,
 /// spans on every frame.
 fn flood_trace() -> Vec<crowdsense_dap::obs::TraceRecord> {
-    let spec = LoopbackSpec {
+    let spec = FleetSpec {
         intervals: 60,
         trace_depth: 65_536,
         span_every: 1,
-        ..LoopbackSpec::default()
+        ..FleetSpec::untagged()
     };
-    let report = run_loopback(&spec);
+    let report = run_fleet(&spec);
     assert!(!report.trace.is_empty(), "traced run must produce records");
     report.trace
 }

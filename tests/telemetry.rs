@@ -7,13 +7,13 @@
 
 use std::sync::Arc;
 
-use crowdsense_dap::net::loopback::{run_loopback_with, LoopbackReport, LoopbackSpec};
+use crowdsense_dap::net::fleet::{run_fleet_with, FleetReport, FleetSpec};
 use crowdsense_dap::net::telemetry::SharedRegistry;
 use crowdsense_dap::obs::{render_jsonl, TraceEvent};
 use crowdsense_dap::simnet::keys;
 
-fn traced_spec() -> LoopbackSpec {
-    LoopbackSpec {
+fn traced_spec() -> FleetSpec {
+    FleetSpec {
         seed: 20160706,
         intervals: 120,
         buffers: 4,
@@ -27,11 +27,12 @@ fn traced_spec() -> LoopbackSpec {
         adaptive: false,
         trace_depth: 65_536,
         span_every: 1,
+        ..FleetSpec::untagged()
     }
 }
 
-fn run_traced() -> LoopbackReport {
-    run_loopback_with(&traced_spec(), None)
+fn run_traced() -> FleetReport {
+    run_fleet_with(&traced_spec(), None)
 }
 
 #[test]
@@ -127,7 +128,7 @@ fn span_recorder_narrates_every_decoded_frame_and_feeds_stage_histograms() {
 fn adaptive_run_exposes_control_gauges_on_the_telemetry_snapshot() {
     // An adaptive ramp with a provisioned control slot (shards + 1)
     // publishes the plane's live posture as Prometheus gauges.
-    let spec = LoopbackSpec {
+    let spec = FleetSpec {
         intervals: 160,
         flood: 0.1,
         flood_end: Some(0.9),
@@ -137,7 +138,7 @@ fn adaptive_run_exposes_control_gauges_on_the_telemetry_snapshot() {
         ..traced_spec()
     };
     let shared = Arc::new(SharedRegistry::new(spec.shards + 1));
-    let report = run_loopback_with(&spec, Some(Arc::clone(&shared)));
+    let report = run_fleet_with(&spec, Some(Arc::clone(&shared)));
     assert!(
         report.metrics.get(keys::CONTROL_SAMPLES) > 0,
         "the ramp must feed the estimator"
