@@ -372,27 +372,16 @@ impl FrameAssembler {
             if self.buf.is_empty() {
                 return None;
             }
-            match decode_prefix_tagged(&self.buf) {
-                Ok((frame, used)) => {
+            match resync_step(&self.buf) {
+                Resync::Frame(frame, used) => {
                     self.buf.drain(..used);
                     return Some(frame);
                 }
-                Err(DecodeError::UnknownTag(_)) => {
+                Resync::Skip => {
                     self.buf.drain(..1);
                     self.skipped += 1;
                 }
-                Err(DecodeError::Truncated) => {
-                    if self.buf.len() > MAX_FRAME_LEN {
-                        // Cannot be a genuine half-frame: the longest
-                        // frame fits in MAX_FRAME_LEN. Shed and resync.
-                        self.buf.drain(..1);
-                        self.skipped += 1;
-                    } else {
-                        return None;
-                    }
-                }
-                // decode_prefix never reports trailing bytes.
-                Err(DecodeError::TrailingBytes { .. }) => unreachable!(),
+                Resync::Wait => return None,
             }
         }
     }
@@ -407,6 +396,59 @@ impl FrameAssembler {
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
         self.buf.len()
+    }
+}
+
+/// Decodes every frame packed into one datagram, appending them to
+/// `out` in wire order, and returns the junk byte count: bytes skipped
+/// while resynchronising plus the undecodable tail.
+///
+/// This is a fresh [`FrameAssembler`] fed the whole datagram and
+/// drained — the same resync rules, the same frames in the same order,
+/// and a junk count equal to its `skipped_bytes() + pending_bytes()` —
+/// but read in place: no assembler buffer, and `out` can be reused
+/// across datagrams. Frames never span datagrams, so the tail is
+/// damage, not a continuation.
+pub fn decode_datagram(bytes: &[u8], out: &mut Vec<TaggedFrame>) -> u64 {
+    let mut pos = 0;
+    let mut skipped = 0u64;
+    while pos < bytes.len() {
+        match resync_step(&bytes[pos..]) {
+            Resync::Frame(frame, used) => {
+                out.push(frame);
+                pos += used;
+            }
+            Resync::Skip => {
+                pos += 1;
+                skipped += 1;
+            }
+            Resync::Wait => break,
+        }
+    }
+    skipped + (bytes.len() - pos) as u64
+}
+
+/// What the resync rules make of the bytes at the front of a stream.
+enum Resync {
+    /// A whole frame and the bytes it consumed.
+    Frame(TaggedFrame, usize),
+    /// Garbage: shed one byte and look again.
+    Skip,
+    /// A truncated prefix that more bytes may complete.
+    Wait,
+}
+
+/// The resync rules [`FrameAssembler`] and [`decode_datagram`] share: an
+/// unknown tag is garbage, and so is a truncated prefix longer than
+/// [`MAX_FRAME_LEN`] (no genuine half-frame is that long).
+fn resync_step(bytes: &[u8]) -> Resync {
+    match decode_prefix_tagged(bytes) {
+        Ok((frame, used)) => Resync::Frame(frame, used),
+        Err(DecodeError::UnknownTag(_)) => Resync::Skip,
+        Err(DecodeError::Truncated) if bytes.len() > MAX_FRAME_LEN => Resync::Skip,
+        Err(DecodeError::Truncated) => Resync::Wait,
+        // decode_prefix never reports trailing bytes.
+        Err(DecodeError::TrailingBytes { .. }) => unreachable!(),
     }
 }
 
