@@ -14,6 +14,21 @@ echo "== benchmark build (recvbench against the workspace crates) =="
 # benchmark run. --locked keeps recvbench/Cargo.lock as committed.
 cargo build --release --offline --locked --manifest-path recvbench/Cargo.toml
 
+echo "== benchmark correctness gate (recvbench, every workload) =="
+# recvbench exits 1 without a result when the pool loses, duplicates or
+# reorders a frame, drops or sheds one, or authenticates a different
+# set of reveals than the seed fixes. One-second smoke runs, not a
+# measurement; seed 20160704 is reserved for validating claimed gains.
+recvbench="cargo run --release --offline --quiet --locked --manifest-path recvbench/Cargo.toml --"
+for run in "flood 0" "fleet 0" "adaptive 0" "flood 1"; do
+    set -- $run
+    out=$($recvbench --workload "$1" --seed 3 --seconds 1 --trace "$2")
+    echo "$out" | tail -n 1 | grep -q '"correct": true' || {
+        echo "recvbench $1 --trace $2 did not report a correct run" >&2
+        exit 1
+    }
+done
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
