@@ -139,6 +139,11 @@ grep -q '"ev":"posture_change"' target/adaptive_a.jsonl
 # No-flap leg: a stationary clean wire must never fire a directive.
 $soak --loopback --seed 7 --intervals 120 --buffers 1 --flood 0 \
     --copies 1 --adaptive --assert-posture-stable > /dev/null
+# Heavy flood from the first interval: the ramp above starts at p = 0.1,
+# but here an early interval can keep only forged copies, so the first
+# estimate reads 1000 permille. The plane must solve it (as a give-up),
+# not panic.
+$soak --loopback --seed 2 --intervals 120 --flood 0.9 --adaptive > /dev/null
 
 echo "== daptrace gate (forensic audit of the captured traces) =="
 # DESIGN §14: the audit engine replays every capture the gates above

@@ -96,6 +96,25 @@ mod tests {
         }
     }
 
+    /// Algorithm 3's output over the default sweep, pinned: a changed
+    /// step budget, tie rule or candidate order shows up here.
+    #[test]
+    fn default_sweep_is_pinned() {
+        let pts = sweep(&default_sweep());
+        let m_star: Vec<u32> = pts.iter().map(|pt| pt.m_star).collect();
+        assert_eq!(m_star, [5, 6, 7, 8, 9, 10, 13, 13, 16, 18, 17, 14, 1, 1]);
+        let literal: Vec<u32> = pts.iter().map(|pt| pt.m_literal).collect();
+        assert_eq!(literal, [5, 6, 7, 8, 9, 10, 13, 16, 16, 47, 47, 47, 1, 1]);
+        // (1, Y′) up to p = 0.80, (1, 1) from 0.85 to 0.98, (X′, 1) at 0.99.
+        let kinds: Vec<EssKind> = pts.iter().map(|pt| pt.kind).collect();
+        let want: Vec<EssKind> = [EssKind::FullDefensePartialAttack; 7]
+            .into_iter()
+            .chain([EssKind::FullDefenseFullAttack; 6])
+            .chain([EssKind::PartialDefenseFullAttack])
+            .collect();
+        assert_eq!(kinds, want);
+    }
+
     #[test]
     fn heavy_attack_saturates() {
         let pt = point(0.99);

@@ -1,125 +1,10 @@
-//! The QoS-balanced DAP of §V: evolutionary-game-driven buffer
-//! provisioning.
+//! The QoS-balanced DAP of §V: the re-provisioning order a game-driven
+//! controller sends the receivers.
 //!
-//! A node cannot see the whole network, so it estimates the attack level
-//! `p` from its own authentication outcomes, solves the attacker/defender
-//! game (Algorithm 3 in [`dap_game::optimize`]) and re-provisions its
-//! buffer pool each epoch. The resulting [`DefensePolicy`] carries both
-//! the buffer count and the ESS — including the *give-up* regimes where
-//! buying more buffers no longer pays (`(X′, 1)`: cost saturates at
-//! `R_a`; `(0, 1)`: defense abandoned).
-
-use dap_game::ess::EssKind;
-use dap_game::{optimal_buffer_count, DosGameParams, EssOutcome};
-
-use crate::receiver::DapStats;
-
-/// Static configuration of the adaptive controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Reward of a successful attack `R_a` (= data value).
-    pub ra: f64,
-    /// Attacker cost coefficient `k1`.
-    pub k1: f64,
-    /// Defender cost coefficient `k2`.
-    pub k2: f64,
-    /// Hardware bound on buffers (`M`, ≤ 50 for sensor nodes per the
-    /// paper's §VI-B-1).
-    pub buffer_cap: u32,
-    /// Exponential smoothing factor for the attack-level estimate,
-    /// in `(0, 1]` (1 = trust the latest epoch completely).
-    pub smoothing: f64,
-}
-
-impl AdaptiveConfig {
-    /// The paper's §VI-B economy: `R_a = 200`, `k1 = 20`, `k2 = 4`,
-    /// `M = 50`, with mild smoothing.
-    #[must_use]
-    pub fn paper_defaults() -> Self {
-        Self {
-            ra: 200.0,
-            k1: 20.0,
-            k2: 4.0,
-            buffer_cap: 50,
-            smoothing: 0.5,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive coefficients, a zero cap, or smoothing
-    /// outside `(0, 1]`.
-    #[must_use]
-    pub fn validated(self) -> Self {
-        assert!(
-            self.ra > 0.0 && self.k1 > 0.0 && self.k2 > 0.0,
-            "coefficients must be positive"
-        );
-        assert!(self.buffer_cap >= 1, "buffer cap must be at least 1");
-        assert!(
-            self.smoothing > 0.0 && self.smoothing <= 1.0,
-            "smoothing must be in (0, 1]"
-        );
-        self
-    }
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self::paper_defaults()
-    }
-}
-
-/// The controller's recommendation for the next epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DefensePolicy {
-    /// Buffers to provision (`m*` from Algorithm 3).
-    pub buffers: u32,
-    /// The defending fraction `X` at the ESS — a fleet-level knob: when
-    /// `X < 1`, only this fraction of nodes needs to pay for buffers.
-    pub defend_fraction: f64,
-    /// The expected per-node defense cost at the ESS.
-    pub expected_cost: f64,
-    /// The full ESS outcome.
-    pub ess: EssOutcome,
-    /// The attack-level estimate the policy was computed from.
-    pub estimated_p: f64,
-}
-
-impl DefensePolicy {
-    /// `true` when the game says extra buffers no longer pay — the
-    /// paper's "it turns to give up" regimes.
-    #[must_use]
-    pub fn is_give_up(&self) -> bool {
-        matches!(
-            self.ess.kind,
-            EssKind::PartialDefenseFullAttack | EssKind::GiveUpDefense
-        )
-    }
-
-    /// Whether node `node_id` should provision buffers during `epoch`.
-    ///
-    /// At a partial-defense ESS (`X < 1`) only an `X` fraction of the
-    /// fleet needs to pay for buffers. The assignment is a deterministic
-    /// hash of `(node, epoch)`, so (a) no coordination traffic is needed
-    /// — every node can evaluate it locally, (b) across the fleet an
-    /// ≈ `X` fraction defends in every epoch, and (c) the duty *rotates*:
-    /// no node is permanently stuck paying the memory bill.
-    #[must_use]
-    pub fn should_defend(&self, node_id: u64, epoch: u64) -> bool {
-        if self.defend_fraction >= 1.0 {
-            return true;
-        }
-        if self.defend_fraction <= 0.0 {
-            return false;
-        }
-        let h = mix(node_id ^ mix(epoch));
-        // Map the hash to [0, 1) and compare against X.
-        (h >> 11) as f64 / (1u64 << 53) as f64 <= self.defend_fraction
-    }
-}
+//! The loop itself runs elsewhere: `dap-net`'s control plane estimates
+//! the forged fraction `p` from reservoir evidence and re-runs
+//! Algorithm 3 (`dap-game`'s `optimize` module); this module holds what
+//! crosses from it to the receivers.
 
 /// A live re-provisioning order from the control plane.
 ///
@@ -156,323 +41,23 @@ impl PostureDirective {
     }
 }
 
-impl DefensePolicy {
-    /// Renders the policy as a fixed-point [`PostureDirective`] for
-    /// `epoch` — the bridge from the offline f64 controller to the live
-    /// integer control plane.
-    #[must_use]
-    pub fn directive(&self, epoch: u64) -> PostureDirective {
-        PostureDirective {
-            epoch,
-            buffers: self.buffers,
-            give_up: self.is_give_up(),
-            p_permille: (self.estimated_p.clamp(0.0, 1.0) * 1000.0).round() as u32,
-        }
-    }
-}
-
-/// SplitMix64 finaliser — a cheap, well-distributed 64-bit mix.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Estimates the forged-traffic fraction `p` from one epoch of receiver
-/// counters.
-///
-/// Of everything offered to the buffers, the authentic copies are the
-/// ones that later matched a reveal; everything else (strong rejections,
-/// evicted copies, expired entries) is attributable to the flood. The
-/// estimator is conservative (it counts authentic copies evicted by the
-/// flood as forged), which errs toward more defense.
-///
-/// Returns `None` when the epoch saw no announcements.
-#[must_use]
-pub fn estimate_forged_fraction(epoch: &DapStats) -> Option<f64> {
-    if epoch.announces_offered == 0 {
-        return None;
-    }
-    let authentic = epoch.authenticated.min(epoch.announces_offered);
-    Some(1.0 - authentic as f64 / epoch.announces_offered as f64)
-}
-
-/// The adaptive controller: smooths attack-level estimates and turns
-/// them into [`DefensePolicy`] recommendations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveController {
-    config: AdaptiveConfig,
-    estimate: Option<f64>,
-    history: Vec<DefensePolicy>,
-}
-
-impl AdaptiveController {
-    /// Creates a controller.
-    #[must_use]
-    pub fn new(config: AdaptiveConfig) -> Self {
-        Self {
-            config: config.validated(),
-            estimate: None,
-            history: Vec::new(),
-        }
-    }
-
-    /// The smoothed attack-level estimate.
-    #[must_use]
-    pub fn estimated_p(&self) -> Option<f64> {
-        self.estimate
-    }
-
-    /// Past recommendations, oldest first.
-    #[must_use]
-    pub fn history(&self) -> &[DefensePolicy] {
-        &self.history
-    }
-
-    /// Feeds one epoch's observation of the forged fraction.
-    pub fn observe(&mut self, forged_fraction: f64) {
-        let clamped = forged_fraction.clamp(0.0, 0.999);
-        self.estimate = Some(match self.estimate {
-            None => clamped,
-            Some(prev) => prev + self.config.smoothing * (clamped - prev),
-        });
-    }
-
-    /// Feeds one epoch of receiver counters (no-op if the epoch was
-    /// silent).
-    pub fn observe_stats(&mut self, epoch: &DapStats) {
-        if let Some(p) = estimate_forged_fraction(epoch) {
-            self.observe(p);
-        }
-    }
-
-    /// Computes the recommendation for the current estimate (defaults to
-    /// a modest `m` when nothing has been observed yet).
-    pub fn recommend(&mut self) -> DefensePolicy {
-        let p = self.estimate.unwrap_or(0.0);
-        let policy = if p <= 0.0 {
-            // No attack observed: one buffer suffices (P = 1 − 0^1 = 1).
-            let params = DosGameParams {
-                ra: self.config.ra,
-                k1: self.config.k1,
-                k2: self.config.k2,
-                p: 0.0,
-                m: 1,
-            };
-            let (ess, cost) = dap_game::optimize::ess_cost(params);
-            DefensePolicy {
-                buffers: 1,
-                defend_fraction: ess.point.x(),
-                expected_cost: cost,
-                ess,
-                estimated_p: 0.0,
-            }
-        } else {
-            let params = DosGameParams {
-                ra: self.config.ra,
-                k1: self.config.k1,
-                k2: self.config.k2,
-                p,
-                m: 1,
-            };
-            let opt = optimal_buffer_count(params, self.config.buffer_cap);
-            DefensePolicy {
-                buffers: opt.m,
-                defend_fraction: opt.ess.point.x(),
-                expected_cost: opt.cost,
-                ess: opt.ess,
-                estimated_p: p,
-            }
-        };
-        self.history.push(policy.clone());
-        policy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn estimator_reads_stats() {
-        let mut stats = DapStats::default();
-        assert_eq!(estimate_forged_fraction(&stats), None);
-        stats.announces_offered = 100;
-        stats.authenticated = 20;
-        assert!((estimate_forged_fraction(&stats).unwrap() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smoothing_converges_to_observations() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        for _ in 0..20 {
-            c.observe(0.8);
-        }
-        assert!((c.estimated_p().unwrap() - 0.8).abs() < 1e-3);
-    }
-
-    #[test]
-    fn first_observation_taken_verbatim() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(0.6);
-        assert!((c.estimated_p().unwrap() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn no_attack_recommends_minimal_buffers() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        let policy = c.recommend();
-        assert_eq!(policy.buffers, 1);
-        assert_eq!(policy.estimated_p, 0.0);
-        assert_eq!(c.history().len(), 1);
-    }
-
-    #[test]
-    fn stronger_attack_more_buffers() {
-        let mut weak = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        weak.observe(0.5);
-        let weak_policy = weak.recommend();
-
-        let mut strong = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        strong.observe(0.9);
-        let strong_policy = strong.recommend();
-
-        assert!(
-            weak_policy.buffers < strong_policy.buffers,
-            "weak {} vs strong {}",
-            weak_policy.buffers,
-            strong_policy.buffers
-        );
-    }
-
-    #[test]
-    fn near_jamming_is_give_up_regime() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(0.99);
-        let policy = c.recommend();
-        assert!(policy.is_give_up(), "{policy:?}");
-        // In the give-up regime the per-node cost saturates at R_a.
-        assert!((policy.expected_cost - 200.0).abs() < 2.0, "{policy:?}");
-    }
-
-    #[test]
-    fn moderate_attack_cost_below_naive() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(0.8);
-        let policy = c.recommend();
-        let naive = dap_game::cost::naive_defense_cost(
-            DosGameParams {
-                ra: 200.0,
-                k1: 20.0,
-                k2: 4.0,
-                p: 0.8,
-                m: 1,
-            },
-            50,
-        );
-        assert!(
-            policy.expected_cost <= naive,
-            "adaptive {} vs naive {naive}",
-            policy.expected_cost
-        );
-    }
-
-    #[test]
-    fn observe_stats_ignores_silent_epochs() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe_stats(&DapStats::default());
-        assert_eq!(c.estimated_p(), None);
-    }
-
-    #[test]
-    fn observations_clamped_below_one() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(1.0);
-        assert!(c.estimated_p().unwrap() < 1.0);
-        let _ = c.recommend(); // must not panic on p ≈ 1
-    }
-
-    fn policy_with_fraction(x: f64) -> DefensePolicy {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(0.99); // lands on a partial-defense ESS
-        let mut p = c.recommend();
-        p.defend_fraction = x;
-        p
-    }
-
-    #[test]
-    fn fleet_assignment_matches_the_fraction() {
-        let policy = policy_with_fraction(0.6);
-        let nodes = 20_000u64;
-        for epoch in [0u64, 7, 123] {
-            let defending = (0..nodes)
-                .filter(|n| policy.should_defend(*n, epoch))
-                .count() as f64;
-            let fraction = defending / nodes as f64;
-            assert!(
-                (fraction - 0.6).abs() < 0.02,
-                "epoch {epoch}: fraction {fraction}"
-            );
-        }
-    }
-
-    #[test]
-    fn fleet_assignment_rotates_across_epochs() {
-        let policy = policy_with_fraction(0.5);
-        // A fixed node's duty changes over epochs (not always on/off).
-        let node = 42u64;
-        let states: Vec<bool> = (0..64).map(|e| policy.should_defend(node, e)).collect();
-        assert!(states.iter().any(|&s| s));
-        assert!(states.iter().any(|&s| !s));
-    }
-
-    #[test]
-    fn fleet_assignment_extremes() {
-        let full = policy_with_fraction(1.0);
-        let none = policy_with_fraction(0.0);
-        for n in 0..100u64 {
-            assert!(full.should_defend(n, 3));
-            assert!(!none.should_defend(n, 3));
-        }
-    }
-
-    #[test]
-    fn fleet_assignment_is_deterministic() {
-        let policy = policy_with_fraction(0.37);
-        for n in 0..50u64 {
-            assert_eq!(policy.should_defend(n, 9), policy.should_defend(n, 9));
-        }
-    }
-
-    #[test]
-    fn directive_round_trips_policy() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(0.8);
-        let policy = c.recommend();
-        let d = policy.directive(3);
-        assert_eq!(d.epoch, 3);
-        assert_eq!(d.buffers, policy.buffers);
-        assert_eq!(d.p_permille, 800);
-        assert!(!d.give_up);
-        assert_eq!(d.effective_buffers(), policy.buffers as usize);
-    }
-
-    #[test]
     fn give_up_directive_falls_back_to_one_buffer() {
-        let mut c = AdaptiveController::new(AdaptiveConfig::paper_defaults());
-        c.observe(0.99);
-        let policy = c.recommend();
-        let d = policy.directive(1);
-        assert!(d.give_up, "{policy:?}");
+        let d = PostureDirective {
+            epoch: 1,
+            buffers: 17,
+            give_up: true,
+            p_permille: 990,
+        };
         assert_eq!(d.effective_buffers(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "smoothing")]
-    fn bad_smoothing_rejected() {
-        let mut cfg = AdaptiveConfig::paper_defaults();
-        cfg.smoothing = 0.0;
-        let _ = AdaptiveController::new(cfg);
+        let defend = PostureDirective {
+            give_up: false,
+            ..d
+        };
+        assert_eq!(defend.effective_buffers(), 17);
     }
 }

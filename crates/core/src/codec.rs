@@ -19,7 +19,6 @@
 
 use dap_crypto::{Key, Mac80};
 
-use crate::multi::SenderId;
 use crate::wire::{Announce, DapMessage, Reveal};
 
 /// Frame tag for announcements.
@@ -30,6 +29,23 @@ const TAG_REVEAL: u8 = 0x02;
 const TAG_ANNOUNCE_FROM: u8 = 0x03;
 /// Frame tag for sender-tagged reveals.
 const TAG_REVEAL_FROM: u8 = 0x04;
+
+/// Identifies a sender (task distributor) on the tagged wire shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SenderId(pub u64);
+
+impl SenderId {
+    /// The implicit sender of untagged (single-sender) wire frames —
+    /// what [`decode_prefix_tagged`] attributes a legacy `0x01`/`0x02`
+    /// frame to.
+    pub const UNTAGGED: SenderId = SenderId(0);
+}
+
+impl std::fmt::Display for SenderId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "sender#{}", self.0)
+    }
+}
 
 /// A decoded frame together with the sender it claims to be from.
 ///

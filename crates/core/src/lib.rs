@@ -1,5 +1,5 @@
 //! **DAP — the DoS-Resistant Authentication Protocol** (Ruan et al.,
-//! ICDCS 2016, §IV) and its QoS-balanced adaptive variant (§V).
+//! ICDCS 2016, §IV).
 //!
 //! DAP is a TESLA variant tuned for crowdsensing networks, combining two
 //! ideas against memory-based DoS attacks:
@@ -16,10 +16,12 @@
 //!    probability `P = 1 − p^m` (Algorithm 2, [`receiver`];
 //!    analytic forms in [`analysis`]).
 //!
-//! On top, [`adaptive`] implements the paper's evolutionary-game answer
-//! to "how many buffers?": estimate the attack level, solve the game from
-//! [`dap_game`], and re-provision `m` (giving up on extra buffers when
-//! the channel is nearly jammed — the `(X′, 1)` regime).
+//! The paper's evolutionary-game answer to "how many buffers?" (§V) runs
+//! in `dap-net`'s control plane, which estimates the attack level from
+//! the receivers' [`DapStats`] evidence and solves the game with
+//! `dap-game`; [`adaptive`] holds the [`PostureDirective`] it sends back
+//! to re-provision `m` (or to give up on extra buffers when the channel
+//! is nearly jammed — the `(X′, 1)` regime).
 //!
 //! [`sim`] provides [`dap_simnet`] node adapters so whole crowdsensing
 //! campaigns run in simulation; the workspace's examples and benches are
@@ -32,14 +34,13 @@ pub mod adaptive;
 pub mod analysis;
 pub mod codec;
 pub mod memory;
-pub mod multi;
 pub mod receiver;
 pub mod sender;
 pub mod sim;
 pub mod wire;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, DefensePolicy, PostureDirective};
-pub use multi::{DapMultiReceiver, SenderId};
+pub use adaptive::PostureDirective;
+pub use codec::SenderId;
 pub use receiver::{AnnounceOutcome, DapReceiver, DapStats, RevealOutcome, RevealPrecompute};
 pub use sender::{DapBootstrap, DapSender};
 pub use wire::{Announce, DapMessage, DapParams, Reveal};

@@ -271,6 +271,34 @@ pub fn evolve_with<G: TwoPopulationGame>(
     }
 }
 
+/// [`evolve`] without the recording: the state the run ends in and the
+/// step it converged at (`None` when it hit `max_steps`), in constant
+/// memory. Every ESS prediction and Algorithm 3 sweep runs this loop.
+///
+/// Always inlined, so each caller gets the loop compiled for its own
+/// start: from the sweep's constant `(0.5, 0.5)` the compiler can drop
+/// the lower clamp from the loop-carried path, which measured ~5% of a
+/// control-plane solve.
+#[must_use]
+#[inline(always)]
+pub(crate) fn settle<G: TwoPopulationGame>(
+    game: &G,
+    initial: PopulationState,
+    max_steps: usize,
+) -> (PopulationState, Option<usize>) {
+    let integrator = EulerIntegrator::paper();
+    let mut current = initial;
+    for step in 1..=max_steps {
+        let next = integrator.step(game, current);
+        let moved = next.distance(&current);
+        current = next;
+        if moved < CONVERGENCE_TOL {
+            return (current, Some(step));
+        }
+    }
+    (current, None)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,6 +444,30 @@ mod tests {
         let t = evolve(&game, PopulationState::CENTER, 10);
         assert_eq!(t.states()[0], PopulationState::CENTER);
         assert_eq!(t.steps(), 10);
+    }
+
+    /// `settle` ends where the recorded run ends, including runs that
+    /// hit the step bound: (p, m) = (0.1, 2) and (0.98, 1) need more
+    /// than the sweep's 100k steps.
+    #[test]
+    fn settle_ends_where_evolve_ends() {
+        use crate::optimize::ONLINE_MAX_STEPS;
+        let cases = [
+            (0.8, 5, false),
+            (0.8, 14, false),
+            (0.8, 30, false),
+            (0.8, 70, false),
+            (0.1, 2, true),
+            (0.98, 1, true),
+        ];
+        for (p, m, bounded) in cases {
+            let game = DosGameParams::paper_defaults(p, m).into_game();
+            let recorded = evolve(&game, PopulationState::CENTER, ONLINE_MAX_STEPS);
+            let (state, converged) = settle(&game, PopulationState::CENTER, ONLINE_MAX_STEPS);
+            assert_eq!(state, recorded.last(), "p={p} m={m}");
+            assert_eq!(converged, recorded.converged_at(), "p={p} m={m}");
+            assert_eq!(converged.is_none(), bounded, "p={p} m={m}");
+        }
     }
 
     #[test]

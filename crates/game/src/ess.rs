@@ -17,9 +17,10 @@
 //!   stability verdict from the numeric Jacobian;
 //! * [`predict_ess`] — the paper's empirical method: run the replicator
 //!   dynamics from `(0.5, 0.5)` and report where they settle and how many
-//!   steps it took (this is what Fig. 6 plots).
+//!   steps it took (this is what Fig. 6 plots). Algorithm 3's sweep
+//!   settles and snaps the same way under its own step budget.
 
-use crate::dynamics::{evolve, ReplicatorField, TwoPopulationGame};
+use crate::dynamics::{settle, ReplicatorField, TwoPopulationGame};
 use crate::payoff::DosGame;
 use crate::state::PopulationState;
 
@@ -124,38 +125,40 @@ pub fn is_locally_stable<G: TwoPopulationGame>(game: &G, point: PopulationState)
     trace < 0.0 && det > 0.0
 }
 
+/// The paper's five closed-form rest points for `game`, in a fixed
+/// order, without those that fall outside the unit square (they are
+/// not population states). [`ess_candidates`] and [`snap`] both walk
+/// this one enumeration, so they see the same set in the same order.
+fn closed_forms(game: &DosGame) -> impl Iterator<Item = (PopulationState, EssKind)> {
+    let xp = x_prime(game);
+    let yp = y_prime(game);
+    let (xi, yi) = interior_point(game);
+    let interior = (0.0..1.0).contains(&xi) && (0.0..1.0).contains(&yi) && xi > 0.0 && yi > 0.0;
+    [
+        Some((0.0, 1.0, EssKind::GiveUpDefense)),
+        Some((1.0, 1.0, EssKind::FullDefenseFullAttack)),
+        (xp < 1.0).then_some((xp, 1.0, EssKind::PartialDefenseFullAttack)),
+        (yp < 1.0).then_some((1.0, yp, EssKind::FullDefensePartialAttack)),
+        interior.then_some((xi, yi, EssKind::Interior)),
+    ]
+    .into_iter()
+    .flatten()
+    .filter(|(x, y, _)| (0.0..=1.0).contains(x) && (0.0..=1.0).contains(y))
+    .map(|(x, y, kind)| (PopulationState::new(x, y), kind))
+}
+
 /// The paper's five ESS candidates for `game`, each with a stability
 /// verdict. Candidates whose closed form falls outside the unit square
 /// are omitted (they are not population states).
 #[must_use]
 pub fn ess_candidates(game: &DosGame) -> Vec<EssCandidate> {
-    let mut out = Vec::with_capacity(5);
-    let mut push = |x: f64, y: f64, kind: EssKind| {
-        if (0.0..=1.0).contains(&x) && (0.0..=1.0).contains(&y) {
-            let point = PopulationState::new(x, y);
-            out.push(EssCandidate {
-                point,
-                kind,
-                stable: is_locally_stable(game, point),
-            });
-        }
-    };
-
-    push(0.0, 1.0, EssKind::GiveUpDefense);
-    push(1.0, 1.0, EssKind::FullDefenseFullAttack);
-    let xp = x_prime(game);
-    if xp < 1.0 {
-        push(xp, 1.0, EssKind::PartialDefenseFullAttack);
-    }
-    let yp = y_prime(game);
-    if yp < 1.0 {
-        push(1.0, yp, EssKind::FullDefensePartialAttack);
-    }
-    let (xi, yi) = interior_point(game);
-    if (0.0..1.0).contains(&xi) && (0.0..1.0).contains(&yi) && xi > 0.0 && yi > 0.0 {
-        push(xi, yi, EssKind::Interior);
-    }
-    out
+    closed_forms(game)
+        .map(|(point, kind)| EssCandidate {
+            point,
+            kind,
+            stable: is_locally_stable(game, point),
+        })
+        .collect()
 }
 
 /// Step budget for [`predict_ess`]; the paper's slowest regime converges
@@ -180,30 +183,22 @@ pub fn predict_ess(game: &DosGame) -> EssOutcome {
 /// [`predict_ess`] from an arbitrary interior start.
 #[must_use]
 pub fn predict_ess_from(game: &DosGame, initial: PopulationState) -> EssOutcome {
-    let trajectory = evolve(game, initial, PREDICT_MAX_STEPS);
-    let settled = trajectory.last();
+    let (settled, steps) = settle(game, initial, PREDICT_MAX_STEPS);
+    let (point, kind) = snap(game, settled);
+    EssOutcome { point, kind, steps }
+}
 
-    let mut best: Option<(f64, EssKind, PopulationState)> = None;
-    for cand in ess_candidates(game) {
-        let d = settled.distance(&cand.point);
-        if best.as_ref().is_none_or(|(bd, _, _)| d < *bd) {
-            best = Some((d, cand.kind, cand.point));
-        }
-    }
-    if let Some((d, kind, point)) = best {
-        if d <= MATCH_TOL {
-            return EssOutcome {
-                point,
-                kind,
-                steps: trajectory.converged_at(),
-            };
-        }
-    }
-
-    EssOutcome {
-        point: settled,
-        kind: classify_coordinates(settled),
-        steps: trajectory.converged_at(),
+/// The nearest closed-form candidate to a settled state (the first of
+/// equals, in [`ess_candidates`] order), or the state itself, labelled
+/// by [`classify_coordinates`], when none is within [`MATCH_TOL`].
+#[must_use]
+pub(crate) fn snap(game: &DosGame, settled: PopulationState) -> (PopulationState, EssKind) {
+    let nearest = closed_forms(game)
+        .map(|(point, kind)| (settled.distance(&point), point, kind))
+        .min_by(|a, b| a.0.total_cmp(&b.0));
+    match nearest {
+        Some((d, point, kind)) if d <= MATCH_TOL => (point, kind),
+        _ => (settled, classify_coordinates(settled)),
     }
 }
 

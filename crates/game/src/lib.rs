@@ -26,10 +26,10 @@
 //!   candidates, and empirical ESS prediction from the paper's
 //!   `(0.5, 0.5)` start;
 //! * [`cost`] — the defender cost `E` and the naive-defense cost `N`;
-//! * [`optimize`] — Algorithm 3 (optimal `m`), exact argmin and the
-//!   paper-literal transcription;
-//! * [`online`] — Algorithm 3 as a no-alloc, step-bounded control-loop
-//!   step for the live `dap-net` control plane.
+//! * [`optimize`] — Algorithm 3 (optimal `m`) as one allocation-free,
+//!   step-bounded sweep: the exact argmin with its cost landscape, the
+//!   paper-literal transcription, and the control-loop step the live
+//!   `dap-net` control plane re-runs.
 //!
 //! # Example — reproduce a Fig. 6 regime
 //!
@@ -50,7 +50,6 @@ pub mod bimatrix;
 pub mod cost;
 pub mod dynamics;
 pub mod ess;
-pub mod online;
 pub mod optimize;
 pub mod payoff;
 pub mod state;
@@ -60,7 +59,8 @@ pub use dynamics::{
     EulerIntegrator, ReplicatorField, Rk4Integrator, Trajectory, TwoPopulationGame,
 };
 pub use ess::{EssKind, EssOutcome};
-pub use online::{solve_posture, solve_posture_permille, OnlinePosture};
-pub use optimize::{optimal_buffer_count, OptimalBuffer};
+pub use optimize::{
+    optimal_buffer_count, solve_posture, solve_posture_permille, OnlinePosture, OptimalBuffer,
+};
 pub use payoff::{DosGame, DosGameParams, PayoffMatrix};
 pub use state::PopulationState;

@@ -1,19 +1,40 @@
 //! Algorithm 3: choosing the buffer count `m` that minimises the
 //! defenders' average cost at the ESS.
 //!
-//! Two variants are provided:
+//! One allocation-free sweep serves every caller: it settles the game
+//! for each `m ∈ 1..=cap` under [`ONLINE_MAX_STEPS`], snaps the end state
+//! to the nearest closed-form ESS and keeps the cost argmin, ties going
+//! to the smaller `m`. On top of it:
 //!
-//! * [`optimal_buffer_count`] — the exact argmin over `m ∈ 1..=cap`,
-//!   which is what the algorithm's *intent* ("find the optimal m") and
-//!   Fig. 7 require;
+//! * [`optimal_buffer_count`] — the exact argmin, which is what the
+//!   algorithm's *intent* ("find the optimal m") and Fig. 7 require; it
+//!   also records the cost landscape;
 //! * [`optimal_buffer_count_paper_literal`] — a faithful transcription of
 //!   the pseudo-code as printed, whose `if E_m < E_{m−1}` update keeps
 //!   the *last descent* rather than the global argmin. The discrepancy is
-//!   documented in `DESIGN.md` §4 and exercised by the tests.
+//!   documented in `DESIGN.md` §4 and exercised by the tests;
+//! * [`solve_posture`] / [`solve_posture_permille`] — the control-loop
+//!   step the `dap-net` control plane re-runs at interval boundaries.
+//!   The step bound gives one solve a hard upper cost however slowly a
+//!   spiral converges. The result carries the paper's §V *give-up*
+//!   verdict: when the best achievable posture is `(0, 1)` or `(X′, 1)`
+//!   the defender cost has saturated at `R_a`, buffers no longer buy
+//!   anything, and the control plane should stop paying for them.
 
 use crate::cost::defense_cost;
-use crate::ess::{predict_ess, EssOutcome};
+use crate::dynamics::settle;
+use crate::ess::{snap, EssKind, EssOutcome};
 use crate::payoff::DosGameParams;
+use crate::state::PopulationState;
+
+/// Euler-step budget per candidate `m`. The paper's regimes converge in
+/// hundreds of steps; the slowest interior spirals take a few thousand.
+/// This bound keeps one full solve (`cap` candidates) under ~10⁷ steps
+/// worst-case while leaving orders of magnitude of slack for convergence.
+/// Weak attacks are the exception: near `p = 0` the games for most
+/// `m ≥ 2` still drift at the bound (46 of 50 at `p = 0.001`), and a
+/// solve costs nearly the full ~5·10⁶ steps.
+pub const ONLINE_MAX_STEPS: usize = 100_000;
 
 /// The optimiser's result: the chosen buffer count, the ESS it induces
 /// and the cost landscape it searched.
@@ -21,7 +42,8 @@ use crate::payoff::DosGameParams;
 pub struct OptimalBuffer {
     /// The chosen number of buffers `m*`.
     pub m: u32,
-    /// The ESS the replicator dynamics reach with `m*` buffers.
+    /// The ESS the replicator dynamics reach with `m*` buffers within
+    /// [`ONLINE_MAX_STEPS`].
     pub ess: EssOutcome,
     /// The defenders' average cost at that ESS.
     pub cost: f64,
@@ -30,13 +52,45 @@ pub struct OptimalBuffer {
     pub landscape: Vec<(u32, f64)>,
 }
 
-/// Evaluates the ESS cost for a single `(p, m)` instance.
-#[must_use]
-pub fn ess_cost(params: DosGameParams) -> (EssOutcome, f64) {
-    let game = params.into_game();
-    let ess = predict_ess(&game);
-    let cost = defense_cost(&game, ess.point);
-    (ess, cost)
+/// One solved posture: the argmin buffer count and the ESS it induces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OnlinePosture {
+    /// The cost-minimising buffer count `m*`.
+    pub m: u32,
+    /// The ESS shape reached with `m*` buffers.
+    pub kind: EssKind,
+    /// The settled population state (snapped to the closed form when
+    /// within [`MATCH_TOL`](crate::ess::MATCH_TOL)).
+    pub point: PopulationState,
+    /// The defenders' average cost at that ESS.
+    pub cost: f64,
+    /// §V give-up verdict: the best posture still leaves attackers fully
+    /// attacking with cost pinned at `R_a`, so buffering is pointless.
+    pub give_up: bool,
+}
+
+/// The one Algorithm 3 sweep: for each `m ∈ 1..=cap`, the ESS reached
+/// within [`ONLINE_MAX_STEPS`] and its defender cost, each `(m, cost)`
+/// shown to `visit` in order. Returns the strict cost argmin, so ties
+/// break toward the smaller `m`, which also minimises memory.
+fn sweep(
+    params: DosGameParams,
+    cap: u32,
+    mut visit: impl FnMut(u32, f64),
+) -> (u32, EssOutcome, f64) {
+    assert!(cap >= 1, "buffer cap must be at least 1");
+    let mut best: Option<(u32, EssOutcome, f64)> = None;
+    for m in 1..=cap {
+        let game = DosGameParams { m, ..params }.into_game();
+        let (settled, steps) = settle(&game, PopulationState::CENTER, ONLINE_MAX_STEPS);
+        let (point, kind) = snap(&game, settled);
+        let cost = defense_cost(&game, point);
+        visit(m, cost);
+        if best.as_ref().is_none_or(|b| cost < b.2) {
+            best = Some((m, EssOutcome { point, kind, steps }, cost));
+        }
+    }
+    best.expect("cap >= 1 so at least one candidate")
 }
 
 /// Exact Algorithm 3: sweep `m ∈ 1..=cap`, evolve each game to its ESS,
@@ -58,23 +112,8 @@ pub fn ess_cost(params: DosGameParams) -> (EssOutcome, f64) {
 /// Panics if `cap == 0`.
 #[must_use]
 pub fn optimal_buffer_count(params: DosGameParams, cap: u32) -> OptimalBuffer {
-    assert!(cap >= 1, "buffer cap must be at least 1");
     let mut landscape = Vec::with_capacity(cap as usize);
-    let mut best: Option<(u32, EssOutcome, f64)> = None;
-    for m in 1..=cap {
-        let mut inst = params;
-        inst.m = m;
-        let (ess, cost) = ess_cost(inst);
-        landscape.push((m, cost));
-        let better = match &best {
-            None => true,
-            Some((_, _, best_cost)) => cost < *best_cost,
-        };
-        if better {
-            best = Some((m, ess, cost));
-        }
-    }
-    let (m, ess, cost) = best.expect("cap >= 1 so at least one candidate");
+    let (m, ess, cost) = sweep(params, cap, |m, cost| landscape.push((m, cost)));
     OptimalBuffer {
         m,
         ess,
@@ -95,25 +134,60 @@ pub fn optimal_buffer_count(params: DosGameParams, cap: u32) -> OptimalBuffer {
 /// Panics if `cap == 0`.
 #[must_use]
 pub fn optimal_buffer_count_paper_literal(params: DosGameParams, cap: u32) -> u32 {
-    assert!(cap >= 1, "buffer cap must be at least 1");
     let mut m_optm = 0u32;
     let mut previous = f64::INFINITY; // E_0 = ∞ in the pseudo-code.
-    for m in 1..=cap {
-        let mut inst = params;
-        inst.m = m;
-        let (_, e_m) = ess_cost(inst);
+    sweep(params, cap, |m, e_m| {
         if e_m < previous {
             m_optm = m;
         }
         previous = e_m;
-    }
+    });
     m_optm
+}
+
+/// The control-loop step: the [`optimal_buffer_count`] argmin without
+/// the landscape (no allocation), plus the §V give-up verdict.
+///
+/// # Panics
+///
+/// Panics if `cap == 0`.
+#[must_use]
+pub fn solve_posture(params: DosGameParams, cap: u32) -> OnlinePosture {
+    let (m, ess, cost) = sweep(params, cap, |_, _| {});
+    OnlinePosture {
+        m,
+        kind: ess.kind,
+        point: ess.point,
+        cost,
+        give_up: matches!(
+            ess.kind,
+            EssKind::GiveUpDefense | EssKind::PartialDefenseFullAttack
+        ),
+    }
+}
+
+/// [`solve_posture`] for a fixed-point attack estimate: `p_permille` is
+/// the estimated forged fraction in permille (0..=1000), applied to the
+/// paper's economy. This is the entry point the `dap-net` control plane
+/// calls — integer in, so two same-seed runs feed bit-identical inputs.
+///
+/// The game needs `p < 1`, so an all-forged estimate (1000‰) is solved
+/// at 999‰, which already gives up.
+///
+/// # Panics
+///
+/// Panics if `p_permille > 1000` or `cap == 0`.
+#[must_use]
+pub fn solve_posture_permille(p_permille: u32, cap: u32) -> OnlinePosture {
+    assert!(p_permille <= 1000, "permille estimate out of range");
+    let p = f64::from(p_permille.min(999)) / 1000.0;
+    solve_posture(DosGameParams::paper_defaults(p, 1), cap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ess::EssKind;
+    use crate::ess::predict_ess;
 
     #[test]
     fn landscape_covers_full_range() {
@@ -158,12 +232,14 @@ mod tests {
         assert!((opt.cost - 200.0).abs() < 1.0, "cost={}", opt.cost);
         // At the cap itself the ESS is the partial-defense edge the paper
         // reports for p > 0.94.
-        let (ess_at_cap, cost_at_cap) = ess_cost(DosGameParams::paper_defaults(0.99, 50));
+        let at_cap = DosGameParams::paper_defaults(0.99, 50).into_game();
+        let ess_at_cap = predict_ess(&at_cap);
         assert_eq!(
             ess_at_cap.kind,
             EssKind::PartialDefenseFullAttack,
             "{ess_at_cap:?}"
         );
+        let cost_at_cap = defense_cost(&at_cap, ess_at_cap.point);
         assert!(
             (cost_at_cap - 200.0).abs() < 1.0,
             "cost at cap {cost_at_cap}"
@@ -238,5 +314,63 @@ mod tests {
     #[should_panic(expected = "buffer cap")]
     fn zero_cap_panics() {
         let _ = optimal_buffer_count(DosGameParams::paper_defaults(0.5, 1), 0);
+    }
+
+    #[test]
+    fn settle_matches_predict_ess_endpoint() {
+        for m in [5, 14, 30, 70] {
+            let game = DosGameParams::paper_defaults(0.8, m).into_game();
+            let offline = predict_ess(&game);
+            let (settled, _) = settle(&game, PopulationState::CENTER, ONLINE_MAX_STEPS);
+            let (point, kind) = snap(&game, settled);
+            assert_eq!(kind, offline.kind, "m={m}");
+            assert!(point.distance(&offline.point) < 1e-9, "m={m}");
+        }
+    }
+
+    #[test]
+    fn optimum_grows_with_estimated_attack_level() {
+        let low = solve_posture_permille(600, 50);
+        let high = solve_posture_permille(900, 50);
+        assert!(low.m < high.m, "m*(0.6)={} m*(0.9)={}", low.m, high.m);
+        assert!(!low.give_up && !high.give_up);
+    }
+
+    #[test]
+    fn near_jamming_attack_gives_up() {
+        // p = 0.99: every posture saturates at cost R_a — the §V "turns
+        // to give up" regime — and the solver says so.
+        let posture = solve_posture_permille(990, 50);
+        assert!(posture.give_up, "{posture:?}");
+        assert!((posture.cost - 200.0).abs() < 1.0, "{}", posture.cost);
+    }
+
+    #[test]
+    fn all_forged_estimate_gives_up() {
+        // 1000‰ is a legal estimate (every buffered entry forged) but
+        // not a legal game: it is solved at 999‰.
+        let posture = solve_posture_permille(1000, 50);
+        assert!(posture.give_up, "{posture:?}");
+        assert_eq!(posture, solve_posture_permille(999, 50));
+    }
+
+    #[test]
+    fn clean_traffic_wants_minimum_buffers() {
+        let posture = solve_posture_permille(0, 50);
+        assert_eq!(posture.m, 1, "{posture:?}");
+        assert!(!posture.give_up);
+    }
+
+    #[test]
+    fn solver_is_deterministic() {
+        let a = solve_posture_permille(800, 50);
+        let b = solve_posture_permille(800, 50);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "permille")]
+    fn rejects_out_of_range_estimate() {
+        let _ = solve_posture_permille(1001, 50);
     }
 }

@@ -391,6 +391,17 @@ mod tests {
     }
 
     #[test]
+    fn all_forged_first_sample_commands_the_give_up_posture() {
+        // The first sample loads verbatim, so one interval whose
+        // reservoir kept only forged copies reads p̂ = 1000‰.
+        let mut plane = ControlPlane::new(2, ControlConfig::default());
+        let directive = plane.step_evidence(2, 2).expect("posture changes");
+        assert_eq!(directive.p_permille, 1000);
+        assert!(directive.give_up, "{directive:?}");
+        assert_eq!(directive.buffers, 1);
+    }
+
+    #[test]
     fn saturation_flood_commands_the_give_up_posture() {
         let mut plane = ControlPlane::new(4, ControlConfig::default());
         run_synthetic(&mut plane, 998, 400, 500);

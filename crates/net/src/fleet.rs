@@ -939,6 +939,26 @@ mod tests {
     }
 
     #[test]
+    fn heavy_flood_from_the_first_interval_runs_to_completion() {
+        // At p = 0.9 an early interval often keeps only forged copies,
+        // so the control plane's first estimate can read 1000‰.
+        for seed in 2..=5 {
+            let spec = FleetSpec {
+                adaptive: true,
+                intervals: 60,
+                seed,
+                ..FleetSpec::untagged()
+            };
+            let report = run_fleet(&spec);
+            assert_eq!(
+                report.metrics.get(keys::NET_REVEAL_TOTAL),
+                60,
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn stationary_clean_adaptive_run_never_flips_posture() {
         let spec = FleetSpec {
             intervals: 120,
@@ -1467,6 +1487,51 @@ mod tests {
         // …but TESLA still never authenticates a forgery, whatever
         // priority class the farmer earned.
         assert_eq!(report.metrics.get(keys::NET_REVEAL_WEAK_REJECTED), 0);
+    }
+
+    #[test]
+    fn per_sender_anchors_advance_independently() {
+        // Sender 1 is active in intervals 1..=3; sender 2 first speaks
+        // at 3, so its session must recover the 3-step gap on its own
+        // chain.
+        let spec = FleetSpec {
+            senders: 2,
+            intervals: 4,
+            flood: 0.0,
+            ..FleetSpec::default()
+        };
+        let chain_len = spec.intervals as usize + 2;
+        let mut senders: Vec<DapSender> = (1..=2)
+            .map(|id| {
+                let seed = fleet_chain_seed(spec.seed, SenderId(id));
+                DapSender::new(&seed, chain_len, fleet_params(spec.buffers))
+            })
+            .collect();
+        let mut shard = FleetShard::new(&spec, 0);
+        let (mut rng, mut registry) = (SimRng::new(3), Registry::new());
+        let live = LiveCounters::default();
+        let mut deliver = |id: u64, frame: DapMessage, at: u64| {
+            shard
+                .on_frame(
+                    SenderId(id),
+                    &frame,
+                    SimTime(at),
+                    &mut rng,
+                    &mut registry,
+                    &live,
+                )
+                .outcome
+        };
+        for i in 1..=3u64 {
+            let announce = senders[0].announce(i, b"a").unwrap();
+            deliver(1, DapMessage::Announce(announce), (i - 1) * 100 + 10);
+            let reveal = senders[0].reveal(i).unwrap();
+            assert_eq!(deliver(1, DapMessage::Reveal(reveal), i * 100 + 10), "auth");
+        }
+        let announce = senders[1].announce(3, b"b late start").unwrap();
+        deliver(2, DapMessage::Announce(announce), 210);
+        let reveal = senders[1].reveal(3).unwrap();
+        assert_eq!(deliver(2, DapMessage::Reveal(reveal), 310), "auth");
     }
 
     #[test]

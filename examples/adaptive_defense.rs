@@ -1,15 +1,17 @@
-//! QoS-balanced DAP in action: the evolutionary-game controller watches
-//! the authentication outcomes, estimates the attack level, and
-//! re-provisions the buffer pool each epoch — including "giving up" on
-//! extra buffers when the channel is nearly jammed.
+//! QoS-balanced DAP in action: the runtime's control plane reads the
+//! reservoir evidence after every reveal, estimates the attack level,
+//! re-solves the evolutionary game and re-provisions the receiver's
+//! buffers — including "giving up" on extra buffers when the channel is
+//! nearly jammed.
 //!
 //! Run with: `cargo run --example adaptive_defense`
 
 use crowdsense_dap::crypto::Mac80;
 use crowdsense_dap::dap::wire::Announce;
-use crowdsense_dap::dap::{AdaptiveConfig, AdaptiveController, DapParams, DapReceiver, DapSender};
+use crowdsense_dap::dap::{DapParams, DapReceiver, DapSender};
 use crowdsense_dap::game::cost::naive_defense_cost;
-use crowdsense_dap::game::DosGameParams;
+use crowdsense_dap::game::{solve_posture_permille, DosGameParams};
+use crowdsense_dap::net::{ControlConfig, ControlPlane};
 use crowdsense_dap::simnet::{SimRng, SimTime};
 
 /// Attack intensity per epoch: calm → moderate → severe → jammed → calm.
@@ -17,17 +19,15 @@ const EPOCH_ATTACK: &[f64] = &[0.0, 0.5, 0.75, 0.8, 0.9, 0.96, 0.99, 0.99, 0.5];
 const INTERVALS_PER_EPOCH: u64 = 150;
 
 fn main() {
-    let mut params = DapParams::default();
+    let params = DapParams::default();
     let mut sender = DapSender::new(
         b"adaptive demo",
         EPOCH_ATTACK.len() * INTERVALS_PER_EPOCH as usize + 2,
         params,
     );
     let mut receiver = DapReceiver::new(sender.bootstrap(), b"adaptive node");
-    let mut controller = AdaptiveController::new(AdaptiveConfig {
-        smoothing: 0.8,
-        ..AdaptiveConfig::paper_defaults()
-    });
+    let config = ControlConfig::default();
+    let mut plane = ControlPlane::new(params.buffers as u32, config);
     let mut rng = SimRng::new(99);
 
     println!("Adaptive (QoS-balanced) DAP");
@@ -40,7 +40,6 @@ fn main() {
 
     let mut interval = 0u64;
     for (epoch, &p) in EPOCH_ATTACK.iter().enumerate() {
-        let before = *receiver.stats();
         let mut authenticated_epoch = 0u64;
 
         for _ in 0..INTERVALS_PER_EPOCH {
@@ -73,47 +72,37 @@ fn main() {
             {
                 authenticated_epoch += 1;
             }
+            // The reveal decided which buffered entries were forged:
+            // fold that evidence into the estimate, and re-provision
+            // when the game's answer changes.
+            let stats = receiver.stats();
+            if let Some(directive) =
+                plane.step_evidence(stats.buffered_decided, stats.buffered_forged)
+            {
+                receiver.set_buffers(directive.effective_buffers());
+            }
         }
 
-        // Epoch boundary: estimate p from this epoch's counters, consult
-        // the game, re-provision.
-        let after = *receiver.stats();
-        let epoch_stats = crowdsense_dap::dap::DapStats {
-            announces_offered: after.announces_offered - before.announces_offered,
-            authenticated: after.authenticated - before.authenticated,
-            ..Default::default()
-        };
-        controller.observe_stats(&epoch_stats);
-        let policy = controller.recommend();
-        receiver.set_buffers(policy.buffers as usize);
-        params = params.with_buffers(policy.buffers as usize);
-
-        let naive = if policy.estimated_p > 0.0 {
-            naive_defense_cost(
-                DosGameParams {
-                    ra: 200.0,
-                    k1: 20.0,
-                    k2: 4.0,
-                    p: policy.estimated_p,
-                    m: 1,
-                },
-                50,
-            )
-        } else {
-            4.0 * 50.0
-        };
+        // What the game says at the plane's current estimate.
+        let p_hat = plane.p_hat_permille();
+        let posture = solve_posture_permille(p_hat, config.cap);
+        let estimated_p = f64::from(p_hat) / 1000.0;
+        let naive = naive_defense_cost(
+            DosGameParams::paper_defaults(estimated_p.min(0.999), 1),
+            config.cap,
+        );
 
         println!(
             "{:>5} {:>8.2} {:>8.2} {:>6} {:>10} {:>12.2} {:>10.2} {:>8.3}{}",
             epoch,
             p,
-            policy.estimated_p,
-            policy.buffers,
-            policy.ess.kind.to_string(),
-            policy.expected_cost,
+            estimated_p,
+            plane.buffers(),
+            posture.kind.to_string(),
+            posture.cost,
             naive,
             authenticated_epoch as f64 / INTERVALS_PER_EPOCH as f64,
-            if policy.is_give_up() {
+            if plane.give_up() {
                 "  << give-up regime"
             } else {
                 ""
@@ -122,7 +111,9 @@ fn main() {
     }
 
     println!();
-    println!("Note how m tracks the attack level, and how past p ≈ 0.94 the game");
-    println!("stops buying buffers: the ESS moves to (X', 1) and the cost pins at R_a,");
-    println!("far below the naive always-defend-with-M-buffers policy.");
+    println!("Note how m tracks the attack level. Past p ≈ 0.98 the ESS at the estimate");
+    println!("moves to (X', 1) and the cost pins at R_a, far below the naive");
+    println!("always-defend-with-M-buffers policy: the game's give-up regime, where the");
+    println!("control plane falls back to one buffer. The plane re-solves only when its");
+    println!("estimate moves 10 permille, so near that edge m can lag the ESS column.");
 }
