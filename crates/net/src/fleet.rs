@@ -1182,6 +1182,12 @@ mod tests {
                     outcomes.insert(expected.outcome);
                 }
             }
+            for outcome in &outcomes {
+                assert!(
+                    dap_obs::OUTCOMES.contains(outcome),
+                    "{outcome} is not in the trace parser's vocabulary"
+                );
+            }
             let protocol_counters = |registry: &Registry| -> Vec<(&'static str, u64)> {
                 registry
                     .counters()

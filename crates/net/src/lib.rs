@@ -62,8 +62,10 @@
 //! sorted snapshot on Ctrl-C),
 //! `daptrace` (forensic audit / report / timeline over a `--trace-out`
 //! file, exiting nonzero when a causal invariant is violated) and
-//! `netbench` (ingress throughput and per-frame verify latency
-//! with p50/p95/p99 tails, written to `BENCH_net.json`). See README
+//! `perf` (the workspace's micro-benchmark harness: crypto kernels,
+//! ingest at four tracing levels, per-frame verify latency with
+//! p50/p95/p99 tails, the survival matrix, Algorithm 3 and the sweep,
+//! each lane's median and MAD written to `BENCH_perf.json`). See README
 //! § "Running on a real wire".
 //!
 //! ## Quickstart (in-process)
@@ -104,7 +106,7 @@ pub use forensics::{
 };
 pub use pool::{
     BufferNote, DapShard, FrameVerdict, FrameVerifier, LiveCounters, OverflowPolicy, PoolConfig,
-    PoolHandle, PoolObs, PoolReport, ReceiverPool, RoutePolicy, TeslaPpShard,
+    PoolHandle, PoolObs, PoolReport, ReceiverPool, RoutePolicy,
 };
 pub use pump::{Flooder, PumpStats, SenderPump};
 pub use session::{

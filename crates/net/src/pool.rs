@@ -48,8 +48,6 @@ use dap_obs::{
     TraceRecord,
 };
 use dap_simnet::{keys, Metrics, Registry, SimRng, SimTime};
-use dap_tesla::tesla::Bootstrap as TeslaBootstrap;
-use dap_tesla::teslapp::{TeslaPpMessage, TeslaPpOutcome, TeslaPpPrecompute, TeslaPpReceiver};
 
 use crate::queue::{release_slack, Batch, IngressQueue, PushError, Take};
 use crate::session::{PriorityClass, SessionEviction};
@@ -180,8 +178,8 @@ pub struct BufferNote {
 /// trace events without knowing protocol internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameVerdict {
-    /// Outcome label (`"stored"`, `"auth"`, `"unsafe"`, …) for the
-    /// [`TraceEvent::VerifyEnd`] record.
+    /// Outcome label for the [`TraceEvent::VerifyEnd`] record, one of
+    /// [`dap_obs::OUTCOMES`].
     pub outcome: &'static str,
     /// The interval index the frame claimed.
     pub interval: u64,
@@ -593,102 +591,6 @@ pub(crate) fn dap_verdict(
         evicted: None,
     };
     (verdict, attempt)
-}
-
-/// A TESLA++ receiver behind the same fabric and codec — DAP and
-/// TESLA++ share the announce/reveal wire shape, so the comparison
-/// baseline rides the identical byte stream (`netbench`'s verify lanes
-/// use this).
-#[derive(Debug)]
-pub struct TeslaPpShard {
-    receiver: TeslaPpReceiver,
-    /// One entry per frame of the current drain window (`None` for
-    /// announces), in window order; `on_frame` pops one per frame.
-    pre: VecDeque<Option<TeslaPpPrecompute>>,
-}
-
-impl TeslaPpShard {
-    /// Bootstraps one shard's TESLA++ receiver.
-    #[must_use]
-    pub fn new(bootstrap: TeslaBootstrap, local_seed: &[u8]) -> Self {
-        Self {
-            receiver: TeslaPpReceiver::new(bootstrap, local_seed),
-            pre: VecDeque::new(),
-        }
-    }
-
-    /// Converts a decoded DAP frame into the TESLA++ message with the
-    /// same fields.
-    #[must_use]
-    pub fn convert(frame: &DapMessage) -> TeslaPpMessage {
-        match frame {
-            DapMessage::Announce(a) => TeslaPpMessage::MacAnnounce {
-                index: a.index,
-                mac: a.mac,
-            },
-            DapMessage::Reveal(r) => TeslaPpMessage::Reveal {
-                index: r.index,
-                message: r.message.clone(),
-                key: r.key,
-            },
-        }
-    }
-}
-
-impl FrameVerifier for TeslaPpShard {
-    fn on_frame(
-        &mut self,
-        _sender: SenderId,
-        frame: &DapMessage,
-        at: SimTime,
-        _rng: &mut SimRng,
-        registry: &mut Registry,
-        live: &LiveCounters,
-    ) -> FrameVerdict {
-        let message = Self::convert(frame);
-        let key_reveal = matches!(message, TeslaPpMessage::Reveal { .. });
-        let interval = match frame {
-            DapMessage::Announce(a) => a.index,
-            DapMessage::Reveal(r) => r.index,
-        };
-        if key_reveal {
-            registry.incr(keys::NET_REVEAL_TOTAL);
-        }
-        let outcome = match self.pre.pop_front().flatten() {
-            Some(pre) => self.receiver.on_message_precomputed(&message, at, &pre),
-            None => self.receiver.on_message(&message, at),
-        };
-        let (key, outcome) = match outcome {
-            TeslaPpOutcome::AnnouncementStored { .. } => (keys::NET_ANNOUNCE_STORED, "stored"),
-            TeslaPpOutcome::AnnouncementUnsafe { .. } => (keys::NET_ANNOUNCE_UNSAFE, "unsafe"),
-            TeslaPpOutcome::Authenticated { .. } => {
-                live.count_authenticated();
-                (keys::NET_REVEAL_AUTH, "auth")
-            }
-            TeslaPpOutcome::KeyRejected { .. } => (keys::NET_REVEAL_WEAK_REJECTED, "weak_rejected"),
-            TeslaPpOutcome::NoMatchingAnnouncement { .. } => {
-                (keys::NET_REVEAL_NO_MATCH, "no_match")
-            }
-        };
-        registry.incr(key);
-        FrameVerdict {
-            outcome,
-            interval,
-            buffer: None,
-            key_reveal,
-            evicted: None,
-        }
-    }
-
-    fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
-        let messages: Vec<TeslaPpMessage> = batch
-            .iter()
-            .map(|(_, frame)| Self::convert(frame))
-            .collect();
-        let items: Vec<(&TeslaPpReceiver, &TeslaPpMessage)> =
-            messages.iter().map(|m| (&self.receiver, m)).collect();
-        self.pre = TeslaPpReceiver::precompute_reveals(&items).into();
-    }
 }
 
 /// One datagram as a shard handles it: where its bytes sit in an arena
@@ -1736,54 +1638,6 @@ mod tests {
     }
 
     #[test]
-    fn teslapp_shard_authenticates_converted_frames() {
-        use dap_tesla::teslapp::TeslaPpSender;
-        use dap_tesla::TeslaParams;
-
-        let tesla_params = TeslaParams::new(SimDuration(100), 1, 0);
-        let mut sender = TeslaPpSender::new(b"tpp", 32, tesla_params);
-        let pool = ReceiverPool::spawn(
-            PoolConfig {
-                shards: 2,
-                queue_depth: 16,
-                overflow: OverflowPolicy::Block,
-                route: RoutePolicy::ByInterval,
-                ..PoolConfig::default()
-            },
-            3,
-            |_| TeslaPpShard::new(sender.bootstrap(), b"n"),
-        );
-        let handle = pool.handle();
-        for i in 1..=5u64 {
-            let TeslaPpMessage::MacAnnounce { index, mac } = sender.announce(i, b"m").unwrap()
-            else {
-                unreachable!()
-            };
-            let ann =
-                codec::encode(&DapMessage::Announce(dap_core::Announce { index, mac })).unwrap();
-            handle.ingest(&ann, during(i));
-            let TeslaPpMessage::Reveal {
-                index,
-                message,
-                key,
-            } = sender.reveal(i).unwrap()
-            else {
-                unreachable!()
-            };
-            let rev = codec::encode(&DapMessage::Reveal(dap_core::Reveal {
-                index,
-                message,
-                key,
-            }))
-            .unwrap();
-            handle.ingest(&rev, during(i + 1));
-        }
-        let metrics = pool.shutdown();
-        assert_eq!(metrics.get(keys::NET_REVEAL_AUTH), 5);
-        assert_eq!(metrics.get(keys::NET_ANNOUNCE_STORED), 5);
-    }
-
-    #[test]
     fn traced_pool_reports_latency_histograms_and_ordered_events() {
         use dap_obs::ManualTime;
 
@@ -2072,68 +1926,6 @@ mod tests {
             );
             assert_eq!(shed > 0, drain_budget == 3, "only the tight budget sheds");
         }
-    }
-
-    #[test]
-    fn windowed_teslapp_drain_matches_the_unwindowed_path() {
-        use dap_tesla::teslapp::TeslaPpSender;
-        use dap_tesla::TeslaParams;
-
-        let run = |drain_budget: usize| {
-            let tesla_params = TeslaParams::new(SimDuration(100), 1, 0);
-            let mut sender = TeslaPpSender::new(b"tppb", 64, tesla_params);
-            let pool = ReceiverPool::spawn_with_obs(
-                PoolConfig {
-                    shards: 2,
-                    queue_depth: 4096,
-                    overflow: OverflowPolicy::Block,
-                    route: RoutePolicy::ByInterval,
-                    drain_budget,
-                    ..PoolConfig::default()
-                },
-                23,
-                |_| TeslaPpShard::new(sender.bootstrap(), b"n"),
-                PoolObs {
-                    time: TimeSource::frozen(),
-                    trace_depth: 0,
-                    publish: None,
-                    publish_every: 0,
-                    span_every: 0,
-                },
-            );
-            let handle = pool.handle();
-            for i in 1..=16u64 {
-                let TeslaPpMessage::MacAnnounce { index, mac } = sender.announce(i, b"m").unwrap()
-                else {
-                    unreachable!()
-                };
-                let ann = codec::encode(&DapMessage::Announce(dap_core::Announce { index, mac }))
-                    .unwrap();
-                assert!(handle.ingest(&ann, during(i)));
-                let TeslaPpMessage::Reveal {
-                    index,
-                    message,
-                    key,
-                } = sender.reveal(i).unwrap()
-                else {
-                    unreachable!()
-                };
-                let rev = codec::encode(&DapMessage::Reveal(dap_core::Reveal {
-                    index,
-                    message,
-                    key,
-                }))
-                .unwrap();
-                assert!(handle.ingest(&rev, during(i + 1)));
-                handle.tick();
-                handle.quiesce();
-            }
-            pool.shutdown_with_report()
-        };
-        let windowed = run(1 << 20);
-        let scalar = run(usize::MAX);
-        assert_eq!(windowed.registry.render(), scalar.registry.render());
-        assert_eq!(windowed.registry.counters().get(keys::NET_REVEAL_AUTH), 16);
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use span::{span_id, SpanStage, SpanTimer};
 pub use time::{ManualTime, Stopwatch, TimeSource};
 pub use trace::{
     header_line, render_jsonl, sort_records, JsonlSink, NullSink, RingSink, TraceEmitter,
-    TraceEvent, TraceRecord, TraceSink,
+    TraceEvent, TraceRecord, TraceSink, OUTCOMES,
 };

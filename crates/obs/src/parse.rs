@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::{TraceEvent, TraceRecord, OUTCOMES};
 
 /// A parse failure, pointing at the 1-indexed offending line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,18 +262,8 @@ fn parse_record(fields: &[(String, Value)]) -> Result<TraceRecord, String> {
 }
 
 /// Maps a verify-outcome label back to the canonical `&'static str` the
-/// writer used (the pool's closed outcome vocabulary).
+/// writer used (the closed vocabulary [`OUTCOMES`]).
 fn intern_outcome(s: &str) -> Result<&'static str, String> {
-    const OUTCOMES: [&str; 8] = [
-        "stored",
-        "sampled_out",
-        "unsafe",
-        "auth",
-        "weak_rejected",
-        "strong_rejected",
-        "no_candidate",
-        "no_match",
-    ];
     OUTCOMES
         .into_iter()
         .find(|o| *o == s)

@@ -21,6 +21,21 @@ use std::io::{self, Write};
 use crate::json::JsonObject;
 use crate::time::TimeSource;
 
+/// Every verify-outcome label a verifier may write into
+/// [`TraceEvent::VerifyEnd`] and [`TraceEvent::FrameSpan`]. The trace
+/// parser accepts exactly these, so a label missing here makes every
+/// capture that carries it unreadable.
+pub const OUTCOMES: [&str; 8] = [
+    "stored",
+    "sampled_out",
+    "unsafe",
+    "auth",
+    "weak_rejected",
+    "strong_rejected",
+    "no_candidate",
+    "unknown_sender",
+];
+
 /// One typed trace event. Fields are the data a replay-diff needs to
 /// explain a divergence, nothing more.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +54,7 @@ pub enum TraceEvent {
     VerifyEnd {
         /// The interval index the frame claims.
         interval: u64,
-        /// Outcome label (`"stored"`, `"auth"`, `"unsafe"`, …).
+        /// Outcome label, one of [`OUTCOMES`].
         outcome: &'static str,
         /// Stopwatch reading (0 under manual time).
         elapsed_ns: u64,
@@ -129,7 +144,7 @@ pub enum TraceEvent {
         span: u64,
         /// The interval index the frame claimed.
         interval: u64,
-        /// The frame's verify outcome label (same set as `VerifyEnd`).
+        /// The frame's verify outcome label, one of [`OUTCOMES`].
         outcome: &'static str,
         /// Reader-side routing + copy time before the shard queue.
         ingress_ns: u32,

@@ -409,8 +409,6 @@ pub mod keys {
     pub const NET_REVEAL_STRONG_REJECTED: &str = "net.reveal.strong_rejected";
     /// Wire pool: reveals with no surviving candidate μMAC.
     pub const NET_REVEAL_NO_CANDIDATE: &str = "net.reveal.no_candidate";
-    /// Wire pool (TESLA++): reveals with no matching announcement.
-    pub const NET_REVEAL_NO_MATCH: &str = "net.reveal.no_match";
     /// Wire pool: datagrams accepted into shard queues.
     pub const NET_INGRESS_FRAMES: &str = "net.ingress.frames";
     /// Wire pool: bytes accepted into shard queues.
@@ -570,7 +568,6 @@ pub mod keys {
         NET_REVEAL_WEAK_REJECTED,
         NET_REVEAL_STRONG_REJECTED,
         NET_REVEAL_NO_CANDIDATE,
-        NET_REVEAL_NO_MATCH,
         NET_INGRESS_FRAMES,
         NET_INGRESS_BYTES,
         NET_INGRESS_DROPPED,

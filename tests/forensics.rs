@@ -7,8 +7,9 @@
 use std::collections::BTreeSet;
 
 use crowdsense_dap::net::fleet::{run_fleet, FleetSpec};
-use crowdsense_dap::net::forensics;
+use crowdsense_dap::net::{forensics, AdversaryClass};
 use crowdsense_dap::obs::{header_line, parse_trace, render_jsonl, TraceEvent};
+use crowdsense_dap::simnet::keys;
 
 /// The seeded flood capture every test here forensically examines:
 /// heavy flood (`p = 0.9`), deep enough rings that nothing is shed,
@@ -57,6 +58,31 @@ fn seeded_flood_soak_audits_clean() {
     let trajectory = forensics::forged_share_trajectory(&parsed);
     let onset = forensics::attack_onset(&trajectory);
     assert!(onset.is_some(), "constant 0.9 flood must register an onset");
+}
+
+#[test]
+fn collusion_capture_with_unknown_senders_audits_clean() {
+    // The colluders fabricate ids past the roster, so the fleet shards
+    // label those frames `unknown_sender`: the capture must still parse
+    // and satisfy every invariant.
+    let report = run_fleet(&FleetSpec {
+        seed: 2016,
+        senders: 16,
+        intervals: 6,
+        buffers: 4,
+        shards: 2,
+        flood: 0.9,
+        adversary: AdversaryClass::Collusion,
+        trace_depth: 65_536,
+        span_every: 1,
+        ..FleetSpec::default()
+    });
+    assert!(report.metrics.get(keys::NET_SESSION_UNKNOWN) > 0);
+    let text = render_jsonl(&report.trace);
+    assert!(text.contains("\"outcome\":\"unknown_sender\""));
+    let parsed = parse_trace(&text).expect("collusion trace parses");
+    let violations = forensics::audit(&parsed, &BTreeSet::new());
+    assert!(violations.is_empty(), "{:?}", violations.first());
 }
 
 #[test]
