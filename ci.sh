@@ -141,8 +141,8 @@ $soak --loopback --seed 2 --intervals 120 --flood 0.9 --adaptive > /dev/null
 
 echo "== daptrace gate (forensic audit of the captured traces) =="
 # DESIGN §14: the audit engine replays every capture the gates above
-# produced and proves the causal invariants hold — verify pairing,
-# shed quiescence, monotone posture epochs, the k <= m reservoir
+# produced and proves the causal invariants hold — gapless per-source
+# seqs, shed quiescence, monotone posture epochs, the k <= m reservoir
 # bound, pinned-session immunity — exiting nonzero on any violation.
 # The same-seed flood soak is traced twice (net_trace_a/b above); both
 # must audit clean and their audits and reports must be byte-identical.
@@ -178,6 +178,14 @@ sed 's/"ev":"verify_end"/"ev":"verify_end_forged"/' \
     target/net_trace_a.jsonl > target/net_trace_tampered.jsonl
 if $daptrace audit target/net_trace_tampered.jsonl > /dev/null 2>&1; then
     echo "daptrace accepted a tampered trace" >&2
+    exit 1
+fi
+# So must a capture with one well-formed record deleted: here the first
+# verify_end, which leaves a gap in its shard's seqs.
+awk '!cut && /"ev":"verify_end"/ { cut = 1; next } { print }' \
+    target/net_trace_a.jsonl > target/net_trace_deleted.jsonl
+if $daptrace audit target/net_trace_deleted.jsonl > /dev/null 2>&1; then
+    echo "daptrace accepted a trace with a deleted record" >&2
     exit 1
 fi
 

@@ -581,7 +581,8 @@ fn run_receiver(opts: &Opts) {
     let deadline = Instant::now() + Duration::from_millis(duration_ms);
     let schedule = udp_params(buffers).schedule();
     // The two processes share no epoch: anchor the receiver's clock on
-    // the interval the first frame claims (loose sync by first contact).
+    // the interval the first frame claims (loose sync by first contact,
+    // unauthenticated — see RealClock::first_contact).
     let mut clock: Option<RealClock> = None;
     let mut buf = vec![0u8; dap_core::codec::MAX_FRAME_LEN];
     let mut socket_failed = false;
@@ -590,10 +591,10 @@ fn run_receiver(opts: &Opts) {
             Ok(Some(n)) => {
                 let at = clock
                     .get_or_insert_with(|| {
-                        let index = dap_core::codec::peek_index(&buf[..n]).unwrap_or(1);
-                        RealClock::anchored_at(
+                        RealClock::first_contact(
                             Duration::from_micros(tick_us),
-                            schedule.start_of(index),
+                            &schedule,
+                            &buf[..n],
                         )
                     })
                     .now();

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! * `audit` re-checks the pipeline's causal invariants against the
-//!   recorded narration: every `verify_end` pairs with a
-//!   `verify_start`, shed frames never reach the verifier, posture /
+//!   recorded narration: each source's records run seq 0, 1, 2, …
+//!   with none deleted, duplicated or reordered, shed frames never
+//!   reach the verifier, spans agree with their verdicts, posture /
 //!   estimator epochs are monotone, reservoir decisions respect the
 //!   paper's `k <= m` keep rule, and operator-pinned senders (the same
 //!   `--pin` / `--pin-first` roster the run was started with) are never

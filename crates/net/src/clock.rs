@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dap_simnet::{ClockOffsets, SimRng, SimTime};
+use dap_core::codec;
+use dap_simnet::{ClockOffsets, IntervalSchedule, SimRng, SimTime};
 
 /// A source of local protocol time, plus the ability to wait for a tick.
 pub trait NetClock: Send + Sync {
@@ -78,6 +79,29 @@ impl RealClock {
         let mut clock = Self::new(tick);
         clock.skew_ticks = i64::try_from(at.ticks()).expect("anchor fits i64");
         clock
+    }
+
+    /// A UDP receiver's clock, anchored on the first datagram it hears:
+    /// it reads the start of the interval `datagram` claims *now*
+    /// ([`RealClock::anchored_at`]). A datagram with no readable index,
+    /// or one claiming interval 0 (which has no start), anchors at
+    /// interval 1.
+    ///
+    /// The claimed index is unauthenticated, so whoever sends the first
+    /// datagram sets the receiver's clock: a far-future claim makes
+    /// every genuine announce fail the safe-packet test, and a past one
+    /// lets a forger MAC announces under keys the sender has already
+    /// disclosed. Use it only where the first datagram is trusted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick` is zero.
+    #[must_use]
+    pub fn first_contact(tick: Duration, schedule: &IntervalSchedule, datagram: &[u8]) -> Self {
+        let index = codec::peek_index(datagram)
+            .filter(|&index| index >= 1)
+            .unwrap_or(1);
+        Self::anchored_at(tick, schedule.start_of(index))
     }
 
     /// The configured tick duration.
@@ -184,6 +208,37 @@ mod tests {
         let now = clock.now();
         assert!(now >= SimTime(730), "anchored clock read {now}");
         assert!(now < SimTime(760), "anchored clock raced ahead: {now}");
+    }
+
+    #[test]
+    fn first_contact_anchors_on_the_claimed_interval_from_one() {
+        use dap_core::{Announce, DapMessage, DapParams, DapSender, SenderId};
+        use dap_crypto::Mac80;
+        use dap_simnet::SimDuration;
+
+        // The UDP demo's grid: 100-tick intervals. 10 ms ticks leave a
+        // second of slack before a reading drifts into the next interval.
+        let params = DapParams::new(SimDuration(100), 1, 30, 4);
+        let schedule = params.schedule();
+        let anchored = |datagram: &[u8]| {
+            let clock = RealClock::first_contact(Duration::from_millis(10), &schedule, datagram);
+            schedule.index_at(clock.now())
+        };
+        // The 5-byte reproducer: an announce claiming interval 0.
+        assert_eq!(anchored(&[0x01, 0, 0, 0, 0]), 1);
+        let forged_zero = DapMessage::Announce(Announce {
+            index: 0,
+            mac: Mac80::from_slice(&[7; 10]).unwrap(),
+        });
+        assert_eq!(
+            anchored(&codec::encode_tagged(SenderId(3), &forged_zero).unwrap()),
+            1
+        );
+        assert_eq!(anchored(&[0xff, 0xfe, 0xfd]), 1);
+        assert_eq!(anchored(&[]), 1);
+        let mut sender = DapSender::new(b"first-contact", 8, params);
+        let genuine = DapMessage::Announce(sender.announce(5, b"reading").unwrap());
+        assert_eq!(anchored(&codec::encode(&genuine).unwrap()), 5);
     }
 
     #[test]

@@ -35,34 +35,31 @@ use dap_simnet::{keys, Registry};
 
 use crate::pool::LiveCounters;
 
-/// Tuning knobs for the [`ControlPlane`]. The defaults track the
-/// paper's economy (cap `M = 50`) with a ~32-interval estimator time
-/// constant and a 1% re-solve dead-band.
+/// Tuning knobs for the [`ControlPlane`]. The default tracks the
+/// paper's economy (cap `M = 50`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlConfig {
     /// Largest buffer count Algorithm 3 may select (the paper's `M`).
     pub cap: u32,
-    /// EWMA smoothing as a right-shift: each sample moves the estimate
-    /// by `(sample − p̂) / 2^ewma_shift`. Shift 5 ≈ a 32-interval time
-    /// constant — long enough to average out per-interval sampling
-    /// noise (`σ ≈ √(p(1−p)/m)` per interval), short enough to track a
-    /// ramping attacker within a campaign.
-    pub ewma_shift: u32,
-    /// Dead-band in permille: Algorithm 3 re-runs only when `p̂` has
-    /// moved at least this far from the last solved point. Keeps a
-    /// noisy-but-stationary wire from thrashing the solver.
-    pub hysteresis_permille: u32,
 }
 
 impl Default for ControlConfig {
     fn default() -> Self {
-        Self {
-            cap: 50,
-            ewma_shift: 5,
-            hysteresis_permille: 10,
-        }
+        Self { cap: 50 }
     }
 }
+
+/// EWMA smoothing as a right-shift: each sample moves the estimate by
+/// `(sample − p̂) / 2^EWMA_SHIFT`. Shift 5 ≈ a 32-interval time constant
+/// — long enough to average out per-interval sampling noise
+/// (`σ ≈ √(p(1−p)/m)` per interval), short enough to track a ramping
+/// attacker within a campaign.
+const EWMA_SHIFT: u32 = 5;
+
+/// Dead-band in permille: Algorithm 3 re-runs only when `p̂` has moved
+/// at least this far (1%) from the last solved point. Keeps a
+/// noisy-but-stationary wire from thrashing the solver.
+const HYSTERESIS_PERMILLE: u32 = 10;
 
 /// Parts-per-million per permille — the estimator's internal resolution.
 const PPM_PER_PERMILLE: i64 = 1000;
@@ -101,12 +98,10 @@ impl ControlPlane {
     ///
     /// # Panics
     ///
-    /// Panics if `bootstrap_buffers` is zero or `config.ewma_shift`
-    /// exceeds 31.
+    /// Panics if `bootstrap_buffers` is zero.
     #[must_use]
     pub fn new(bootstrap_buffers: u32, config: ControlConfig) -> Self {
         assert!(bootstrap_buffers >= 1, "a receiver needs a buffer");
-        assert!(config.ewma_shift <= 31, "shift must leave signal");
         Self {
             config,
             p_hat_ppm: None,
@@ -209,14 +204,14 @@ impl ControlPlane {
         self.last_sample_ppm = sample_ppm as u64;
         let p_hat = match self.p_hat_ppm {
             None => sample_ppm,
-            Some(h) => h + (sample_ppm - h) / (1i64 << self.config.ewma_shift),
+            Some(h) => h + (sample_ppm - h) / (1i64 << EWMA_SHIFT),
         };
         self.p_hat_ppm = Some(p_hat);
         let p_permille = Self::ppm_to_permille(p_hat);
         let moved = self
             .last_solved_permille
             .map_or(u32::MAX, |prev| prev.abs_diff(p_permille));
-        if moved < self.config.hysteresis_permille {
+        if moved < HYSTERESIS_PERMILLE {
             return None;
         }
         self.last_solved_permille = Some(p_permille);

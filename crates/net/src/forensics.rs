@@ -1,14 +1,15 @@
 //! Trace forensics: the analysis engine behind the `daptrace` binary.
 //!
 //! A `--trace-out` JSONL file is a complete causal narration of a run —
-//! every frame arrival, verify span, reservoir decision, key reveal,
+//! every frame arrival, verdict, reservoir decision, key reveal,
 //! shed, eviction and posture change, ordered by `(source, seq)`. This
 //! module turns that narration into three artefacts:
 //!
 //! * [`audit`] — checks the causal invariants the pipeline promises
-//!   (verify spans pair, shed frames never authenticate, posture epochs
-//!   are monotone, reservoirs respect `m`, pinned sessions are never
-//!   evicted) and returns every [`Violation`] with its file line;
+//!   (each source's records are gapless and in order, shed frames
+//!   never authenticate, spans agree with their verdicts, posture
+//!   epochs are monotone, reservoirs respect `m`, pinned sessions are
+//!   never evicted) and returns every [`Violation`] with its file line;
 //! * [`render_report`] — a byte-stable stage-latency breakdown (from
 //!   the flight recorder's [`TraceEvent::FrameSpan`] samples) plus an
 //!   attack-onset estimate read off the forged-share trajectory the
@@ -50,12 +51,13 @@ impl Violation {
     }
 }
 
-/// Per-source audit state: one verify span may be open at a time, shed
-/// tails must stay quiet, epochs must move forward.
+/// Per-source audit state: seqs must run on without a gap, shed tails
+/// must stay quiet, epochs must move forward.
 #[derive(Debug, Default)]
 struct SourceState {
-    /// The open verify span's interval and line, if any.
-    pending_verify: Option<(u64, usize)>,
+    /// The seq the source's next record must carry: one past the
+    /// highest seen so far (0 before its first record).
+    next_seq: u64,
     /// `true` between a `ShedDecision` and the next `FrameRx`: shed
     /// frames were never decoded, so nothing frame-scoped may happen.
     in_shed_tail: bool,
@@ -107,17 +109,6 @@ pub fn audit(trace: &ParsedTrace, pinned: &BTreeSet<u64>) -> Vec<Violation> {
             &mut violations,
         );
     }
-    for (source, state) in &sources {
-        if let Some((interval, line)) = state.pending_verify {
-            violations.push(Violation {
-                line,
-                rule: "verify-pairing",
-                detail: format!(
-                    "source {source} ends with an unpaired verify_start (interval {interval})"
-                ),
-            });
-        }
-    }
     violations.sort_by_key(|v| v.line);
     violations
 }
@@ -130,13 +121,35 @@ fn audit_record(
     pinned: &BTreeSet<u64>,
     violations: &mut Vec<Violation>,
 ) {
+    // Seq continuity: every source numbers its records 0, 1, 2, … in
+    // emission order, so a deleted, duplicated or reordered record
+    // breaks the run at the next record the source emitted. A ring
+    // that shed its oldest records shows the same way at the source's
+    // first record; only a cut at a source's very end goes unnoticed.
+    let expected = state.next_seq;
+    if record.seq != expected {
+        let why = if record.seq > expected {
+            format!("{} record(s) missing", record.seq - expected)
+        } else {
+            "a duplicated or reordered record".to_string()
+        };
+        let detail = format!(
+            "source {} expects seq {expected} but reads {}: {why}",
+            record.source, record.seq
+        );
+        violations.push(Violation {
+            line,
+            rule: "seq-continuity",
+            detail,
+        });
+    }
+    state.next_seq = expected.max(record.seq.saturating_add(1));
     // Shed quiescence: a shed frame was never decoded, so between its
     // ShedDecision and the next FrameRx on the same source nothing
     // frame-scoped (verify, buffer, reveal, eviction, span) may appear.
     let frame_scoped = matches!(
         record.event,
-        TraceEvent::VerifyStart { .. }
-            | TraceEvent::VerifyEnd { .. }
+        TraceEvent::VerifyEnd { .. }
             | TraceEvent::BufferDecision { .. }
             | TraceEvent::KeyReveal { .. }
             | TraceEvent::SessionEvicted { .. }
@@ -160,40 +173,9 @@ fn audit_record(
             state.in_shed_tail = true;
             state.shed_line = line;
         }
-        TraceEvent::VerifyStart { interval } => {
-            if let Some((open, open_line)) = state.pending_verify {
-                violations.push(Violation {
-                    line,
-                    rule: "verify-pairing",
-                    detail: format!(
-                        "verify_start (interval {interval}) while the verify from line \
-                         {open_line} (interval {open}) is still open"
-                    ),
-                });
-            }
-            state.pending_verify = Some((*interval, line));
-        }
         TraceEvent::VerifyEnd {
             interval, outcome, ..
-        } => {
-            match state.pending_verify.take() {
-                Some((open, _)) if open == *interval => {}
-                Some((open, open_line)) => violations.push(Violation {
-                    line,
-                    rule: "verify-pairing",
-                    detail: format!(
-                        "verify_end interval {interval} closes the verify from line {open_line} \
-                         which claimed interval {open}"
-                    ),
-                }),
-                None => violations.push(Violation {
-                    line,
-                    rule: "verify-pairing",
-                    detail: format!("verify_end (interval {interval}) with no open verify_start"),
-                }),
-            }
-            state.last_verdict = Some((outcome, *interval));
-        }
+        } => state.last_verdict = Some((outcome, *interval)),
         TraceEvent::FrameSpan {
             interval, outcome, ..
         } => match state.last_verdict {
@@ -489,7 +471,6 @@ pub fn timeline_line(record: &TraceRecord) -> String {
     );
     let detail = match &record.event {
         TraceEvent::FrameRx { bytes } => format!("bytes={bytes}"),
-        TraceEvent::VerifyStart { interval } => format!("interval={interval}"),
         TraceEvent::VerifyEnd {
             interval,
             outcome,
@@ -606,10 +587,9 @@ mod tests {
     fn clean_frame(source: u32, seq0: u64, interval: u64, k: u64) -> Vec<TraceRecord> {
         vec![
             rec(source, seq0, TraceEvent::FrameRx { bytes: 32 }),
-            rec(source, seq0 + 1, TraceEvent::VerifyStart { interval }),
             rec(
                 source,
-                seq0 + 2,
+                seq0 + 1,
                 TraceEvent::VerifyEnd {
                     interval,
                     outcome: "stored",
@@ -618,7 +598,7 @@ mod tests {
             ),
             rec(
                 source,
-                seq0 + 3,
+                seq0 + 2,
                 TraceEvent::BufferDecision {
                     interval,
                     kept: true,
@@ -632,41 +612,66 @@ mod tests {
     #[test]
     fn clean_stream_audits_clean() {
         let mut records = clean_frame(0, 0, 7, 1);
-        records.extend(clean_frame(0, 4, 7, 2));
+        records.extend(clean_frame(0, 3, 7, 2));
         records.push(rec(
             0,
-            8,
+            6,
             TraceEvent::ShedDecision {
                 sender: 9,
                 class: "low",
                 interval: 7,
             },
         ));
-        records.extend(clean_frame(0, 9, 8, 1));
+        records.extend(clean_frame(0, 7, 8, 1));
+        // A second source numbers its own records from 0.
+        records.extend(clean_frame(1, 0, 9, 1));
         let violations = audit(&parsed(records), &BTreeSet::new());
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
-    fn unpaired_and_mismatched_verifies_are_flagged() {
-        let records = vec![
-            rec(0, 0, TraceEvent::FrameRx { bytes: 32 }),
-            rec(0, 1, TraceEvent::VerifyStart { interval: 3 }),
+    fn deleted_duplicated_and_reordered_records_are_flagged() {
+        // An announce then a reveal, then one single-record edit each.
+        let mut clean = clean_frame(0, 0, 7, 1);
+        clean.extend([
+            rec(0, 3, TraceEvent::FrameRx { bytes: 32 }),
             rec(
                 0,
-                2,
+                4,
                 TraceEvent::VerifyEnd {
-                    interval: 4,
-                    outcome: "stored",
+                    interval: 7,
+                    outcome: "auth",
                     elapsed_ns: 0,
                 },
             ),
-            rec(0, 3, TraceEvent::VerifyStart { interval: 5 }),
-        ];
-        let violations = audit(&parsed(records), &BTreeSet::new());
-        let rules: Vec<&str> = violations.iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec!["verify-pairing", "verify-pairing"]);
-        assert_eq!(violations[0].line, 3, "mismatched end points at its line");
+            rec(0, 5, TraceEvent::KeyReveal { interval: 7 }),
+            rec(0, 6, TraceEvent::FrameRx { bytes: 32 }),
+        ]);
+        let flagged = |records: Vec<TraceRecord>| -> Vec<(usize, &'static str)> {
+            audit(&parsed(records), &BTreeSet::new())
+                .iter()
+                .map(|v| (v.line, v.rule))
+                .collect()
+        };
+        assert_eq!(flagged(clean.clone()), vec![]);
+        // Deleted: the reveal's key_reveal; the gap shows at the next
+        // record, line 6.
+        let mut deleted = clean.clone();
+        deleted.remove(5);
+        assert_eq!(flagged(deleted), vec![(6, "seq-continuity")]);
+        // Deleted at the front: the source must start at seq 0.
+        assert_eq!(flagged(clean[1..].to_vec()), vec![(1, "seq-continuity")]);
+        // Duplicated: the announce's verify_end appears twice.
+        let mut duplicated = clean.clone();
+        duplicated.insert(2, clean[1].clone());
+        assert_eq!(flagged(duplicated), vec![(3, "seq-continuity")]);
+        // Reordered: the reveal's verify_end and key_reveal swap.
+        let mut reordered = clean.clone();
+        reordered.swap(4, 5);
+        assert_eq!(
+            flagged(reordered),
+            vec![(5, "seq-continuity"), (6, "seq-continuity")]
+        );
     }
 
     #[test]
@@ -674,7 +679,7 @@ mod tests {
         let mut records = clean_frame(0, 0, 7, 1);
         records.push(rec(
             0,
-            4,
+            3,
             TraceEvent::ShedDecision {
                 sender: 9,
                 class: "low",
@@ -683,7 +688,7 @@ mod tests {
         ));
         // No FrameRx in between: this KeyReveal claims a shed frame
         // reached the verifier.
-        records.push(rec(0, 5, TraceEvent::KeyReveal { interval: 7 }));
+        records.push(rec(0, 4, TraceEvent::KeyReveal { interval: 7 }));
         let violations = audit(&parsed(records), &BTreeSet::new());
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].rule, "shed-quiescence");
@@ -825,7 +830,7 @@ mod tests {
         let mut records = clean_frame(0, 0, 7, 1);
         records.push(rec(
             0,
-            4,
+            3,
             TraceEvent::FrameSpan {
                 span: 256,
                 interval: 7,
@@ -854,9 +859,10 @@ mod tests {
         let text = format!(
             "{}\n{}\n{}\n",
             dap_obs::header_line(0),
+            rec(0, 0, TraceEvent::KeyReveal { interval: 1 }).to_json(),
             rec(
                 0,
-                0,
+                2,
                 TraceEvent::VerifyEnd {
                     interval: 1,
                     outcome: "auth",
@@ -864,12 +870,12 @@ mod tests {
                 }
             )
             .to_json(),
-            rec(0, 1, TraceEvent::KeyReveal { interval: 1 }).to_json(),
         );
         let trace = parse_trace(&text).expect("parses");
         let violations = audit(&trace, &BTreeSet::new());
-        // The header is line 1, so the stray verify_end is line 2.
-        assert_eq!(violations[0].line, 2);
-        assert_eq!(violations[0].rule, "verify-pairing");
+        // The header is line 1, so the record after the gap is line 3.
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].line, 3);
+        assert_eq!(violations[0].rule, "seq-continuity");
     }
 }

@@ -8,8 +8,9 @@
 //!   medium ([`LoopbackTransport`]) reusing the simulator's
 //!   loss/corruption models so wire tests stay bit-reproducible;
 //! * [`clock`] — [`NetClock`] bridges the simulator's tick grid to
-//!   `std::time::Instant` ([`RealClock`]) or to an explicitly advanced
-//!   test clock ([`ManualClock`]);
+//!   `std::time::Instant` ([`RealClock`], which can also anchor on a
+//!   UDP receiver's first datagram) or to an explicitly advanced test
+//!   clock ([`ManualClock`]);
 //! * [`pump`] — [`SenderPump`] paces Algorithm 1 (announce in `I_i`,
 //!   reveal in `I_{i+d}`) onto a transport; [`Flooder`] is the paper's
 //!   adversary, saturating the wire with forged announces at bandwidth
@@ -39,21 +40,24 @@
 //!   drivable through the fleet campaign and `dapd --adversary`;
 //! * [`forensics`] — the trace-audit engine behind `daptrace`:
 //!   reconstructs per-frame / per-sender timelines from a `--trace-out`
-//!   JSONL file, checks the pipeline's causal invariants (verify spans
-//!   pair, shed frames never authenticate, posture epochs are monotone,
-//!   reservoirs respect `m`, pins are never evicted) and renders a
-//!   byte-stable stage-latency + attack-onset report;
+//!   JSONL file, checks the pipeline's causal invariants (each source's
+//!   records are gapless and in order, shed frames never authenticate,
+//!   posture epochs are monotone, reservoirs respect `m`, pins are never
+//!   evicted) and renders a byte-stable stage-latency + attack-onset
+//!   report;
 //! * [`telemetry`] — the live exposition plane: [`SharedRegistry`]
 //!   collects per-shard [`dap_simnet::Registry`] snapshots without
 //!   touching the verify hot path, and [`TelemetryServer`] serves the
 //!   merged view as Prometheus text over a tiny std-only HTTP listener.
 //!
-//! The pool's workers are instrumented through `dap-obs`: verify and
-//! decode latency histograms, queue occupancy sampled once per batch
-//! take (wall-clock runs only — see DESIGN §9 for the determinism
-//! rules), drop-reason counters, and
-//! a typed trace (frame arrivals, verify spans, buffer decisions, key
-//! reveals, shard stalls) ordered by per-source sequence numbers.
+//! The pool's workers are instrumented through `dap-obs`, recording
+//! each per-frame fact once: the `net.stage.*` latency histograms
+//! (decode and verify time on every frame, the other stages on the
+//! flight recorder's sampled frames), queue occupancy sampled once per
+//! batch take (wall-clock runs only — see DESIGN §9 for the
+//! determinism rules), drop-reason counters, and a typed trace (frame
+//! arrivals, verdicts, buffer decisions, key reveals, shard stalls,
+//! frame spans) ordered by per-source sequence numbers.
 //!
 //! Three binaries ship with the crate: `dapd` (sender / receiver /
 //! flooder roles over UDP plus the seeded `--loopback` and `--fleet`

@@ -22,16 +22,18 @@
 //!
 //! # Observability
 //!
-//! Every worker owns a [`Registry`] (counters + latency histograms +
-//! queue gauges) and a [`TraceEmitter`] whose source id is its shard
-//! index, so the collected records totally order per source even though
-//! threads interleave freely. [`PoolObs`] selects the posture: wall
+//! Every worker owns a [`Registry`] (counters, the `net.stage.*`
+//! latency histograms and, on the wire, queue occupancy) and a
+//! [`TraceEmitter`] whose source id is its shard index, so the collected
+//! records totally order per source even though threads interleave
+//! freely. Each per-frame fact is recorded once: decode and verify time
+//! go only to the stage histograms, and a verdict only to its
+//! [`TraceEvent::VerifyEnd`]. [`PoolObs`] selects the posture: wall
 //! time + live publishing on the wire, frozen [`TimeSource`] + bounded
 //! ring traces in the deterministic loopback runs (where every
 //! stopwatch reads 0 and two same-seed runs render byte-identical
 //! snapshots). [`ReceiverPool::shutdown_with_report`] returns the whole
-//! picture; the legacy [`ReceiverPool::shutdown`] still returns plain
-//! counters.
+//! picture.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +46,10 @@ use dap_core::{
     RevealOutcome, RevealPrecompute, SenderId,
 };
 use dap_obs::{
-    span_id, Histogram, RingSink, SpanStage, SpanTimer, TimeSource, TraceEmitter, TraceEvent,
+    frame_span, span_id, Histogram, RingSink, SpanStage, TimeSource, TraceEmitter, TraceEvent,
     TraceRecord,
 };
-use dap_simnet::{keys, Metrics, Registry, SimRng, SimTime};
+use dap_simnet::{keys, Registry, SimRng, SimTime};
 
 use crate::queue::{release_slack, Batch, IngressQueue, PushError, Take};
 use crate::session::{PriorityClass, SessionEviction};
@@ -138,19 +140,19 @@ pub struct PoolObs {
     /// Publish cadence in datagrams (0 publishes only at shutdown).
     pub publish_every: u64,
     /// Flight-recorder sampling: every `span_every`-th verified
-    /// datagram per shard gets stage-scoped timing — a
-    /// [`TraceEvent::FrameSpan`] per decoded frame plus `net.stage.*`
-    /// histogram samples. 0 disables the recorder entirely (the
-    /// pipeline stays byte-identical to a pre-recorder run); 1 records
-    /// every datagram. The sampling decision is a pure function of the
+    /// datagram per shard gets a [`TraceEvent::FrameSpan`] per decoded
+    /// frame, and samples in the `net.stage.*` histograms of the stages
+    /// only the recorder times (ingress, queue wait, prefetch, buffer).
+    /// The decode, verify and reveal-authenticate stages are timed on
+    /// every frame regardless. 0 disables the recorder; 1 records every
+    /// datagram. The sampling decision is a pure function of the
     /// shard's datagram ordinal, so two same-seed runs sample the same
     /// frames.
     pub span_every: u64,
 }
 
 impl Default for PoolObs {
-    /// Wall clocks, no tracing, no live publishing, no flight recorder
-    /// — the posture the legacy [`ReceiverPool::spawn`] runs under.
+    /// Wall clocks, no tracing, no live publishing, no flight recorder.
     fn default() -> Self {
         Self {
             time: TimeSource::wall(),
@@ -821,8 +823,8 @@ impl PoolHandle {
     }
 }
 
-/// Everything a pool run observed: the merged registry (counters,
-/// latency histograms, queue gauges) and the total-ordered trace.
+/// Everything a pool run observed: the merged registry (counters and
+/// latency histograms) and the total-ordered trace.
 #[derive(Debug, Clone)]
 pub struct PoolReport {
     /// Merged per-shard registries plus reader-side drop attribution.
@@ -838,21 +840,6 @@ pub struct ReceiverPool {
 }
 
 impl ReceiverPool {
-    /// Spawns the worker threads under the default (wall-clock,
-    /// untraced) observability posture; see
-    /// [`ReceiverPool::spawn_with_obs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards` is zero.
-    pub fn spawn<V, F>(config: PoolConfig, seed: u64, make: F) -> Self
-    where
-        V: FrameVerifier + 'static,
-        F: FnMut(usize) -> V,
-    {
-        Self::spawn_with_obs(config, seed, make, PoolObs::default())
-    }
-
     /// Spawns the worker threads. `make(shard)` builds each shard's
     /// verifier; per-shard RNGs are forked deterministically from
     /// `seed` in shard order, so a run's sampling decisions depend only
@@ -928,20 +915,6 @@ impl ReceiverPool {
     #[must_use]
     pub fn handle(&self) -> PoolHandle {
         self.handle.clone()
-    }
-
-    /// Closes every shard queue, joins the workers and returns their
-    /// merged counters (summation over shards — order-independent), with
-    /// `net.ingress.dropped` folded in from the live counter. Histograms
-    /// and traces are discarded; use
-    /// [`ReceiverPool::shutdown_with_report`] to keep them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked.
-    #[must_use]
-    pub fn shutdown(self) -> Metrics {
-        self.shutdown_with_report().registry.into_counters()
     }
 
     /// Closes every shard queue, joins the workers and returns the full
@@ -1069,7 +1042,6 @@ fn run_shard<V: FrameVerifier>(
             // interleavings into its fingerprint. One sample per take:
             // the number of items the take found queued.
             worker.registry.record(keys::NET_QUEUE_OCCUPANCY, taken);
-            worker.registry.gauge(keys::NET_QUEUE_DEPTH).set(taken);
         }
         let Batch { items, bytes } = &mut batch;
         for item in items.drain(..) {
@@ -1201,11 +1173,12 @@ const STAGE_KEYS: [&str; SpanStage::COUNT] = [
     keys::NET_STAGE_REVEAL_AUTH_NS,
 ];
 
-/// Per-shard flight-recorder state: the deterministic sampling ordinal,
-/// the current window's amortised prefetch share, and local stage
-/// histograms. Lives on the worker's stack — recording never allocates,
-/// and the locals keep the per-frame path off the registry's keyed map
-/// (samples fold into the shared registry only at publish boundaries).
+/// Per-shard stage timing: the flight recorder's deterministic sampling
+/// ordinal, the current window's amortised prefetch share, and the
+/// local stage histograms every frame's decode and verify time land in.
+/// Lives on the worker's stack — recording never allocates, and the
+/// locals keep the per-frame path off the registry's keyed map (samples
+/// fold into the shared registry only at publish boundaries).
 struct FlightState {
     every: u64,
     ordinal: u64,
@@ -1242,9 +1215,11 @@ impl FlightState {
         ordinal.is_multiple_of(self.every).then_some(ordinal)
     }
 
-    /// Records one stage sample into the local (allocation-free) pool.
-    fn record(&mut self, stage: SpanStage, v: u64) {
+    /// Records one stage sample into the local (allocation-free) pool
+    /// and returns it.
+    fn record(&mut self, stage: SpanStage, v: u64) -> u64 {
         self.stages[stage as usize].record(v);
+        v
     }
 
     /// Drains the local stage samples into the registry's `net.stage.*`
@@ -1358,12 +1333,12 @@ impl Worker<'_> {
         verified
     }
 
-    /// Decode-and-verify for one datagram (the PR 4/5 hot path:
-    /// counters, latency histograms, per-frame trace events), plus the
-    /// flight recorder: on sampled datagrams every decoded frame's stage
-    /// timing is folded into the `net.stage.*` histograms and emitted as
-    /// a [`TraceEvent::FrameSpan`] — after the frame's causal events, so
-    /// a span always closes its frame's record group.
+    /// Decode-and-verify for one datagram: counters, per-frame trace
+    /// events, and each frame's decode and verify time in the local
+    /// stage histograms. On datagrams the flight recorder samples, it
+    /// also records the remaining stages and emits every decoded
+    /// frame's [`TraceEvent::FrameSpan`] — after the frame's causal
+    /// events, so a span always closes its frame's record group.
     fn process_datagram<V: FrameVerifier>(
         &mut self,
         frame: &FrameRef,
@@ -1392,18 +1367,15 @@ impl Worker<'_> {
         let decode_watch = obs.time.stopwatch();
         self.decoded.clear();
         let junk = codec::decode_datagram(datagram, &mut self.decoded);
-        let decode_ns = decode_watch.elapsed_ns(&obs.time);
-        registry.record(keys::NET_DECODE_LATENCY_NS, decode_ns);
-        let span_ord = flight.sampled();
-        if span_ord.is_some() {
-            // The pre-verify stages are per-datagram: record them once
-            // here; the per-frame stages land inside the loop below.
-            flight.record(SpanStage::Ingress, u64::from(frame.ingress_ns));
-            flight.record(SpanStage::QueueWait, u64::from(frame.queue_ns));
-            flight.record(SpanStage::Decode, decode_ns);
-            let prefetch_share_ns = flight.prefetch_share_ns;
-            flight.record(SpanStage::Prefetch, prefetch_share_ns);
-        }
+        let decode_ns = flight.record(SpanStage::Decode, decode_watch.elapsed_ns(&obs.time));
+        // The pre-verify stages are per-datagram: record them once here;
+        // the per-frame stages land inside the loop below.
+        let sampled = flight.sampled().map(|ordinal| {
+            let ingress_ns = flight.record(SpanStage::Ingress, u64::from(frame.ingress_ns));
+            let queue_ns = flight.record(SpanStage::QueueWait, u64::from(frame.queue_ns));
+            let prefetch_ns = flight.record(SpanStage::Prefetch, flight.prefetch_share_ns);
+            (ordinal, [ingress_ns, queue_ns, decode_ns, prefetch_ns])
+        });
         for (frame_idx, tagged) in self.decoded.iter().enumerate() {
             let verify_watch = obs.time.stopwatch();
             let verdict = verifier.on_frame(
@@ -1415,14 +1387,19 @@ impl Worker<'_> {
                 self.live,
             );
             let elapsed_ns = verify_watch.elapsed_ns(&obs.time);
-            registry.record(keys::NET_VERIFY_LATENCY_NS, elapsed_ns);
-            let book_watch = span_ord.map(|_| obs.time.stopwatch());
-            trace.emit(
-                at,
-                TraceEvent::VerifyStart {
-                    interval: verdict.interval,
-                },
-            );
+            // One on_frame call serves both paths: announces spend it
+            // verifying, reveals spend it authenticating. Each stage
+            // keeps one sample per frame, the other path's as a 0.
+            let (verify_ns, reveal_ns) = if verdict.key_reveal {
+                (0, elapsed_ns)
+            } else {
+                (elapsed_ns, 0)
+            };
+            flight.record(SpanStage::Verify, verify_ns);
+            flight.record(SpanStage::RevealAuth, reveal_ns);
+            // A sampled frame's buffer stage times the verdict's trace
+            // output, from here to its span.
+            let span = sampled.map(|pre| (pre, obs.time.stopwatch()));
             trace.emit(
                 at,
                 TraceEvent::VerifyEnd {
@@ -1460,33 +1437,28 @@ impl Worker<'_> {
                     },
                 );
             }
-            if let Some(ordinal) = span_ord {
-                let mut timer = SpanTimer::start(&obs.time);
-                timer.set(SpanStage::Ingress, u64::from(frame.ingress_ns));
-                timer.set(SpanStage::QueueWait, u64::from(frame.queue_ns));
-                timer.set(SpanStage::Decode, decode_ns);
-                timer.set(SpanStage::Prefetch, flight.prefetch_share_ns);
-                // One on_frame call serves both paths: announces spend it
-                // verifying, reveals spend it authenticating.
-                if verdict.key_reveal {
-                    timer.set(SpanStage::RevealAuth, elapsed_ns);
-                } else {
-                    timer.set(SpanStage::Verify, elapsed_ns);
-                }
-                let buffer_ns = match (&verdict.buffer, &book_watch) {
-                    (Some(_), Some(watch)) => watch.elapsed_ns(&obs.time),
-                    _ => 0,
+            if let Some(((ordinal, [ingress_ns, queue_ns, decode_ns, prefetch_ns]), watch)) = span {
+                // Only frames that reached a reservoir are charged it.
+                let buffer_ns = match verdict.buffer {
+                    Some(_) => watch.elapsed_ns(&obs.time),
+                    None => 0,
                 };
-                timer.set(SpanStage::Buffer, buffer_ns);
-                flight.record(SpanStage::Verify, timer.get(SpanStage::Verify));
                 flight.record(SpanStage::Buffer, buffer_ns);
-                flight.record(SpanStage::RevealAuth, timer.get(SpanStage::RevealAuth));
                 trace.emit(
                     at,
-                    timer.event(
+                    frame_span(
                         span_id(ordinal, frame_idx),
                         verdict.interval,
                         verdict.outcome,
+                        [
+                            ingress_ns,
+                            queue_ns,
+                            decode_ns,
+                            prefetch_ns,
+                            verify_ns,
+                            buffer_ns,
+                            reveal_ns,
+                        ],
                     ),
                 );
             }
@@ -1539,7 +1511,7 @@ mod tests {
     fn frames_route_by_interval_and_authenticate() {
         let mut sender = DapSender::new(b"pool", 64, params(4));
         let bootstrap = sender.bootstrap();
-        let pool = ReceiverPool::spawn(
+        let pool = ReceiverPool::spawn_with_obs(
             PoolConfig {
                 shards: 4,
                 queue_depth: 64,
@@ -1549,6 +1521,7 @@ mod tests {
             },
             7,
             |shard| DapShard::new(bootstrap, &[shard as u8]),
+            PoolObs::default(),
         );
         let handle = pool.handle();
         for i in 1..=20u64 {
@@ -1558,7 +1531,7 @@ mod tests {
             let rev = codec::encode(&DapMessage::Reveal(sender.reveal(i).unwrap())).unwrap();
             assert!(handle.ingest(&rev, during(i + 1)));
         }
-        let metrics = pool.shutdown();
+        let metrics = pool.shutdown_with_report().registry.into_counters();
         assert_eq!(metrics.get(keys::NET_REVEAL_AUTH), 20);
         assert_eq!(metrics.get(keys::NET_REVEAL_TOTAL), 20);
         assert_eq!(metrics.get(keys::NET_INGRESS_FRAMES), 40);
@@ -1569,9 +1542,12 @@ mod tests {
     #[test]
     fn announce_and_reveal_share_a_shard() {
         let sender = DapSender::new(b"pool", 8, params(2));
-        let pool = ReceiverPool::spawn(PoolConfig::default(), 1, |_| {
-            DapShard::new(sender.bootstrap(), b"n")
-        });
+        let pool = ReceiverPool::spawn_with_obs(
+            PoolConfig::default(),
+            1,
+            |_| DapShard::new(sender.bootstrap(), b"n"),
+            PoolObs::default(),
+        );
         let handle = pool.handle();
         let first: Vec<usize> = (0..1000u64).map(|i| handle.shard_of(i)).collect();
         let second: Vec<usize> = (0..1000u64).map(|i| handle.shard_of(i)).collect();
@@ -1581,18 +1557,27 @@ mod tests {
         let hits: std::collections::BTreeSet<usize> =
             (0..64u64).map(|i| handle.shard_of(i)).collect();
         assert!(hits.len() > 1);
-        let _ = pool.shutdown();
+        let _ = pool.shutdown_with_report();
     }
 
     #[test]
     fn garbage_counts_as_decode_errors() {
         let sender = DapSender::new(b"pool", 8, params(2));
-        let pool = ReceiverPool::spawn(PoolConfig::default(), 1, |_| {
-            DapShard::new(sender.bootstrap(), b"n")
-        });
+        let pool = ReceiverPool::spawn_with_obs(
+            PoolConfig::default(),
+            1,
+            |_| DapShard::new(sender.bootstrap(), b"n"),
+            PoolObs::default(),
+        );
         let handle = pool.handle();
         assert!(handle.ingest(&[0xff, 0xfe, 0xfd], SimTime(10)));
-        let metrics = pool.shutdown();
+        let report = pool.shutdown_with_report();
+        // A datagram that decodes to nothing still times its decode,
+        // but reaches no verifier.
+        let stage_count = |key| report.registry.get_histogram(key).map(Histogram::count);
+        assert_eq!(stage_count(keys::NET_STAGE_DECODE_NS), Some(1));
+        assert_eq!(stage_count(keys::NET_STAGE_VERIFY_NS), None);
+        let metrics = report.registry.counters();
         assert_eq!(metrics.get(keys::NET_INGRESS_FRAMES), 1);
         assert_eq!(metrics.get(keys::NET_DECODE_ERRORS), 1);
         assert_eq!(metrics.get(keys::NET_DECODE_RESYNC_BYTES), 3);
@@ -1604,7 +1589,7 @@ mod tests {
         // than we push 200 frames — some must shed, all must be counted
         // and attributed to the queue-full reason.
         let sender = DapSender::new(b"pool", 8, params(2));
-        let pool = ReceiverPool::spawn(
+        let pool = ReceiverPool::spawn_with_obs(
             PoolConfig {
                 shards: 1,
                 queue_depth: 1,
@@ -1614,6 +1599,7 @@ mod tests {
             },
             1,
             |_| DapShard::new(sender.bootstrap(), b"n"),
+            PoolObs::default(),
         );
         let handle = pool.handle();
         let frame = codec::encode(&DapMessage::Announce(dap_core::Announce {
@@ -1671,10 +1657,11 @@ mod tests {
             handle.ingest(&rev, during(i + 1));
         }
         let report = pool.shutdown_with_report();
-        // 20 frames → 20 verify-latency samples (frozen clocks: all 0).
+        // 20 frames → 20 verify-stage samples with the recorder off
+        // (manual clocks: all 0).
         let verify = report
             .registry
-            .get_histogram(keys::NET_VERIFY_LATENCY_NS)
+            .get_histogram(keys::NET_STAGE_VERIFY_NS)
             .expect("verify histogram");
         assert_eq!(verify.count(), 20);
         assert_eq!(verify.max(), Some(0));
@@ -1692,7 +1679,7 @@ mod tests {
             *next += 1;
         }
         // Every protocol event made it in: 10 buffer decisions (one per
-        // announce), 10 key reveals, 20 verify start/end pairs.
+        // announce), 10 key reveals, 20 verdicts.
         let count = |name: &str| {
             report
                 .trace
@@ -1701,7 +1688,6 @@ mod tests {
                 .count()
         };
         assert_eq!(count("frame_rx"), 20);
-        assert_eq!(count("verify_start"), 20);
         assert_eq!(count("verify_end"), 20);
         assert_eq!(count("buffer_decision"), 10);
         assert_eq!(count("key_reveal"), 10);
@@ -1714,8 +1700,9 @@ mod tests {
 
         // One shard so the per-shard datagram ordinal is the global one:
         // span_every = 2 samples ordinals 0, 2, 4, … — exactly half of
-        // the 20 single-frame datagrams get a FrameSpan, and each sampled
-        // frame feeds every per-frame stage histogram once.
+        // the 20 single-frame datagrams get a FrameSpan. Decode, verify
+        // and reveal-authenticate are timed on every frame at any
+        // cadence; the other stages once per sampled frame.
         let run = |every: u64| {
             let mut sender = DapSender::new(b"span", 64, params(4));
             let bootstrap = sender.bootstrap();
@@ -1748,7 +1735,6 @@ mod tests {
             }
             pool.shutdown_with_report()
         };
-        let full = run(1);
         let spans = |report: &PoolReport| {
             report
                 .trace
@@ -1756,33 +1742,33 @@ mod tests {
                 .filter(|r| r.event.name() == "frame_span")
                 .count() as u64
         };
-        assert_eq!(spans(&full), 20, "span_every = 1 narrates every frame");
-        for key in [
+        let every_frame = [
+            keys::NET_STAGE_DECODE_NS,
+            keys::NET_STAGE_VERIFY_NS,
+            keys::NET_STAGE_REVEAL_AUTH_NS,
+        ];
+        let sampled_only = [
             keys::NET_STAGE_INGRESS_NS,
             keys::NET_STAGE_QUEUE_WAIT_NS,
-            keys::NET_STAGE_DECODE_NS,
             keys::NET_STAGE_PREFETCH_NS,
-            keys::NET_STAGE_VERIFY_NS,
             keys::NET_STAGE_BUFFER_NS,
-            keys::NET_STAGE_REVEAL_AUTH_NS,
-        ] {
-            let hist = full
-                .registry
-                .get_histogram(key)
-                .unwrap_or_else(|| panic!("stage histogram {key} present"));
-            assert_eq!(hist.count(), 20, "{key} samples once per span");
-            assert_eq!(hist.max(), Some(0), "manual clocks zero {key}");
+        ];
+        for (every, want_spans) in [(1, 20), (2, 10), (0, 0)] {
+            let report = run(every);
+            assert_eq!(spans(&report), want_spans, "span_every = {every}");
+            let count = |key| report.registry.get_histogram(key).map(Histogram::count);
+            for key in every_frame {
+                assert_eq!(count(key), Some(20), "{key} at span_every = {every}");
+            }
+            for key in sampled_only {
+                let want = (want_spans > 0).then_some(want_spans);
+                assert_eq!(count(key), want, "{key} at span_every = {every}");
+            }
+            for key in every_frame.into_iter().chain(sampled_only) {
+                let max = report.registry.get_histogram(key).and_then(Histogram::max);
+                assert!(max.is_none_or(|ns| ns == 0), "manual clocks zero {key}");
+            }
         }
-        let half = run(2);
-        assert_eq!(spans(&half), 10, "span_every = 2 samples every other frame");
-        let off = run(0);
-        assert_eq!(spans(&off), 0, "span_every = 0 disables the recorder");
-        assert!(
-            off.registry
-                .get_histogram(keys::NET_STAGE_VERIFY_NS)
-                .is_none(),
-            "stage histograms stay absent when the recorder is off"
-        );
     }
 
     #[test]

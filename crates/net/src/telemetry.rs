@@ -166,17 +166,17 @@ mod tests {
         let shared = SharedRegistry::new(2);
         let mut a = Registry::new();
         a.incr(keys::NET_INGRESS_FRAMES);
-        a.record(keys::NET_VERIFY_LATENCY_NS, 100);
+        a.record(keys::NET_STAGE_VERIFY_NS, 100);
         let mut b = Registry::new();
         b.add(keys::NET_INGRESS_FRAMES, 2);
-        b.record(keys::NET_VERIFY_LATENCY_NS, 300);
+        b.record(keys::NET_STAGE_VERIFY_NS, 300);
         shared.publish(0, &a);
         shared.publish(1, &b);
         let merged = shared.snapshot();
         assert_eq!(merged.counters().get(keys::NET_INGRESS_FRAMES), 3);
         assert_eq!(
             merged
-                .get_histogram(keys::NET_VERIFY_LATENCY_NS)
+                .get_histogram(keys::NET_STAGE_VERIFY_NS)
                 .map(dap_obs::Histogram::count),
             Some(2)
         );

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use dap_core::{codec, DapMessage, DapParams, DapSender};
 use dap_net::clock::{ManualClock, NetClock};
-use dap_net::pool::{DapShard, OverflowPolicy, PoolConfig, ReceiverPool, RoutePolicy};
+use dap_net::pool::{DapShard, OverflowPolicy, PoolConfig, PoolObs, ReceiverPool, RoutePolicy};
 use dap_net::transport::{Transport, UdpTransport};
 use dap_simnet::{SimDuration, SimTime};
 
@@ -43,7 +43,7 @@ fn dap_authenticates_across_real_udp_sockets() {
     let mut rx_transport =
         UdpTransport::receiver("127.0.0.1:0", Duration::from_millis(5)).expect("bind receiver");
     let rx_addr = rx_transport.local_addr().expect("receiver addr");
-    let pool = ReceiverPool::spawn(
+    let pool = ReceiverPool::spawn_with_obs(
         PoolConfig {
             shards: 3,
             queue_depth: 64,
@@ -53,6 +53,7 @@ fn dap_authenticates_across_real_udp_sockets() {
         },
         77,
         |shard| DapShard::new(bootstrap, &[b'u', shard as u8]),
+        PoolObs::default(),
     );
     let handle = pool.handle();
     let live = handle.live();
@@ -110,7 +111,7 @@ fn dap_authenticates_across_real_udp_sockets() {
     });
     stop.store(true, Ordering::SeqCst);
     reader.join().expect("reader thread");
-    let metrics = pool.shutdown();
+    let metrics = pool.shutdown_with_report().registry.into_counters();
 
     assert_eq!(metrics.get("net.ingress.frames"), sent);
     assert_eq!(metrics.get("net.announce.stored"), INTERVALS);

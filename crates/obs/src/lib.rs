@@ -26,10 +26,10 @@
 //! * [`json`] — the minimal JSON writer the bench binaries use (moved
 //!   here from `dap-bench` so the trace layer can sit below it;
 //!   `dap_bench::json` re-exports it unchanged);
-//! * [`span`] — the flight recorder's per-frame stage accumulator:
-//!   [`SpanTimer`] charges wall (or manual) time to the seven pipeline
-//!   stages and folds into a [`TraceEvent::FrameSpan`], with
-//!   deterministic ids from [`span_id`];
+//! * [`span`] — the flight recorder's vocabulary: the seven pipeline
+//!   stages ([`SpanStage`]), deterministic ids from [`span_id`], and
+//!   [`frame_span`], which builds a [`TraceEvent::FrameSpan`] from one
+//!   frame's stage readings;
 //! * [`parse`] — the strict inverse of the JSONL writer:
 //!   [`parse_trace`] turns a trace file back into typed
 //!   [`TraceRecord`]s, rejecting any line that would not round-trip
@@ -54,7 +54,7 @@ pub mod trace;
 pub use gauge::Gauge;
 pub use hist::Histogram;
 pub use parse::{parse_record_line, parse_trace, ParsedTrace, TraceHeader, TraceParseError};
-pub use span::{span_id, SpanStage, SpanTimer};
+pub use span::{frame_span, span_id, SpanStage};
 pub use time::{ManualTime, Stopwatch, TimeSource};
 pub use trace::{
     header_line, render_jsonl, sort_records, JsonlSink, NullSink, RingSink, TraceEmitter,

@@ -141,12 +141,6 @@ fn parse_record(fields: &[(String, Value)]) -> Result<TraceRecord, String> {
                 bytes: get_u64(fields, "bytes")?,
             }
         }
-        "verify_start" => {
-            expect_keys(fields, &with(&["interval"]))?;
-            TraceEvent::VerifyStart {
-                interval: get_u64(fields, "interval")?,
-            }
-        }
         "verify_end" => {
             expect_keys(fields, &with(&["interval", "outcome", "elapsed_ns"]))?;
             TraceEvent::VerifyEnd {
@@ -464,7 +458,6 @@ mod tests {
     fn roundtrip_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::FrameRx { bytes: 9 },
-            TraceEvent::VerifyStart { interval: 2 },
             TraceEvent::VerifyEnd {
                 interval: 2,
                 outcome: "strong_rejected",
@@ -547,7 +540,7 @@ mod tests {
         assert_eq!(
             parsed.header,
             Some(TraceHeader {
-                version: 2,
+                version: 3,
                 clock_ns: 712
             })
         );

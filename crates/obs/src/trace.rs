@@ -45,12 +45,7 @@ pub enum TraceEvent {
         /// Datagram length in bytes.
         bytes: u64,
     },
-    /// Verification of a decoded frame is starting.
-    VerifyStart {
-        /// The interval index the frame claims.
-        interval: u64,
-    },
-    /// Verification finished.
+    /// The verifier's verdict on one decoded frame.
     VerifyEnd {
         /// The interval index the frame claims.
         interval: u64,
@@ -157,8 +152,10 @@ pub enum TraceEvent {
         prefetch_ns: u32,
         /// Verifier time for announce-path frames (0 for reveals).
         verify_ns: u32,
-        /// Reservoir-decision bookkeeping time (0 when the frame never
-        /// reached a buffer).
+        /// Time to emit the frame's verdict records (`verify_end`, its
+        /// `buffer_decision` and any eviction) on frames that reached
+        /// a reservoir; 0 on the rest. The reservoir decision itself
+        /// runs inside the verifier and is charged to `verify_ns`.
         buffer_ns: u32,
         /// Verifier time for reveal-authenticate frames (0 for
         /// announces).
@@ -184,7 +181,6 @@ impl TraceEvent {
     pub fn name(&self) -> &'static str {
         match self {
             Self::FrameRx { .. } => "frame_rx",
-            Self::VerifyStart { .. } => "verify_start",
             Self::VerifyEnd { .. } => "verify_end",
             Self::BufferDecision { .. } => "buffer_decision",
             Self::KeyReveal { .. } => "key_reveal",
@@ -224,7 +220,6 @@ impl TraceRecord {
             .str("ev", self.event.name());
         match &self.event {
             TraceEvent::FrameRx { bytes } => base.u64("bytes", *bytes),
-            TraceEvent::VerifyStart { interval } => base.u64("interval", *interval),
             TraceEvent::VerifyEnd {
                 interval,
                 outcome,
@@ -432,7 +427,7 @@ impl JsonlSink<io::BufWriter<std::fs::File>> {
 pub fn header_line(clock_ns: u64) -> String {
     JsonObject::new()
         .str("trace", "dap-obs")
-        .u64("version", 2)
+        .u64("version", 3)
         .u64("clock_ns", clock_ns)
         .finish()
 }
@@ -555,7 +550,7 @@ mod tests {
     #[test]
     fn emitter_assigns_monotone_seqs() {
         let mut emitter = TraceEmitter::new(3, RingSink::new(8));
-        emitter.emit(100, TraceEvent::VerifyStart { interval: 7 });
+        emitter.emit(100, TraceEvent::KeyReveal { interval: 7 });
         emitter.emit(
             100,
             TraceEvent::VerifyEnd {
@@ -601,7 +596,6 @@ mod tests {
     fn every_event_serialises_with_its_name() {
         let events = [
             TraceEvent::FrameRx { bytes: 9 },
-            TraceEvent::VerifyStart { interval: 2 },
             TraceEvent::VerifyEnd {
                 interval: 2,
                 outcome: "auth",
@@ -685,7 +679,7 @@ mod tests {
         assert_eq!(header_line(frozen.now_ns()), header_line(frozen.now_ns()));
         assert_eq!(
             header_line(0),
-            "{\"trace\":\"dap-obs\",\"version\":2,\"clock_ns\":0}"
+            "{\"trace\":\"dap-obs\",\"version\":3,\"clock_ns\":0}"
         );
     }
 

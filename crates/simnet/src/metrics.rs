@@ -439,14 +439,9 @@ pub mod keys {
     pub const NET_DECODE_ERRORS: &str = "net.decode.errors";
     /// Wire pool: bytes skipped while resynchronising.
     pub const NET_DECODE_RESYNC_BYTES: &str = "net.decode.resync_bytes";
-    /// Wire pool: per-frame verify latency (histogram, ns).
-    pub const NET_VERIFY_LATENCY_NS: &str = "net.verify.latency_ns";
-    /// Wire pool: per-datagram codec decode latency (histogram, ns).
-    pub const NET_DECODE_LATENCY_NS: &str = "net.decode.latency_ns";
-    /// Wire pool: shard queue occupancy at pop (histogram, frames;
-    /// recorded only under wall-clock time — see DESIGN §9).
-    pub const NET_QUEUE_DEPTH: &str = "net.queue.depth";
-    /// Wire pool: shard queue occupancy gauge (wall-clock runs only).
+    /// Wire pool: items a shard found queued, one sample per take
+    /// (histogram, items; recorded only under wall-clock time — see
+    /// DESIGN §9).
     pub const NET_QUEUE_OCCUPANCY: &str = "net.queue.occupancy";
     /// Session table: senders admitted (first frame seen).
     pub const NET_SESSION_ADMITTED: &str = "net.session.admitted";
@@ -485,19 +480,26 @@ pub mod keys {
     pub const CONTROL_GAUGE_EPOCH: &str = "control.gauge.epoch";
     /// Control plane: live reservoir-count gauge (buffers per interval).
     pub const CONTROL_GAUGE_M: &str = "control.gauge.m";
-    /// Flight recorder: reader-side ingress routing+copy (histogram, ns).
+    /// Flight recorder: reader-side ingress routing+copy (histogram,
+    /// ns; sampled datagrams).
     pub const NET_STAGE_INGRESS_NS: &str = "net.stage.ingress_ns";
-    /// Flight recorder: enqueue → worker-pop wait (histogram, ns).
+    /// Flight recorder: enqueue → worker-pop wait (histogram, ns;
+    /// sampled datagrams).
     pub const NET_STAGE_QUEUE_WAIT_NS: &str = "net.stage.queue_wait_ns";
-    /// Flight recorder: datagram decode (histogram, ns).
+    /// Wire pool: datagram decode (histogram, ns; every datagram).
     pub const NET_STAGE_DECODE_NS: &str = "net.stage.decode_ns";
-    /// Flight recorder: per-frame batch-prefetch share (histogram, ns).
+    /// Flight recorder: per-frame batch-prefetch share (histogram, ns;
+    /// sampled datagrams).
     pub const NET_STAGE_PREFETCH_NS: &str = "net.stage.prefetch_ns";
-    /// Flight recorder: announce-path verify (histogram, ns).
+    /// Wire pool: announce-path verify, reservoir decision included
+    /// (histogram, ns; every frame, 0 for a reveal).
     pub const NET_STAGE_VERIFY_NS: &str = "net.stage.verify_ns";
-    /// Flight recorder: reservoir-decision bookkeeping (histogram, ns).
+    /// Flight recorder: emitting the verdict's trace records, on frames
+    /// that reached a reservoir (histogram, ns; sampled frames, 0 for
+    /// the rest).
     pub const NET_STAGE_BUFFER_NS: &str = "net.stage.buffer_ns";
-    /// Flight recorder: reveal-authenticate path (histogram, ns).
+    /// Wire pool: reveal-authenticate path (histogram, ns; every frame,
+    /// 0 for an announce).
     pub const NET_STAGE_REVEAL_AUTH_NS: &str = "net.stage.reveal_auth_ns";
     /// Wire medium: frames sent.
     pub const NET_WIRE_SENT: &str = "net.wire.sent";
@@ -583,9 +585,6 @@ pub mod keys {
         NET_SHED_LOW,
         NET_DECODE_ERRORS,
         NET_DECODE_RESYNC_BYTES,
-        NET_VERIFY_LATENCY_NS,
-        NET_DECODE_LATENCY_NS,
-        NET_QUEUE_DEPTH,
         NET_QUEUE_OCCUPANCY,
         NET_SESSION_ADMITTED,
         NET_SESSION_EVICTED,
@@ -715,19 +714,17 @@ mod tests {
         assert_eq!(r.render(), "(no metrics)");
         r.incr(keys::NET_INGRESS_FRAMES);
         r.add(keys::NET_INGRESS_BYTES, 128);
-        r.record(keys::NET_VERIFY_LATENCY_NS, 500);
-        r.record(keys::NET_VERIFY_LATENCY_NS, 700);
-        r.gauge(keys::NET_QUEUE_OCCUPANCY).set(3);
+        r.record(keys::NET_STAGE_VERIFY_NS, 500);
+        r.record(keys::NET_STAGE_VERIFY_NS, 700);
+        r.gauge(keys::NET_SESSION_OCCUPANCY).set(3);
         assert!(!r.is_empty());
         assert_eq!(r.counters().get(keys::NET_INGRESS_BYTES), 128);
         assert_eq!(
-            r.get_histogram(keys::NET_VERIFY_LATENCY_NS)
-                .unwrap()
-                .count(),
+            r.get_histogram(keys::NET_STAGE_VERIFY_NS).unwrap().count(),
             2
         );
         assert_eq!(
-            r.get_gauge(keys::NET_QUEUE_OCCUPANCY).unwrap().last(),
+            r.get_gauge(keys::NET_SESSION_OCCUPANCY).unwrap().last(),
             Some(3)
         );
         let rendered = r.render();
@@ -751,8 +748,8 @@ mod tests {
             for &s in shards {
                 let mut shard = Registry::new();
                 shard.add(keys::NET_INGRESS_FRAMES, s);
-                shard.record(keys::NET_VERIFY_LATENCY_NS, s * 100);
-                shard.gauge(keys::NET_QUEUE_OCCUPANCY).set(s);
+                shard.record(keys::NET_STAGE_VERIFY_NS, s * 100);
+                shard.gauge(keys::NET_SESSION_OCCUPANCY).set(s);
                 r.merge(&shard);
             }
             r
@@ -767,16 +764,16 @@ mod tests {
     fn registry_prometheus_exposition_covers_every_kind() {
         let mut r = Registry::new();
         r.incr(keys::NET_REVEAL_AUTH);
-        r.record(keys::NET_VERIFY_LATENCY_NS, 1000);
-        r.gauge(keys::NET_QUEUE_OCCUPANCY).set(5);
+        r.record(keys::NET_STAGE_VERIFY_NS, 1000);
+        r.gauge(keys::NET_SESSION_OCCUPANCY).set(5);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE net_reveal_auth counter"));
         assert!(text.contains("net_reveal_auth 1"));
-        assert!(text.contains("# TYPE net_queue_occupancy gauge"));
-        assert!(text.contains("net_queue_occupancy 5"));
-        assert!(text.contains("# TYPE net_verify_latency_ns summary"));
-        assert!(text.contains("net_verify_latency_ns{quantile=\"0.99\"}"));
-        assert!(text.contains("net_verify_latency_ns_count 1"));
+        assert!(text.contains("# TYPE net_session_occupancy gauge"));
+        assert!(text.contains("net_session_occupancy 5"));
+        assert!(text.contains("# TYPE net_stage_verify_ns summary"));
+        assert!(text.contains("net_stage_verify_ns{quantile=\"0.99\"}"));
+        assert!(text.contains("net_stage_verify_ns_count 1"));
     }
 
     #[test]
