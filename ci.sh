@@ -32,6 +32,15 @@ done
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== Algorithm 3 oracle (closed form vs integrated, every estimate) =="
+# The control plane prices each m's ESS in closed form. In release, this
+# leg checks all 1001 permille estimates at cap 50 against the sweep it
+# replaced (each game settled for up to 100k Euler steps, then snapped):
+# the same m*, ESS kind and paper-literal m, the same point and cost bit
+# for bit from 1 permille up, and every landscape cell within 1e-4. The
+# tests above run every 25th estimate in debug.
+cargo test --release --offline -q -p dap-game --lib -- --ignored
+
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -1,7 +1,7 @@
 //! Fig. 7 — the optimised number of buffers `m*` at different levels of
 //! DoS attack.
 //!
-//! For each attack level `p`, Algorithm 3 evolves the game for every
+//! For each attack level `p`, Algorithm 3 takes the game's ESS for every
 //! `m ∈ 1..=M` (`M = 50`) and reports the cost-minimising choice. Three
 //! columns are printed (see EXPERIMENTS.md for the discussion):
 //!
@@ -42,17 +42,13 @@ pub fn point(p: f64) -> Fig7Point {
     let params = DosGameParams::paper_defaults(p, 1);
     let opt = optimal_buffer_count(params, BUFFER_CAP);
     let literal = optimal_buffer_count_paper_literal(params, BUFFER_CAP);
-    let saturated = matches!(
-        opt.ess.kind,
-        EssKind::PartialDefenseFullAttack | EssKind::GiveUpDefense
-    );
     Fig7Point {
         p,
         m_star: opt.m,
-        kind: opt.ess.kind,
+        kind: opt.kind,
         cost: opt.cost,
         m_literal: literal,
-        saturated,
+        saturated: opt.give_up(),
     }
 }
 
@@ -80,6 +76,7 @@ pub fn sweep(ps: &[f64]) -> Vec<Fig7Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dap_game::optimize::cost_landscape;
 
     #[test]
     fn optimum_monotone_in_moderate_band() {
@@ -133,9 +130,7 @@ mod tests {
     fn literal_never_beats_argmin() {
         for pt in sweep(&[0.6, 0.8, 0.95]) {
             let params = DosGameParams::paper_defaults(pt.p, 1);
-            let opt = optimal_buffer_count(params, BUFFER_CAP);
-            let literal_cost = opt
-                .landscape
+            let literal_cost = cost_landscape(params, BUFFER_CAP)
                 .iter()
                 .find(|c| c.0 == pt.m_literal)
                 .map(|c| c.1)

@@ -43,12 +43,11 @@ pub enum AnnounceOutcome {
 /// Outcome of processing a reveal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RevealOutcome {
-    /// Weak + strong authentication both passed; `M_i` is trusted.
+    /// Weak + strong authentication both passed; the reveal's `M_i` is
+    /// trusted.
     Authenticated {
         /// Interval index.
         index: u64,
-        /// The trusted message.
-        message: Vec<u8>,
     },
     /// The disclosed key failed chain verification (line 16).
     WeakRejected {
@@ -161,7 +160,6 @@ pub struct DapReceiver {
     pools: std::collections::BTreeMap<u64, ReservoirBuffer<MicroMac>>,
     rx_interval: u64,
     desynced: bool,
-    authenticated: Vec<(u64, Vec<u8>)>,
     stats: DapStats,
     /// The most recent interval's verified MAC-key schedule, as
     /// `(interval, chain key, K'_i schedule)`: one F′ derivation + HMAC
@@ -211,7 +209,6 @@ impl DapReceiver {
             pools: std::collections::BTreeMap::new(),
             rx_interval: 0,
             desynced: false,
-            authenticated: Vec::new(),
             stats: DapStats::default(),
             interval_key: None,
         }
@@ -229,12 +226,6 @@ impl DapReceiver {
     #[must_use]
     pub fn stats(&self) -> &DapStats {
         &self.stats
-    }
-
-    /// Messages authenticated so far, in order.
-    #[must_use]
-    pub fn authenticated(&self) -> &[(u64, Vec<u8>)] {
-        &self.authenticated
     }
 
     /// Buffers currently occupied (entries across all pending intervals).
@@ -477,11 +468,8 @@ impl DapReceiver {
         }
         if matched {
             self.stats.authenticated += 1;
-            self.authenticated
-                .push((reveal.index, reveal.message.clone()));
             RevealOutcome::Authenticated {
                 index: reveal.index,
-                message: reveal.message.clone(),
             }
         } else {
             self.stats.strong_rejected += 1;
@@ -626,8 +614,7 @@ mod tests {
         );
         let rev = sender.reveal(1).unwrap();
         let out = receiver.on_reveal(&rev, during(2));
-        assert!(out.is_authenticated());
-        assert_eq!(receiver.authenticated().len(), 1);
+        assert_eq!(out, RevealOutcome::Authenticated { index: 1 });
         assert_eq!(receiver.stats().authenticated, 1);
         // Entry consumed: buffers freed.
         assert_eq!(receiver.buffered_count(), 0);
@@ -669,7 +656,7 @@ mod tests {
             receiver.on_reveal(&rev, during(2)),
             RevealOutcome::StrongRejected { index: 1 }
         );
-        assert!(receiver.authenticated().is_empty());
+        assert_eq!(receiver.stats().authenticated, 0);
     }
 
     #[test]
@@ -826,7 +813,7 @@ mod tests {
             receiver.on_announce(&ann, during(2), &mut rng),
             AnnounceOutcome::Unsafe
         );
-        assert!(receiver.authenticated().is_empty());
+        assert_eq!(receiver.stats().authenticated, 0);
     }
 
     #[test]
@@ -942,7 +929,6 @@ mod tests {
 
         assert_eq!(scalar_outcomes, batch_outcomes);
         assert_eq!(scalar_rx.stats(), batch_rx.stats());
-        assert_eq!(scalar_rx.authenticated(), batch_rx.authenticated());
     }
 
     #[test]

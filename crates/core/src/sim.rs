@@ -92,10 +92,13 @@ impl Node<DapMessage> for DapSenderNode {
     }
 }
 
-/// A receiver node wrapping [`DapReceiver`].
+/// A receiver node wrapping [`DapReceiver`]. It logs every message the
+/// receiver authenticates, as an application reading the sensor data
+/// would.
 #[derive(Debug)]
 pub struct DapReceiverNode {
     receiver: DapReceiver,
+    authenticated: Vec<(u64, Vec<u8>)>,
     peak_memory_bits: u64,
 }
 
@@ -105,6 +108,7 @@ impl DapReceiverNode {
     pub fn new(bootstrap: DapBootstrap, local_seed: &[u8]) -> Self {
         Self {
             receiver: DapReceiver::new(bootstrap, local_seed),
+            authenticated: Vec::new(),
             peak_memory_bits: 0,
         }
     }
@@ -113,6 +117,12 @@ impl DapReceiverNode {
     #[must_use]
     pub fn receiver(&self) -> &DapReceiver {
         &self.receiver
+    }
+
+    /// Messages authenticated so far, as `(interval, message)`, in order.
+    #[must_use]
+    pub fn authenticated(&self) -> &[(u64, Vec<u8>)] {
+        &self.authenticated
     }
 
     /// Largest buffer footprint observed (bounded by `m × 56` bits by
@@ -140,7 +150,8 @@ impl Node<DapMessage> for DapReceiverNode {
                 }
             }
             DapMessage::Reveal(r) => match self.receiver.on_reveal(r, local) {
-                RevealOutcome::Authenticated { .. } => {
+                RevealOutcome::Authenticated { index } => {
+                    self.authenticated.push((index, r.message.clone()));
                     ctx.metrics().incr("dap.rx.authenticated");
                 }
                 RevealOutcome::WeakRejected { .. } => ctx.metrics().incr("dap.rx.weak_rejected"),

@@ -14,11 +14,12 @@
 //! Two complementary tools are provided:
 //!
 //! * [`ess_candidates`] — the closed-form candidates with a local
-//!   stability verdict from the numeric Jacobian;
+//!   stability verdict from the numeric Jacobian. Algorithm 3's sweep
+//!   prices the one candidate the Jacobian certifies;
 //! * [`predict_ess`] — the paper's empirical method: run the replicator
 //!   dynamics from `(0.5, 0.5)` and report where they settle and how many
-//!   steps it took (this is what Fig. 6 plots). Algorithm 3's sweep
-//!   settles and snaps the same way under its own step budget.
+//!   steps it took (this is what Fig. 6 plots, and what the tests check
+//!   the certified candidate against).
 
 use crate::dynamics::{settle, ReplicatorField, TwoPopulationGame};
 use crate::payoff::DosGame;
@@ -125,20 +126,30 @@ pub fn is_locally_stable<G: TwoPopulationGame>(game: &G, point: PopulationState)
     trace < 0.0 && det > 0.0
 }
 
+/// How far inside the unit square's edge a closed form must fall to be
+/// a rest point of its own: the formulas' rounding error, with room to
+/// spare. On a knife edge (`Y′ = 1`, say) the edge candidate can round
+/// to an ulp inside the corner `(1, 1)`, and the Jacobian would then
+/// certify that one point twice, under two names.
+const ROUNDING: f64 = 1e-12;
+
 /// The paper's five closed-form rest points for `game`, in a fixed
 /// order, without those that fall outside the unit square (they are
-/// not population states). [`ess_candidates`] and [`snap`] both walk
-/// this one enumeration, so they see the same set in the same order.
+/// not population states) or within [`ROUNDING`] of an edge they are
+/// not named for. [`ess_candidates`], [`certified_ess`] and [`snap`]
+/// all walk this one enumeration, so they see the same set in the same
+/// order.
 fn closed_forms(game: &DosGame) -> impl Iterator<Item = (PopulationState, EssKind)> {
     let xp = x_prime(game);
     let yp = y_prime(game);
     let (xi, yi) = interior_point(game);
-    let interior = (0.0..1.0).contains(&xi) && (0.0..1.0).contains(&yi) && xi > 0.0 && yi > 0.0;
+    let below_one = |v: f64| v < 1.0 - ROUNDING;
+    let interior = xi > ROUNDING && yi > ROUNDING && below_one(xi) && below_one(yi);
     [
         Some((0.0, 1.0, EssKind::GiveUpDefense)),
         Some((1.0, 1.0, EssKind::FullDefenseFullAttack)),
-        (xp < 1.0).then_some((xp, 1.0, EssKind::PartialDefenseFullAttack)),
-        (yp < 1.0).then_some((1.0, yp, EssKind::FullDefensePartialAttack)),
+        below_one(xp).then_some((xp, 1.0, EssKind::PartialDefenseFullAttack)),
+        below_one(yp).then_some((1.0, yp, EssKind::FullDefensePartialAttack)),
         interior.then_some((xi, yi, EssKind::Interior)),
     ]
     .into_iter()
@@ -147,9 +158,37 @@ fn closed_forms(game: &DosGame) -> impl Iterator<Item = (PopulationState, EssKin
     .map(|(x, y, kind)| (PopulationState::new(x, y), kind))
 }
 
+/// The ESS Algorithm 3 prices: the closed-form candidate the Jacobian
+/// certifies, the first in [`ess_candidates`] order. Whenever `p > 0`
+/// one candidate is certified, and only one except where two knife
+/// edges meet (`Y′ = 1` with `k2·m = R_a`, so `X′` is within the
+/// Jacobian's step of the corner `(1, 1)`).
+///
+/// `p = 0` is degenerate: attacking costs nothing (`C_a = k1·x_a·Y`
+/// with `x_a = p`) and never succeeds against a defender, so every
+/// `(1, Y)` is a rest point costing `k2·m`, none of them strictly
+/// stable. Unless `(X′, 1)` is certified (`m > R_a/k2`), the ESS is
+/// that edge's `(1, Y′)` end, `Y′ = 0`.
+///
+/// # Panics
+///
+/// Panics if `p > 0` and no candidate is certified.
+#[must_use]
+pub(crate) fn certified_ess(game: &DosGame) -> (PopulationState, EssKind) {
+    match closed_forms(game).find(|&(point, _)| is_locally_stable(game, point)) {
+        Some(ess) => ess,
+        None if game.params().p == 0.0 => (
+            PopulationState::new(1.0, 0.0),
+            EssKind::FullDefensePartialAttack,
+        ),
+        None => panic!("no closed-form ESS is certified at {:?}", game.params()),
+    }
+}
+
 /// The paper's five ESS candidates for `game`, each with a stability
 /// verdict. Candidates whose closed form falls outside the unit square
-/// are omitted (they are not population states).
+/// are omitted (they are not population states), and so are those
+/// within rounding of an edge they are not named for.
 #[must_use]
 pub fn ess_candidates(game: &DosGame) -> Vec<EssCandidate> {
     closed_forms(game)
@@ -390,6 +429,61 @@ mod tests {
     fn display_of_kinds() {
         assert_eq!(EssKind::Interior.to_string(), "(X*, Y*)");
         assert_eq!(EssKind::GiveUpDefense.to_string(), "(0, 1)");
+    }
+
+    /// On the knife edges `Y′ = 1` (`k1 = p^m·R_a/p`) and `X′ = 1`
+    /// (`k2 = (1−p^m)·R_a/m`) an edge candidate meets the corner
+    /// `(1, 1)`. One candidate is still certified, and it is where the
+    /// paper's run from `(0.5, 0.5)` ends. At (0.3, 3) `Y′` rounds to an
+    /// ulp below 1.
+    #[test]
+    fn knife_edges_certify_one_candidate_where_the_dynamics_settle() {
+        for (p, m) in [(0.3, 3), (0.5, 2), (0.8, 5), (0.9, 10)] {
+            let paper = DosGameParams::paper_defaults(p, m);
+            let pm = paper.p.powi(m as i32);
+            let y_edge = DosGameParams {
+                k1: pm * paper.ra / p,
+                ..paper
+            };
+            let x_edge = DosGameParams {
+                k2: (1.0 - pm) * paper.ra / f64::from(m),
+                ..paper
+            };
+            for params in [y_edge, x_edge] {
+                let game = params.into_game();
+                let certified = ess_candidates(&game).iter().filter(|c| c.stable).count();
+                assert_eq!(certified, 1, "{params:?}");
+                let settled = predict_ess(&game);
+                assert!(settled.steps.is_some(), "{params:?}");
+                assert_eq!(
+                    certified_ess(&game),
+                    (settled.point, settled.kind),
+                    "{params:?}"
+                );
+            }
+        }
+    }
+
+    /// At `p = 0` the edge `X = 1` is a line of rest points, so no
+    /// candidate is certified until `(X′, 1)` appears at `m > R_a/k2`;
+    /// until then the ESS is `(1, Y′) = (1, 0)`, costing `k2·m`.
+    #[test]
+    fn no_attack_rule_takes_full_defense_until_partial_defense_is_certified() {
+        for m in 1..=50 {
+            let game = DosGameParams::paper_defaults(0.0, m).into_game();
+            assert!(ess_candidates(&game).iter().all(|c| !c.stable), "m={m}");
+            let (point, kind) = certified_ess(&game);
+            assert_eq!(point, PopulationState::new(1.0, 0.0), "m={m}");
+            assert_eq!(kind, EssKind::FullDefensePartialAttack, "m={m}");
+            let cost = crate::cost::defense_cost(&game, point);
+            assert!((cost - 4.0 * f64::from(m)).abs() < 1e-9, "m={m}: {cost}");
+        }
+        for m in [51, 60, 100] {
+            let game = DosGameParams::paper_defaults(0.0, m).into_game();
+            let (point, kind) = certified_ess(&game);
+            assert_eq!(kind, EssKind::PartialDefenseFullAttack, "m={m}");
+            assert_eq!(point, PopulationState::new(x_prime(&game), 1.0), "m={m}");
+        }
     }
 
     #[test]

@@ -1,101 +1,86 @@
 //! Algorithm 3: choosing the buffer count `m` that minimises the
 //! defenders' average cost at the ESS.
 //!
-//! One allocation-free sweep serves every caller: it settles the game
-//! for each `m ∈ 1..=cap` under [`ONLINE_MAX_STEPS`], snaps the end state
-//! to the nearest closed-form ESS and keeps the cost argmin, ties going
-//! to the smaller `m`. On top of it:
+//! One allocation-free sweep serves every caller: for each
+//! `m ∈ 1..=cap` it takes the ESS in closed form (the §V-E candidate
+//! the Jacobian certifies, [`crate::ess::ess_candidates`]), costs it and
+//! keeps the argmin, ties going to the smaller `m`. No game is
+//! integrated, so a solve costs the same at every attack level. On top
+//! of it:
 //!
 //! * [`optimal_buffer_count`] — the exact argmin, which is what the
-//!   algorithm's *intent* ("find the optimal m") and Fig. 7 require; it
-//!   also records the cost landscape;
+//!   algorithm's *intent* ("find the optimal m") and Fig. 7 require;
+//!   [`cost_landscape`] is the cost it searched, per `m`;
 //! * [`optimal_buffer_count_paper_literal`] — a faithful transcription of
 //!   the pseudo-code as printed, whose `if E_m < E_{m−1}` update keeps
 //!   the *last descent* rather than the global argmin. The discrepancy is
 //!   documented in `DESIGN.md` §4 and exercised by the tests;
-//! * [`solve_posture`] / [`solve_posture_permille`] — the control-loop
-//!   step the `dap-net` control plane re-runs at interval boundaries.
-//!   The step bound gives one solve a hard upper cost however slowly a
-//!   spiral converges. The result carries the paper's §V *give-up*
-//!   verdict: when the best achievable posture is `(0, 1)` or `(X′, 1)`
-//!   the defender cost has saturated at `R_a`, buffers no longer buy
-//!   anything, and the control plane should stop paying for them.
+//! * [`solve_posture_permille`] — the control-loop step the `dap-net`
+//!   control plane re-runs at interval boundaries.
+//!
+//! The result carries the paper's §V *give-up* verdict
+//! ([`OptimalBuffer::give_up`]): when the best achievable posture is
+//! `(0, 1)` or `(X′, 1)` the defender cost has saturated at `R_a`,
+//! buffers no longer buy anything, and the control plane should stop
+//! paying for them.
 
 use crate::cost::defense_cost;
-use crate::dynamics::settle;
-use crate::ess::{snap, EssKind, EssOutcome};
+use crate::ess::{certified_ess, EssKind};
 use crate::payoff::DosGameParams;
 use crate::state::PopulationState;
 
-/// Euler-step budget per candidate `m`. The paper's regimes converge in
-/// hundreds of steps; the slowest interior spirals take a few thousand.
-/// This bound keeps one full solve (`cap` candidates) under ~10⁷ steps
-/// worst-case while leaving orders of magnitude of slack for convergence.
-/// Weak attacks are the exception: near `p = 0` the games for most
-/// `m ≥ 2` still drift at the bound (46 of 50 at `p = 0.001`), and a
-/// solve costs nearly the full ~5·10⁶ steps.
-pub const ONLINE_MAX_STEPS: usize = 100_000;
-
-/// The optimiser's result: the chosen buffer count, the ESS it induces
-/// and the cost landscape it searched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimalBuffer {
-    /// The chosen number of buffers `m*`.
-    pub m: u32,
-    /// The ESS the replicator dynamics reach with `m*` buffers within
-    /// [`ONLINE_MAX_STEPS`].
-    pub ess: EssOutcome,
-    /// The defenders' average cost at that ESS.
-    pub cost: f64,
-    /// `(m, cost)` for every candidate examined, in order — exposed so
-    /// experiments can plot the landscape without re-running the sweep.
-    pub landscape: Vec<(u32, f64)>,
-}
-
-/// One solved posture: the argmin buffer count and the ESS it induces.
+/// Algorithm 3's answer: the chosen buffer count and the ESS it induces.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlinePosture {
+pub struct OptimalBuffer {
     /// The cost-minimising buffer count `m*`.
     pub m: u32,
-    /// The ESS shape reached with `m*` buffers.
+    /// The ESS shape with `m*` buffers.
     pub kind: EssKind,
-    /// The settled population state (snapped to the closed form when
-    /// within [`MATCH_TOL`](crate::ess::MATCH_TOL)).
+    /// The ESS with `m*` buffers.
     pub point: PopulationState,
     /// The defenders' average cost at that ESS.
     pub cost: f64,
-    /// §V give-up verdict: the best posture still leaves attackers fully
-    /// attacking with cost pinned at `R_a`, so buffering is pointless.
-    pub give_up: bool,
 }
 
-/// The one Algorithm 3 sweep: for each `m ∈ 1..=cap`, the ESS reached
-/// within [`ONLINE_MAX_STEPS`] and its defender cost, each `(m, cost)`
-/// shown to `visit` in order. Returns the strict cost argmin, so ties
-/// break toward the smaller `m`, which also minimises memory.
-fn sweep(
-    params: DosGameParams,
-    cap: u32,
-    mut visit: impl FnMut(u32, f64),
-) -> (u32, EssOutcome, f64) {
+impl OptimalBuffer {
+    /// §V give-up verdict: the best posture still leaves attackers fully
+    /// attacking with cost pinned at `R_a`, so buffering is pointless.
+    #[must_use]
+    pub fn give_up(&self) -> bool {
+        matches!(
+            self.kind,
+            EssKind::GiveUpDefense | EssKind::PartialDefenseFullAttack
+        )
+    }
+}
+
+/// The one Algorithm 3 sweep: for each `m ∈ 1..=cap`, the certified ESS
+/// and its defender cost, each `(m, cost)` shown to `visit` in order.
+/// Returns the strict cost argmin, so ties break toward the smaller `m`,
+/// which also minimises memory.
+fn sweep(params: DosGameParams, cap: u32, mut visit: impl FnMut(u32, f64)) -> OptimalBuffer {
     assert!(cap >= 1, "buffer cap must be at least 1");
-    let mut best: Option<(u32, EssOutcome, f64)> = None;
+    let mut best: Option<OptimalBuffer> = None;
     for m in 1..=cap {
         let game = DosGameParams { m, ..params }.into_game();
-        let (settled, steps) = settle(&game, PopulationState::CENTER, ONLINE_MAX_STEPS);
-        let (point, kind) = snap(&game, settled);
+        let (point, kind) = certified_ess(&game);
         let cost = defense_cost(&game, point);
         visit(m, cost);
-        if best.as_ref().is_none_or(|b| cost < b.2) {
-            best = Some((m, EssOutcome { point, kind, steps }, cost));
+        if best.is_none_or(|b| cost < b.cost) {
+            best = Some(OptimalBuffer {
+                m,
+                kind,
+                point,
+                cost,
+            });
         }
     }
     best.expect("cap >= 1 so at least one candidate")
 }
 
-/// Exact Algorithm 3: sweep `m ∈ 1..=cap`, evolve each game to its ESS,
-/// and return the `m` with the minimum defender cost (ties break toward
-/// the smaller `m`, which also minimises memory).
+/// Exact Algorithm 3: sweep `m ∈ 1..=cap`, take each game's ESS, and
+/// return the `m` with the minimum defender cost (ties break toward the
+/// smaller `m`, which also minimises memory).
 ///
 /// ```
 /// use dap_game::{optimal_buffer_count, DosGameParams};
@@ -112,14 +97,20 @@ fn sweep(
 /// Panics if `cap == 0`.
 #[must_use]
 pub fn optimal_buffer_count(params: DosGameParams, cap: u32) -> OptimalBuffer {
+    sweep(params, cap, |_, _| {})
+}
+
+/// The cost landscape [`optimal_buffer_count`] searches: `(m, cost)` for
+/// every `m ∈ 1..=cap`, in order, so experiments can plot it.
+///
+/// # Panics
+///
+/// Panics if `cap == 0`.
+#[must_use]
+pub fn cost_landscape(params: DosGameParams, cap: u32) -> Vec<(u32, f64)> {
     let mut landscape = Vec::with_capacity(cap as usize);
-    let (m, ess, cost) = sweep(params, cap, |m, cost| landscape.push((m, cost)));
-    OptimalBuffer {
-        m,
-        ess,
-        cost,
-        landscape,
-    }
+    sweep(params, cap, |m, cost| landscape.push((m, cost)));
+    landscape
 }
 
 /// Algorithm 3 exactly as printed in the paper: `m_optm` is updated
@@ -145,31 +136,11 @@ pub fn optimal_buffer_count_paper_literal(params: DosGameParams, cap: u32) -> u3
     m_optm
 }
 
-/// The control-loop step: the [`optimal_buffer_count`] argmin without
-/// the landscape (no allocation), plus the §V give-up verdict.
-///
-/// # Panics
-///
-/// Panics if `cap == 0`.
-#[must_use]
-pub fn solve_posture(params: DosGameParams, cap: u32) -> OnlinePosture {
-    let (m, ess, cost) = sweep(params, cap, |_, _| {});
-    OnlinePosture {
-        m,
-        kind: ess.kind,
-        point: ess.point,
-        cost,
-        give_up: matches!(
-            ess.kind,
-            EssKind::GiveUpDefense | EssKind::PartialDefenseFullAttack
-        ),
-    }
-}
-
-/// [`solve_posture`] for a fixed-point attack estimate: `p_permille` is
-/// the estimated forged fraction in permille (0..=1000), applied to the
-/// paper's economy. This is the entry point the `dap-net` control plane
-/// calls — integer in, so two same-seed runs feed bit-identical inputs.
+/// The control-loop step: [`optimal_buffer_count`] for a fixed-point
+/// attack estimate. `p_permille` is the estimated forged fraction in
+/// permille (0..=1000), applied to the paper's economy. This is the
+/// entry point the `dap-net` control plane calls — integer in, so two
+/// same-seed runs feed bit-identical inputs.
 ///
 /// The game needs `p < 1`, so an all-forged estimate (1000‰) is solved
 /// at 999‰, which already gives up.
@@ -178,26 +149,112 @@ pub fn solve_posture(params: DosGameParams, cap: u32) -> OnlinePosture {
 ///
 /// Panics if `p_permille > 1000` or `cap == 0`.
 #[must_use]
-pub fn solve_posture_permille(p_permille: u32, cap: u32) -> OnlinePosture {
+pub fn solve_posture_permille(p_permille: u32, cap: u32) -> OptimalBuffer {
     assert!(p_permille <= 1000, "permille estimate out of range");
     let p = f64::from(p_permille.min(999)) / 1000.0;
-    solve_posture(DosGameParams::paper_defaults(p, 1), cap)
+    optimal_buffer_count(DosGameParams::paper_defaults(p, 1), cap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ess::predict_ess;
+    use crate::dynamics::settle;
+    use crate::ess::{predict_ess, snap};
+
+    /// The Euler-step bound each game got when Algorithm 3 integrated.
+    const ORACLE_MAX_STEPS: usize = 100_000;
+
+    /// The integrated ESS: the game settled from `(0.5, 0.5)` under
+    /// [`ORACLE_MAX_STEPS`] and snapped to the nearest closed form.
+    fn integrated_ess(params: DosGameParams) -> (PopulationState, EssKind, f64) {
+        let game = params.into_game();
+        let (settled, _) = settle(&game, PopulationState::CENTER, ORACLE_MAX_STEPS);
+        let (point, kind) = snap(&game, settled);
+        (point, kind, defense_cost(&game, point))
+    }
+
+    /// The reference the closed-form sweep is checked against: Algorithm 3
+    /// over [`integrated_ess`], with its cost landscape.
+    fn integrated_sweep(params: DosGameParams, cap: u32) -> (OptimalBuffer, Vec<(u32, f64)>) {
+        let mut best: Option<OptimalBuffer> = None;
+        let mut landscape = Vec::new();
+        for m in 1..=cap {
+            let (point, kind, cost) = integrated_ess(DosGameParams { m, ..params });
+            landscape.push((m, cost));
+            if best.is_none_or(|b| cost < b.cost) {
+                best = Some(OptimalBuffer {
+                    m,
+                    kind,
+                    point,
+                    cost,
+                });
+            }
+        }
+        (best.expect("cap >= 1"), landscape)
+    }
+
+    /// The closed-form solve at `p_permille` (cap 50) against the
+    /// integrated one: the same `m*`, ESS kind and paper-literal `m`, and
+    /// from 1‰ up the same point and cost bit for bit, with every
+    /// landscape cell within 1e-4. At 0‰ the integrated run ends on the
+    /// `X = 1 − 10⁻⁶` guard rather than at a rest point, so only its
+    /// cost's first three decimals agree.
+    fn assert_matches_integrated(p_permille: u32) {
+        let params = DosGameParams::paper_defaults(f64::from(p_permille.min(999)) / 1000.0, 1);
+        let (want, want_landscape) = integrated_sweep(params, 50);
+        let got = solve_posture_permille(p_permille, 50);
+        assert_eq!((got.m, got.kind), (want.m, want.kind), "{p_permille}‰");
+        let last_descent = want_landscape
+            .iter()
+            .fold((0, f64::INFINITY), |(m_optm, previous), &(m, e_m)| {
+                (if e_m < previous { m } else { m_optm }, e_m)
+            })
+            .0;
+        assert_eq!(
+            optimal_buffer_count_paper_literal(params, 50),
+            last_descent,
+            "{p_permille}‰"
+        );
+        if p_permille == 0 {
+            assert!((got.cost - want.cost).abs() < 1e-3, "{got:?} vs {want:?}");
+            return;
+        }
+        assert_eq!(got.point, want.point, "{p_permille}‰");
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{p_permille}‰");
+        for (&(m, cost), &(_, want_cost)) in cost_landscape(params, 50).iter().zip(&want_landscape)
+        {
+            assert!(
+                (cost - want_cost).abs() < 1e-4,
+                "{p_permille}‰ m={m}: {cost} vs {want_cost}"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_the_integrated_sweep_every_25th_permille() {
+        for p_permille in (0..=1000).step_by(25) {
+            assert_matches_integrated(p_permille);
+        }
+    }
+
+    #[test]
+    #[ignore = "integrates 50,050 games; run in release (ci.sh does)"]
+    fn closed_form_matches_the_integrated_sweep_at_every_permille() {
+        for p_permille in 0..=1000 {
+            assert_matches_integrated(p_permille);
+        }
+    }
 
     #[test]
     fn landscape_covers_full_range() {
-        let opt = optimal_buffer_count(DosGameParams::paper_defaults(0.8, 1), 20);
-        assert_eq!(opt.landscape.len(), 20);
-        assert_eq!(opt.landscape[0].0, 1);
-        assert_eq!(opt.landscape[19].0, 20);
+        let params = DosGameParams::paper_defaults(0.8, 1);
+        let opt = optimal_buffer_count(params, 20);
+        let landscape = cost_landscape(params, 20);
+        assert_eq!(landscape.len(), 20);
+        assert_eq!(landscape[0].0, 1);
+        assert_eq!(landscape[19].0, 20);
         // The reported optimum is the landscape argmin.
-        let min = opt
-            .landscape
+        let min = landscape
             .iter()
             .cloned()
             .fold(
@@ -253,16 +310,13 @@ mod tests {
     /// the interior ESS here; see EXPERIMENTS.md for the comparison.)
     #[test]
     fn moderate_attack_optimum_in_partial_attack_band() {
-        let opt = optimal_buffer_count(DosGameParams::paper_defaults(0.8, 1), 50);
-        assert_eq!(
-            opt.ess.kind,
-            EssKind::FullDefensePartialAttack,
-            "{:?}",
-            opt.ess
-        );
+        let params = DosGameParams::paper_defaults(0.8, 1);
+        let opt = optimal_buffer_count(params, 50);
+        assert_eq!(opt.kind, EssKind::FullDefensePartialAttack, "{opt:?}");
         assert!((12..=17).contains(&opt.m), "m*={}", opt.m);
         // The landscape rises again in the interior band.
-        let cost_at_30 = opt.landscape.iter().find(|c| c.0 == 30).unwrap().1;
+        let landscape = cost_landscape(params, 50);
+        let cost_at_30 = landscape.iter().find(|c| c.0 == 30).unwrap().1;
         assert!(cost_at_30 > opt.cost, "interior band should cost more");
     }
 
@@ -271,14 +325,11 @@ mod tests {
         // With p = 0 every m ≥ 1 yields the same dynamics shape; the
         // optimiser must return the cheapest (smallest) m among equals —
         // guaranteed by strict `<` in the update.
-        let opt = optimal_buffer_count(DosGameParams::paper_defaults(0.0, 1), 10);
-        let min_cost = opt
-            .landscape
-            .iter()
-            .map(|c| c.1)
-            .fold(f64::INFINITY, f64::min);
-        let first_min = opt
-            .landscape
+        let params = DosGameParams::paper_defaults(0.0, 1);
+        let opt = optimal_buffer_count(params, 10);
+        let landscape = cost_landscape(params, 10);
+        let min_cost = landscape.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
+        let first_min = landscape
             .iter()
             .find(|c| (c.1 - min_cost).abs() < 1e-12)
             .unwrap()
@@ -295,8 +346,7 @@ mod tests {
             let params = DosGameParams::paper_defaults(p, 1);
             let exact = optimal_buffer_count(params, 50);
             let literal = optimal_buffer_count_paper_literal(params, 50);
-            let literal_cost = exact
-                .landscape
+            let literal_cost = cost_landscape(params, 50)
                 .iter()
                 .find(|c| c.0 == literal)
                 .map(|c| c.1)
@@ -316,15 +366,20 @@ mod tests {
         let _ = optimal_buffer_count(DosGameParams::paper_defaults(0.5, 1), 0);
     }
 
+    /// The certified closed form is where the paper's run from
+    /// `(0.5, 0.5)` ends, and where the integrated sweep's bounded
+    /// settle ends, at one `m` of each Fig. 6 regime.
     #[test]
     fn settle_matches_predict_ess_endpoint() {
         for m in [5, 14, 30, 70] {
-            let game = DosGameParams::paper_defaults(0.8, m).into_game();
+            let params = DosGameParams::paper_defaults(0.8, m);
+            let game = params.into_game();
             let offline = predict_ess(&game);
-            let (settled, _) = settle(&game, PopulationState::CENTER, ONLINE_MAX_STEPS);
-            let (point, kind) = snap(&game, settled);
+            let (point, kind) = certified_ess(&game);
             assert_eq!(kind, offline.kind, "m={m}");
             assert!(point.distance(&offline.point) < 1e-9, "m={m}");
+            let (settled, settled_kind, _) = integrated_ess(params);
+            assert_eq!((settled, settled_kind), (point, kind), "m={m}");
         }
     }
 
@@ -333,7 +388,7 @@ mod tests {
         let low = solve_posture_permille(600, 50);
         let high = solve_posture_permille(900, 50);
         assert!(low.m < high.m, "m*(0.6)={} m*(0.9)={}", low.m, high.m);
-        assert!(!low.give_up && !high.give_up);
+        assert!(!low.give_up() && !high.give_up());
     }
 
     #[test]
@@ -341,7 +396,7 @@ mod tests {
         // p = 0.99: every posture saturates at cost R_a — the §V "turns
         // to give up" regime — and the solver says so.
         let posture = solve_posture_permille(990, 50);
-        assert!(posture.give_up, "{posture:?}");
+        assert!(posture.give_up(), "{posture:?}");
         assert!((posture.cost - 200.0).abs() < 1.0, "{}", posture.cost);
     }
 
@@ -350,7 +405,7 @@ mod tests {
         // 1000‰ is a legal estimate (every buffered entry forged) but
         // not a legal game: it is solved at 999‰.
         let posture = solve_posture_permille(1000, 50);
-        assert!(posture.give_up, "{posture:?}");
+        assert!(posture.give_up(), "{posture:?}");
         assert_eq!(posture, solve_posture_permille(999, 50));
     }
 
@@ -358,7 +413,7 @@ mod tests {
     fn clean_traffic_wants_minimum_buffers() {
         let posture = solve_posture_permille(0, 50);
         assert_eq!(posture.m, 1, "{posture:?}");
-        assert!(!posture.give_up);
+        assert!(!posture.give_up());
     }
 
     #[test]

@@ -46,6 +46,19 @@ fn candidates_are_rest_points() {
     });
 }
 
+/// The closed form's premise: whenever `p > 0` the Jacobian certifies
+/// exactly one of the paper's candidates, so Algorithm 3 has one ESS to
+/// price per `m`.
+#[test]
+fn exactly_one_candidate_is_certified() {
+    check("exactly_one_candidate_is_certified", |g| {
+        let params = arb_params(g);
+        let candidates = ess_candidates(&params.into_game());
+        let certified = candidates.iter().filter(|c| c.stable).count();
+        assert_eq!(certified, 1, "{params:?}: {candidates:?}");
+    });
+}
+
 /// The interior point formulas solve both replicator brackets.
 #[test]
 fn interior_point_solves_brackets() {

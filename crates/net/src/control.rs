@@ -15,7 +15,7 @@
 //!    same-seed runs agree bit-for-bit.
 //! 2. **Solve** — when the estimate drifts past a hysteresis band, the
 //!    plane re-runs Algorithm 3 online ([`dap_game::solve_posture_permille`]:
-//!    no allocation, bounded steps) at the current `p̂`.
+//!    no allocation, each `m`'s ESS in closed form) at the current `p̂`.
 //! 3. **Actuate** — a changed optimum becomes a [`PostureDirective`]
 //!    the driver broadcasts via [`PoolHandle::post_posture`]; every
 //!    shard re-sizes its reservoirs at its next window boundary and the
@@ -57,8 +57,9 @@ impl Default for ControlConfig {
 const EWMA_SHIFT: u32 = 5;
 
 /// Dead-band in permille: Algorithm 3 re-runs only when `p̂` has moved
-/// at least this far (1%) from the last solved point. Keeps a
-/// noisy-but-stationary wire from thrashing the solver.
+/// at least this far (1%) from the last solved point. Keeps the
+/// estimator's dither on a noisy-but-stationary wire from flipping the
+/// posture back and forth.
 const HYSTERESIS_PERMILLE: u32 = 10;
 
 /// Parts-per-million per permille — the estimator's internal resolution.
@@ -217,18 +218,19 @@ impl ControlPlane {
         self.last_solved_permille = Some(p_permille);
         self.solves += 1;
         let posture = solve_posture_permille(p_permille, self.config.cap);
-        let effective = if posture.give_up { 1 } else { posture.m.max(1) };
-        if effective == self.buffers && posture.give_up == self.give_up {
+        let give_up = posture.give_up();
+        let effective = if give_up { 1 } else { posture.m.max(1) };
+        if effective == self.buffers && give_up == self.give_up {
             return None;
         }
         self.buffers = effective;
-        self.give_up = posture.give_up;
+        self.give_up = give_up;
         self.epoch += 1;
         self.directives += 1;
         Some(PostureDirective {
             epoch: self.epoch,
             buffers: effective,
-            give_up: posture.give_up,
+            give_up,
             p_permille,
         })
     }

@@ -7,7 +7,7 @@
 
 use crowdsense_dap::game::cost::{defense_cost, naive_defense_cost};
 use crowdsense_dap::game::ess::{ess_candidates, predict_ess};
-use crowdsense_dap::game::optimize::optimal_buffer_count;
+use crowdsense_dap::game::optimize::{cost_landscape, optimal_buffer_count};
 use crowdsense_dap::game::{DosGameParams, ReplicatorField};
 
 fn main() {
@@ -59,19 +59,19 @@ fn main() {
 
     println!();
     println!("Algorithm 3 over m = 1..=50 at this attack level:");
-    let opt = optimal_buffer_count(DosGameParams::paper_defaults(p, 1), 50);
+    let economy = DosGameParams::paper_defaults(p, 1);
+    let opt = optimal_buffer_count(economy, 50);
     println!(
         "  optimal m* = {} with cost E = {:.3} (ESS {})",
-        opt.m, opt.cost, opt.ess.kind
+        opt.m, opt.cost, opt.kind
     );
     println!(
         "  naive defense (m = 50 for everyone): N = {:.3}",
-        naive_defense_cost(DosGameParams::paper_defaults(p, 1), 50)
+        naive_defense_cost(economy, 50)
     );
     println!();
     println!("cost landscape (every 5th m):");
-    for (mm, cost) in opt
-        .landscape
+    for (mm, cost) in cost_landscape(economy, 50)
         .iter()
         .filter(|(mm, _)| mm % 5 == 0 || *mm == 1)
     {

@@ -7,7 +7,7 @@ use crowdsense_dap::crypto::Mac80;
 use crowdsense_dap::dap::wire::Announce;
 use crowdsense_dap::dap::{DapParams, DapReceiver, DapSender};
 use crowdsense_dap::game::cost::naive_defense_cost;
-use crowdsense_dap::game::{solve_posture_permille, DosGameParams, OnlinePosture};
+use crowdsense_dap::game::{solve_posture_permille, DosGameParams, OptimalBuffer};
 use crowdsense_dap::net::{ControlConfig, ControlPlane};
 use crowdsense_dap::simnet::{SimRng, SimTime};
 
@@ -20,7 +20,7 @@ struct Epoch {
     buffers: u32,
     give_up: bool,
     /// Algorithm 3 at `p̂`: the posture the game prices.
-    posture: OnlinePosture,
+    posture: OptimalBuffer,
 }
 
 /// Drives `intervals_per_epoch` intervals per attack level in `attack`;

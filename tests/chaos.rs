@@ -173,7 +173,6 @@ fn run_dap(seed: u64) -> Fingerprint {
 
     let node = net.node_as::<DapReceiverNode>(rx).expect("receiver node");
     let auth: Vec<(u64, u64, Vec<u8>)> = node
-        .receiver()
         .authenticated()
         .iter()
         .map(|(i, m)| (*i, 0, m.clone()))
