@@ -19,8 +19,11 @@ echo "== benchmark correctness gate (recvbench, every workload) =="
 # reorders a frame, drops or sheds one, or authenticates a different
 # set of reveals than the seed fixes. One-second smoke runs, not a
 # measurement; seed 20160704 is reserved for validating claimed gains.
+# The traced runs drive the flight recorder through each workload's
+# path: flood's unwindowed shard, fleet's windowed flush and adaptive's
+# posture directives.
 recvbench="cargo run --release --offline --quiet --locked --manifest-path recvbench/Cargo.toml --"
-for run in "flood 0" "fleet 0" "adaptive 0" "flood 1"; do
+for run in "flood 0" "fleet 0" "adaptive 0" "flood 1" "fleet 1" "adaptive 1"; do
     set -- $run
     out=$($recvbench --workload "$1" --seed 3 --seconds 1 --trace "$2")
     echo "$out" | tail -n 1 | grep -q '"correct": true' || {
@@ -43,6 +46,10 @@ cargo test --release --offline -q -p dap-game --lib -- --ignored
 
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (offline, deny warnings) =="
+# A broken intra-doc link is a warning; this makes it an error.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== formatting =="
 cargo fmt --check

@@ -202,14 +202,21 @@ fn refuse_unread(opts: &Opts) {
 /// campaigns, so two same-seed traced runs are byte-identical whole-file
 /// (no `tail -n +2` needed to compare them), wall for the UDP roles.
 /// The note goes to stderr: stdout is the deterministic snapshot the
-/// ci.sh gates `cmp`, and the note embeds a run-specific path.
-fn write_trace(path: &str, records: &[TraceRecord], time: &TimeSource) {
+/// ci.sh gates `cmp`, and the note embeds a run-specific path. It says
+/// when full rings shed records (`shed`): such a capture lacks each
+/// ring's oldest records, and `daptrace audit` flags the gap.
+fn write_trace(path: &str, records: &[TraceRecord], shed: u64, time: &TimeSource) {
     let mut sink = JsonlSink::create(path, time).expect("create --trace-out file");
     for record in records {
         sink.record(record.clone());
     }
     sink.finish().expect("flush --trace-out file");
-    eprintln!("trace: {} records -> {path}", records.len());
+    let note = if shed > 0 {
+        format!(" ({shed} shed by full rings; raise --trace-depth)")
+    } else {
+        String::new()
+    };
+    eprintln!("trace: {} records -> {path}{note}", records.len());
 }
 
 /// The seeded in-process campaign. `untagged` (`--loopback`) picks the
@@ -332,7 +339,12 @@ fn run_campaign(opts: &Opts, untagged: bool) {
         report.shed_frames, report.frames, report.shed_fraction, report.evictions
     );
     if let Some(path) = trace_out {
-        write_trace(path, &report.trace, &TimeSource::frozen());
+        write_trace(
+            path,
+            &report.trace,
+            report.trace_shed,
+            &TimeSource::frozen(),
+        );
     }
     if soak {
         assert_soak(&spec, &report, tolerance);
@@ -614,7 +626,7 @@ fn run_receiver(opts: &Opts) {
     let report = pool.shutdown_with_report();
     print!("{}", report.registry.render());
     if let Some(path) = trace_out {
-        write_trace(path, &report.trace, &TimeSource::wall());
+        write_trace(path, &report.trace, report.trace_shed, &TimeSource::wall());
     }
     let counters = report.registry.counters();
     let auth = counters.get(dap_simnet::keys::NET_REVEAL_AUTH);

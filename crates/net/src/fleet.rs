@@ -192,6 +192,9 @@ pub struct FleetReport {
     pub registry: Registry,
     /// `(source, seq)`-sorted trace records.
     pub trace: Vec<TraceRecord>,
+    /// Records the run's trace rings — shards, reader, wire and control
+    /// plane — overwrote because they were full.
+    pub trace_shed: u64,
     /// Aggregate `authenticated / reveals` across the fleet.
     pub auth_rate: f64,
     /// The paper's per-sender prediction `1 − p^m` at the starting
@@ -822,9 +825,12 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
         ctrl.publish(&mut registry);
     }
     let mut trace = report.trace;
-    trace.extend(wire.take_trace());
-    if let Some(emitter) = ctrl_trace {
-        trace.extend(emitter.into_sink().into_records());
+    let mut trace_shed = report.trace_shed;
+    let rings =
+        std::iter::once(wire.take_trace()).chain(ctrl_trace.map(dap_obs::TraceEmitter::into_sink));
+    for ring in rings {
+        trace_shed += ring.shed();
+        trace.extend(ring.into_records());
     }
     dap_obs::sort_records(&mut trace);
     let metrics = registry.counters().clone();
@@ -858,6 +864,7 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
         metrics,
         registry,
         trace,
+        trace_shed,
     }
 }
 

@@ -144,10 +144,12 @@ pub struct PoolObs {
     /// frame, and samples in the `net.stage.*` histograms of the stages
     /// only the recorder times (ingress, queue wait, prefetch, buffer).
     /// The decode, verify and reveal-authenticate stages are timed on
-    /// every frame regardless. 0 disables the recorder; 1 records every
-    /// datagram. The sampling decision is a pure function of the
-    /// shard's datagram ordinal, so two same-seed runs sample the same
-    /// frames.
+    /// every frame regardless: one clock reading ends each of them. The
+    /// recorder adds one reading per sampled frame (its buffer stage),
+    /// one per windowed take and one per window's prefetch. 0 disables
+    /// the recorder; 1 records every datagram. The sampling decision is
+    /// a pure function of the shard's datagram ordinal, so two same-seed
+    /// runs sample the same frames.
     pub span_every: u64,
 }
 
@@ -611,7 +613,8 @@ struct FrameRef {
     /// Reader-side routing + copy cost (the span's ingress stage).
     ingress_ns: u32,
     /// Enqueue → start of this frame's processing, stamped by the
-    /// worker (the span's queue-wait stage).
+    /// worker from its stage chain's last reading (the span's
+    /// queue-wait stage).
     queue_ns: u32,
 }
 
@@ -636,8 +639,9 @@ enum Ingress {
     /// queue wait.
     Frame {
         at: SimTime,
-        /// Reader clock reading at enqueue; the worker subtracts it when
-        /// it starts on the frame to charge the queue-wait stage.
+        /// Reader clock reading at enqueue; the worker subtracts it from
+        /// its stage chain's last reading when it starts on the frame to
+        /// charge the queue-wait stage.
         enqueued_ns: u64,
         offset: u32,
         len: u32,
@@ -831,12 +835,16 @@ pub struct PoolReport {
     pub registry: Registry,
     /// All trace records, sorted by `(source, seq)`.
     pub trace: Vec<TraceRecord>,
+    /// Records the shard and reader rings overwrote because they were
+    /// full: a capture missing this many of its oldest records (0 with
+    /// tracing off).
+    pub trace_shed: u64,
 }
 
 /// `N` verifier threads behind bounded ingress queues.
 pub struct ReceiverPool {
     handle: PoolHandle,
-    workers: Vec<JoinHandle<(Registry, Vec<TraceRecord>)>>,
+    workers: Vec<JoinHandle<ShardOutput>>,
 }
 
 impl ReceiverPool {
@@ -931,10 +939,12 @@ impl ReceiverPool {
         }
         let mut registry = Registry::new();
         let mut shards = Vec::with_capacity(self.workers.len());
+        let mut trace_shed = 0;
         for worker in self.workers {
-            let (shard_registry, shard_trace) = worker.join().expect("shard worker panicked");
-            registry.merge(&shard_registry);
-            shards.push(shard_trace);
+            let shard = worker.join().expect("shard worker panicked");
+            registry.merge(&shard.registry);
+            shards.push(shard.trace);
+            trace_shed += shard.trace_shed;
         }
         // One exact-size allocation for the combined trace: a forensic
         // capture concatenates six-figure per-shard rings, and growing
@@ -953,6 +963,7 @@ impl ReceiverPool {
         if let Some(reader) = &self.handle.reader_trace {
             let reader = reader.lock().expect("reader trace poisoned");
             trace.extend(reader.sink().records().cloned());
+            trace_shed += reader.sink().shed();
         }
         dap_obs::sort_records(&mut trace);
         let full = self.handle.live.dropped_full();
@@ -982,7 +993,11 @@ impl ReceiverPool {
         if closed - closed_pinned > 0 {
             registry.add(keys::NET_DROP_CLOSED_UNPINNED, closed - closed_pinned);
         }
-        PoolReport { registry, trace }
+        PoolReport {
+            registry,
+            trace,
+            trace_shed,
+        }
     }
 }
 
@@ -999,7 +1014,7 @@ fn run_shard<V: FrameVerifier>(
     rng: &mut SimRng,
     live: &LiveCounters,
     obs: &PoolObs,
-) -> (Registry, Vec<TraceRecord>) {
+) -> ShardOutput {
     let mut worker = Worker {
         shard,
         live,
@@ -1009,6 +1024,8 @@ fn run_shard<V: FrameVerifier>(
         flight: FlightState::new(obs.span_every),
         window: Window::default(),
         decoded: Vec::new(),
+        ingress_frames: 0,
+        ingress_bytes: 0,
     };
     let mut datagrams = 0u64;
     let mut published_at = 0u64;
@@ -1043,6 +1060,13 @@ fn run_shard<V: FrameVerifier>(
             // the number of items the take found queued.
             worker.registry.record(keys::NET_QUEUE_OCCUPANCY, taken);
         }
+        // Frame work starts here on an unwindowed shard. A windowed one
+        // only buffers at a take, and its frame work starts after the
+        // window's prefetch; it reads the clock here only to stamp queue
+        // waits for the recorder.
+        if !windowed || worker.flight.enabled() {
+            worker.flight.restart(&obs.time);
+        }
         let Batch { items, bytes } = &mut batch;
         for item in items.drain(..) {
             match item {
@@ -1053,8 +1077,10 @@ fn run_shard<V: FrameVerifier>(
                     len,
                     ingress_ns,
                 } => {
+                    // The chain's last reading is where the worker starts
+                    // on this frame.
                     let queue_ns = if worker.flight.enabled() {
-                        saturate_u32(obs.time.now_ns().saturating_sub(enqueued_ns))
+                        saturate_u32(worker.flight.last_ns.saturating_sub(enqueued_ns))
                     } else {
                         0
                     };
@@ -1091,6 +1117,9 @@ fn run_shard<V: FrameVerifier>(
                             },
                         );
                     }
+                    // A re-provision can walk every session: keep it out
+                    // of the next frame's stages.
+                    worker.flight.restart(&obs.time);
                 }
             }
             if let Some(shared) = &obs.publish {
@@ -1110,12 +1139,28 @@ fn run_shard<V: FrameVerifier>(
     // Close is the final window boundary: whatever the driver pushed
     // after its last tick still drains under the same policy.
     worker.flush_window(drain_budget, verifier, rng);
+    worker.fold();
     verifier.on_shutdown(&mut worker.registry);
-    worker.flight.fold_into(&mut worker.registry);
     if let Some(shared) = &obs.publish {
         shared.publish(shard, &worker.registry);
     }
-    (worker.registry, worker.trace.into_sink().into_records())
+    let ring = worker.trace.into_sink();
+    // A ring of depth 0 sheds every record: that is tracing off, not a
+    // full ring.
+    let shed = if obs.trace_depth > 0 { ring.shed() } else { 0 };
+    ShardOutput {
+        registry: worker.registry,
+        trace: ring.into_records(),
+        trace_shed: shed,
+    }
+}
+
+/// What one shard worker hands back at shutdown.
+struct ShardOutput {
+    registry: Registry,
+    trace: Vec<TraceRecord>,
+    /// Records its trace ring overwrote because it was full.
+    trace_shed: u64,
 }
 
 /// A windowed shard's frames since the last window boundary. Each frame
@@ -1151,14 +1196,40 @@ struct Worker<'a> {
     window: Window,
     /// Decode output, reused across datagrams.
     decoded: Vec<TaggedFrame>,
+    /// `net.ingress.frames` and `net.ingress.bytes` since the last fold:
+    /// every datagram the worker verified or shed.
+    ingress_frames: u64,
+    ingress_bytes: u64,
 }
 
 impl Worker<'_> {
-    /// Folds the flight recorder's stage samples into the registry and
-    /// publishes it to the shard's live slot.
-    fn publish(&mut self, shared: &SharedRegistry) {
+    /// Counts one datagram the worker verified or shed.
+    fn count_ingress(&mut self, datagram: &[u8]) {
+        self.ingress_frames += 1;
+        self.ingress_bytes += datagram.len() as u64;
+    }
+
+    /// Folds the worker's local tallies — ingress counts and stage
+    /// samples — into the registry. A fold with nothing counted adds no
+    /// key.
+    fn fold(&mut self) {
+        if self.ingress_frames > 0 {
+            self.registry
+                .add(keys::NET_INGRESS_FRAMES, self.ingress_frames);
+            self.registry
+                .add(keys::NET_INGRESS_BYTES, self.ingress_bytes);
+            (self.ingress_frames, self.ingress_bytes) = (0, 0);
+        }
         self.flight.fold_into(&mut self.registry);
+    }
+
+    /// Folds the local tallies and publishes the registry to the shard's
+    /// live slot. The copy is not frame work, so the stage chain
+    /// restarts after it.
+    fn publish(&mut self, shared: &SharedRegistry) {
+        self.fold();
         shared.publish(self.shard, &self.registry);
+        self.flight.restart(&self.obs.time);
     }
 }
 
@@ -1173,18 +1244,25 @@ const STAGE_KEYS: [&str; SpanStage::COUNT] = [
     keys::NET_STAGE_REVEAL_AUTH_NS,
 ];
 
-/// Per-shard stage timing: the flight recorder's deterministic sampling
-/// ordinal, the current window's amortised prefetch share, and the
-/// local stage histograms every frame's decode and verify time land in.
-/// Lives on the worker's stack — recording never allocates, and the
-/// locals keep the per-frame path off the registry's keyed map (samples
-/// fold into the shared registry only at publish boundaries).
+/// Per-shard stage timing: the stage chain's last clock reading, the
+/// flight recorder's deterministic sampling ordinal, the current
+/// window's amortised prefetch share, and the local stage histograms
+/// every frame's decode and verify time land in. The worker reads the
+/// clock once per stage boundary: [`FlightState::restart`] opens the
+/// chain where frame work starts, and each [`FlightState::lap`] ends one
+/// stage and starts the next, so a stage covers everything since the
+/// previous reading. Lives on the worker's stack — recording never
+/// allocates, and the locals keep the per-frame path off the registry's
+/// keyed map (samples fold into the shared registry only at publish
+/// boundaries).
 struct FlightState {
     every: u64,
     ordinal: u64,
     /// The last batch-prefetch's per-frame cost share, charged to every
     /// sampled frame of the window it prefetched (0 unwindowed).
     prefetch_share_ns: u64,
+    /// The chain's last clock reading.
+    last_ns: u64,
     /// Stage-latency samples, indexed by [`SpanStage`] discriminant.
     stages: [Histogram; SpanStage::COUNT],
 }
@@ -1195,12 +1273,28 @@ impl FlightState {
             every,
             ordinal: 0,
             prefetch_share_ns: 0,
+            last_ns: 0,
             stages: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
     fn enabled(&self) -> bool {
         self.every > 0
+    }
+
+    /// (Re)starts the chain: what ran before this reading — a park, a
+    /// directive, a publish — lands in no stage.
+    fn restart(&mut self, time: &TimeSource) {
+        self.last_ns = time.now_ns();
+    }
+
+    /// Ends the current stage and starts the next: one clock reading,
+    /// returning the time since the previous one.
+    fn lap(&mut self, time: &TimeSource) -> u64 {
+        let now = time.now_ns();
+        let stage = now.saturating_sub(self.last_ns);
+        self.last_ns = now;
+        stage
     }
 
     /// Consumes one verified-datagram ordinal; returns it when this
@@ -1271,22 +1365,27 @@ impl Worker<'_> {
         // untouched; it exists only so the verifier can run
         // lane-parallel crypto over the whole window before the
         // sequential decision loop starts. Shed frames (past the budget)
-        // are never decoded at all.
+        // are never decoded at all. The decode buffer still holds the
+        // last datagram `process_datagram` handled, and decoding appends.
+        self.decoded.clear();
         for &(_, idx) in order.iter().take(drain_budget) {
             codec::decode_datagram(frames[idx].datagram(bytes), &mut self.decoded);
             prefetch.extend(self.decoded.drain(..).map(|f| (f.sender, f.message)));
         }
+        // The batch prefetch is one lane-parallel pass over the whole
+        // window, so the recorder charges each sampled frame its
+        // amortised share rather than billing the first frame for all of
+        // it. The reading after it opens the chain: frame work starts
+        // here.
+        let prefetch_start =
+            (self.flight.enabled() && !prefetch.is_empty()).then(|| self.obs.time.now_ns());
         if !prefetch.is_empty() {
-            // The batch prefetch is one lane-parallel pass over the whole
-            // window, so the recorder charges each sampled frame its
-            // amortised share rather than billing the first frame for
-            // all of it.
-            let prefetch_watch = self.flight.enabled().then(|| self.obs.time.stopwatch());
             verifier.prefetch(prefetch);
-            if let Some(watch) = prefetch_watch {
-                self.flight.prefetch_share_ns =
-                    watch.elapsed_ns(&self.obs.time) / prefetch.len() as u64;
-            }
+        }
+        self.flight.restart(&self.obs.time);
+        if let Some(start) = prefetch_start {
+            self.flight.prefetch_share_ns =
+                self.flight.last_ns.saturating_sub(start) / prefetch.len() as u64;
         }
         let mut verified = 0u64;
         for (pos, &(class, idx)) in order.iter().enumerate() {
@@ -1299,9 +1398,7 @@ impl Worker<'_> {
             }
             // Shed: the frame still counts as ingress (it crossed the
             // reader), but never reaches decode or the verifier.
-            self.registry.incr(keys::NET_INGRESS_FRAMES);
-            self.registry
-                .add(keys::NET_INGRESS_BYTES, datagram.len() as u64);
+            self.count_ingress(datagram);
             self.registry.incr(keys::NET_SHED_TOTAL);
             let (class_key, live_counter) = match class {
                 PriorityClass::Pinned => (keys::NET_SHED_PINNED, &self.live.shed_pinned),
@@ -1339,6 +1436,11 @@ impl Worker<'_> {
     /// also records the remaining stages and emits every decoded
     /// frame's [`TraceEvent::FrameSpan`] — after the frame's causal
     /// events, so a span always closes its frame's record group.
+    ///
+    /// The stage chain runs on: the decode stage takes everything since
+    /// the previous reading (the datagram's bookkeeping included), each
+    /// frame's verify or reveal-authenticate stage its `on_frame` call,
+    /// and a sampled frame's buffer stage its verdict's trace records.
     fn process_datagram<V: FrameVerifier>(
         &mut self,
         frame: &FrameRef,
@@ -1346,6 +1448,7 @@ impl Worker<'_> {
         verifier: &mut V,
         rng: &mut SimRng,
     ) {
+        self.count_ingress(datagram);
         let (obs, registry, trace, flight) = (
             self.obs,
             &mut self.registry,
@@ -1353,31 +1456,28 @@ impl Worker<'_> {
             &mut self.flight,
         );
         let at = frame.at.ticks();
-        registry.incr(keys::NET_INGRESS_FRAMES);
-        registry.add(keys::NET_INGRESS_BYTES, datagram.len() as u64);
         trace.emit(
             at,
             TraceEvent::FrameRx {
                 bytes: datagram.len() as u64,
             },
         );
-        // Frames may be packed back to back inside one datagram, but
-        // never split across two — so leftover bytes are damage, not a
-        // continuation, and must not poison the next datagram.
-        let decode_watch = obs.time.stopwatch();
-        self.decoded.clear();
-        let junk = codec::decode_datagram(datagram, &mut self.decoded);
-        let decode_ns = flight.record(SpanStage::Decode, decode_watch.elapsed_ns(&obs.time));
         // The pre-verify stages are per-datagram: record them once here;
         // the per-frame stages land inside the loop below.
         let sampled = flight.sampled().map(|ordinal| {
             let ingress_ns = flight.record(SpanStage::Ingress, u64::from(frame.ingress_ns));
             let queue_ns = flight.record(SpanStage::QueueWait, u64::from(frame.queue_ns));
             let prefetch_ns = flight.record(SpanStage::Prefetch, flight.prefetch_share_ns);
-            (ordinal, [ingress_ns, queue_ns, decode_ns, prefetch_ns])
+            (ordinal, [ingress_ns, queue_ns, prefetch_ns])
         });
+        // Frames may be packed back to back inside one datagram, but
+        // never split across two — so leftover bytes are damage, not a
+        // continuation, and must not poison the next datagram.
+        self.decoded.clear();
+        let junk = codec::decode_datagram(datagram, &mut self.decoded);
+        let decode_ns = flight.lap(&obs.time);
+        flight.record(SpanStage::Decode, decode_ns);
         for (frame_idx, tagged) in self.decoded.iter().enumerate() {
-            let verify_watch = obs.time.stopwatch();
             let verdict = verifier.on_frame(
                 tagged.sender,
                 &tagged.message,
@@ -1386,7 +1486,7 @@ impl Worker<'_> {
                 registry,
                 self.live,
             );
-            let elapsed_ns = verify_watch.elapsed_ns(&obs.time);
+            let elapsed_ns = flight.lap(&obs.time);
             // One on_frame call serves both paths: announces spend it
             // verifying, reveals spend it authenticating. Each stage
             // keeps one sample per frame, the other path's as a 0.
@@ -1398,8 +1498,8 @@ impl Worker<'_> {
             flight.record(SpanStage::Verify, verify_ns);
             flight.record(SpanStage::RevealAuth, reveal_ns);
             // A sampled frame's buffer stage times the verdict's trace
-            // output, from here to its span.
-            let span = sampled.map(|pre| (pre, obs.time.stopwatch()));
+            // output, from here to its span; an unsampled frame's lands
+            // in the next stage.
             trace.emit(
                 at,
                 TraceEvent::VerifyEnd {
@@ -1437,11 +1537,15 @@ impl Worker<'_> {
                     },
                 );
             }
-            if let Some(((ordinal, [ingress_ns, queue_ns, decode_ns, prefetch_ns]), watch)) = span {
-                // Only frames that reached a reservoir are charged it.
-                let buffer_ns = match verdict.buffer {
-                    Some(_) => watch.elapsed_ns(&obs.time),
-                    None => 0,
+            if let Some((ordinal, [ingress_ns, queue_ns, prefetch_ns])) = sampled {
+                // Read on every sampled frame, so the records stay out
+                // of the next stage, but only frames that reached a
+                // reservoir are charged it.
+                let traced_ns = flight.lap(&obs.time);
+                let buffer_ns = if verdict.buffer.is_some() {
+                    traced_ns
+                } else {
+                    0
                 };
                 flight.record(SpanStage::Buffer, buffer_ns);
                 trace.emit(
@@ -1486,6 +1590,8 @@ fn splitmix64(mut z: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
     use super::*;
     use dap_core::{DapParams, DapSender};
     use dap_simnet::SimDuration;
@@ -1954,5 +2060,280 @@ mod tests {
             report.registry.counters().get(keys::NET_INGRESS_FRAMES)
         );
         assert_eq!(snapshot.counters().get(keys::NET_INGRESS_FRAMES), 8);
+    }
+
+    /// What [`Costed`] charges the manual clock inside each call the
+    /// worker times, and what the test lets pass while the pool sits
+    /// quiesced, in ns.
+    const ANNOUNCE_NS: u64 = 170;
+    const REVEAL_NS: u64 = 1_900;
+    const POSTURE_NS: u64 = 50_000;
+    const PREFETCH_NS: u64 = 3_000;
+    const PARKED_NS: u64 = 1_000_000;
+
+    /// A [`DapShard`] that advances a manual clock by a fixed cost in
+    /// `on_frame`, `prefetch` and `on_posture`, and can hold one
+    /// `on_frame` call until the test releases it.
+    struct Costed {
+        inner: DapShard,
+        clock: dap_obs::ManualTime,
+        frames: u64,
+        /// The frame ordinal to hold, the signal that it is held, and
+        /// the release.
+        hold: Option<(u64, mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl FrameVerifier for Costed {
+        fn on_frame(
+            &mut self,
+            sender: SenderId,
+            frame: &DapMessage,
+            at: SimTime,
+            rng: &mut SimRng,
+            registry: &mut Registry,
+            live: &LiveCounters,
+        ) -> FrameVerdict {
+            let verdict = self.inner.on_frame(sender, frame, at, rng, registry, live);
+            let cost = if verdict.key_reveal {
+                REVEAL_NS
+            } else {
+                ANNOUNCE_NS
+            };
+            self.clock.advance_ns(cost);
+            if let Some((ordinal, held, release)) = &self.hold {
+                if *ordinal == self.frames {
+                    held.send(()).expect("test listening");
+                    release.recv().expect("test releases");
+                }
+            }
+            self.frames += 1;
+            verdict
+        }
+
+        fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
+            self.inner.prefetch(batch);
+            self.clock.advance_ns(PREFETCH_NS);
+        }
+
+        fn on_posture(&mut self, directive: &PostureDirective) -> Option<PostureUpdate> {
+            self.clock.advance_ns(POSTURE_NS);
+            self.inner.on_posture(directive)
+        }
+    }
+
+    #[test]
+    fn each_stage_reading_ends_one_stage_and_starts_the_next() {
+        // Only the verifier and the test move the clock, so every stage
+        // sum is exact: verify and reveal-authenticate hold `on_frame`
+        // and nothing else, and decode holds nothing — not the parked
+        // time before a take, not a directive, not a window's prefetch.
+        // The directive lands mid-run in the same take as the frame
+        // after it: the test queues both while the worker is held
+        // inside the last frame of interval 4.
+        let run = |windowed: bool, span_every: u64| {
+            let clock = dap_obs::ManualTime::new();
+            let shared = Arc::new(SharedRegistry::new(1));
+            let mut sender = DapSender::new(b"chain", 64, params(4));
+            let bootstrap = sender.bootstrap();
+            // Interval 1 carries 3 frames and every later one 4: the last
+            // frame of interval 4 is frame 14.
+            let (held_tx, held) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel();
+            let mut hold = Some((14, held_tx, release_rx));
+            let pool = ReceiverPool::spawn_with_obs(
+                PoolConfig {
+                    shards: 1,
+                    queue_depth: 64,
+                    overflow: OverflowPolicy::Block,
+                    route: RoutePolicy::ByInterval,
+                    drain_budget: if windowed { 64 } else { usize::MAX },
+                    ..PoolConfig::default()
+                },
+                3,
+                |_| Costed {
+                    inner: DapShard::new(bootstrap, b"c"),
+                    clock: clock.clone(),
+                    frames: 0,
+                    hold: hold.take(),
+                },
+                PoolObs {
+                    time: TimeSource::manual(clock.clone()),
+                    trace_depth: 0,
+                    publish: Some(Arc::clone(&shared)),
+                    publish_every: 1,
+                    span_every,
+                },
+            );
+            let handle = pool.handle();
+            let forged = |i: u64, copy: u8| {
+                codec::encode(&DapMessage::Announce(dap_core::Announce {
+                    index: i,
+                    mac: dap_crypto::Mac80::from_slice(&[copy; 10]).unwrap(),
+                }))
+                .unwrap()
+            };
+            // Announces, reveals and bytes pushed, and the share of them
+            // the worker has verified.
+            let (mut pushed, mut processed, mut windows) = ([0u64; 3], [0u64; 3], 0u64);
+            let push = |pushed: &mut [u64; 3], bytes: &[u8], at: SimTime, reveal: bool| {
+                assert!(handle.ingest(bytes, at));
+                pushed[usize::from(reveal)] += 1;
+                pushed[2] += bytes.len() as u64;
+            };
+            for i in 1..=8u64 {
+                let mut datagrams = Vec::new();
+                if i > 1 {
+                    let rev = DapMessage::Reveal(sender.reveal(i - 1).unwrap());
+                    datagrams.push((codec::encode(&rev).unwrap(), true));
+                }
+                datagrams.push((forged(i, 1), false));
+                let genuine = DapMessage::Announce(sender.announce(i, b"r").unwrap());
+                datagrams.push((codec::encode(&genuine).unwrap(), false));
+                datagrams.push((forged(i, 2), false));
+                let last = datagrams.len() - 1;
+                for (k, (bytes, reveal)) in datagrams.iter().enumerate() {
+                    push(&mut pushed, bytes, during(i), *reveal);
+                    if k == last {
+                        windows += u64::from(windowed && pushed != processed);
+                        handle.tick();
+                        if i == 4 {
+                            held.recv().unwrap();
+                            handle.post_posture(
+                                PostureDirective {
+                                    epoch: 1,
+                                    buffers: 2,
+                                    give_up: false,
+                                    p_permille: 500,
+                                },
+                                during(i),
+                            );
+                            push(&mut pushed, &forged(i, 3), during(i), false);
+                            release.send(()).unwrap();
+                            windows += u64::from(windowed);
+                            handle.tick();
+                        }
+                    }
+                    handle.quiesce();
+                    if !windowed || k == last {
+                        processed = pushed;
+                    }
+                    // Every publish folds the ingress counts in.
+                    let published = shared.snapshot();
+                    let counters = published.counters();
+                    assert_eq!(
+                        [
+                            counters.get(keys::NET_INGRESS_FRAMES),
+                            counters.get(keys::NET_INGRESS_BYTES)
+                        ],
+                        [processed[0] + processed[1], processed[2]],
+                        "published ingress, interval {i}, windowed {windowed}"
+                    );
+                    clock.advance_ns(PARKED_NS);
+                }
+            }
+            assert_eq!(handle.live().postures(), 1);
+            let report = pool.shutdown_with_report();
+            (report, pushed[0], pushed[1], windows)
+        };
+        for windowed in [false, true] {
+            for span_every in [0, 1] {
+                let (report, announces, reveals, windows) = run(windowed, span_every);
+                let case = format!("windowed {windowed}, span_every {span_every}");
+                let hist = |key| report.registry.get_histogram(key);
+                let sum = |key| hist(key).map_or(0, Histogram::sum);
+                let count = |key| hist(key).map(Histogram::count);
+                let frames = announces + reveals;
+                assert_eq!(
+                    sum(keys::NET_STAGE_VERIFY_NS),
+                    ANNOUNCE_NS * announces,
+                    "{case}"
+                );
+                assert_eq!(
+                    sum(keys::NET_STAGE_REVEAL_AUTH_NS),
+                    REVEAL_NS * reveals,
+                    "{case}"
+                );
+                assert_eq!(sum(keys::NET_STAGE_DECODE_NS), 0, "{case}");
+                // One frame per datagram: every stage keeps one sample
+                // each, the recorder's own stages only when it is on.
+                for key in [
+                    keys::NET_STAGE_DECODE_NS,
+                    keys::NET_STAGE_VERIFY_NS,
+                    keys::NET_STAGE_REVEAL_AUTH_NS,
+                ] {
+                    assert_eq!(count(key), Some(frames), "{key}, {case}");
+                }
+                let sampled = (span_every > 0).then_some(frames);
+                for key in [
+                    keys::NET_STAGE_INGRESS_NS,
+                    keys::NET_STAGE_QUEUE_WAIT_NS,
+                    keys::NET_STAGE_PREFETCH_NS,
+                    keys::NET_STAGE_BUFFER_NS,
+                ] {
+                    assert_eq!(count(key), sampled, "{key}, {case}");
+                }
+                // Each window's prefetch is shared out over its frames.
+                let prefetch_ns = if span_every > 0 {
+                    PREFETCH_NS * windows
+                } else {
+                    0
+                };
+                assert_eq!(sum(keys::NET_STAGE_PREFETCH_NS), prefetch_ns, "{case}");
+                assert_eq!(sum(keys::NET_STAGE_BUFFER_NS), 0, "{case}");
+                let counters = report.registry.counters();
+                assert_eq!(counters.get(keys::NET_INGRESS_FRAMES), frames, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_rings_report_what_they_shed() {
+        // Each source's seqs run 0, 1, 2, … and a full ring keeps its
+        // newest records, so a source emitted one more than its last
+        // retained seq. A ring deep enough for the whole run sheds
+        // nothing, and tracing off reports nothing shed.
+        let run = |trace_depth: usize| {
+            let mut sender = DapSender::new(b"shed", 64, params(4));
+            let bootstrap = sender.bootstrap();
+            let pool = ReceiverPool::spawn_with_obs(
+                PoolConfig {
+                    shards: 2,
+                    queue_depth: 64,
+                    overflow: OverflowPolicy::Block,
+                    route: RoutePolicy::ByInterval,
+                    ..PoolConfig::default()
+                },
+                13,
+                |shard| DapShard::new(bootstrap, &[b's', shard as u8]),
+                PoolObs {
+                    time: TimeSource::frozen(),
+                    trace_depth,
+                    publish: None,
+                    publish_every: 0,
+                    span_every: 1,
+                },
+            );
+            let handle = pool.handle();
+            for i in 1..=12u64 {
+                let ann = codec::encode(&DapMessage::Announce(sender.announce(i, b"r").unwrap()))
+                    .unwrap();
+                handle.ingest(&ann, during(i));
+                let rev = codec::encode(&DapMessage::Reveal(sender.reveal(i).unwrap())).unwrap();
+                handle.ingest(&rev, during(i + 1));
+            }
+            pool.shutdown_with_report()
+        };
+        let whole = run(1 << 12);
+        assert_eq!(whole.trace_shed, 0);
+        let cut = run(8);
+        let mut emitted = std::collections::BTreeMap::new();
+        for record in &cut.trace {
+            emitted.insert(record.source, record.seq + 1);
+        }
+        let emitted: u64 = emitted.values().sum();
+        assert_eq!(emitted, whole.trace.len() as u64);
+        assert!(cut.trace.len() as u64 <= 2 * 8);
+        assert_eq!(cut.trace_shed, emitted - cut.trace.len() as u64);
+        assert_eq!(run(0).trace_shed, 0);
     }
 }

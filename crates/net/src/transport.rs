@@ -14,7 +14,7 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dap_obs::{RingSink, TraceEmitter, TraceEvent, TraceRecord};
+use dap_obs::{RingSink, TraceEmitter, TraceEvent};
 use dap_simnet::{keys, ChannelModel, Metrics, SimRng};
 
 /// A broadcast medium a node can send frames into and read frames from.
@@ -192,15 +192,16 @@ impl LoopbackTransport {
             Some(TraceEmitter::new(source, RingSink::new(depth)));
     }
 
-    /// Drains the wire-fault trace records collected so far.
+    /// Takes the wire-fault trace ring: the records collected so far
+    /// and how many it shed (an empty ring when tracing is off).
     #[must_use]
-    pub fn take_trace(&self) -> Vec<TraceRecord> {
+    pub fn take_trace(&self) -> RingSink {
         self.state
             .lock()
             .expect("loopback mutex poisoned")
             .trace
             .take()
-            .map_or_else(Vec::new, |emitter| emitter.into_sink().into_records())
+            .map_or_else(RingSink::default, TraceEmitter::into_sink)
     }
 
     /// Wire-level counters (`net.wire.*`): frames sent, lost, corrupted.

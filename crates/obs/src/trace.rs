@@ -51,7 +51,8 @@ pub enum TraceEvent {
         interval: u64,
         /// Outcome label, one of [`OUTCOMES`].
         outcome: &'static str,
-        /// Stopwatch reading (0 under manual time).
+        /// The frame's verify or reveal-authenticate stage, ns (0 under
+        /// manual time).
         elapsed_ns: u64,
     },
     /// A reservoir buffer decided an announce's fate.

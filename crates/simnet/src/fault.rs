@@ -2,8 +2,9 @@
 //!
 //! A [`FaultPlan`] scripts *when* the medium misbehaves — blackouts,
 //! frame corruption, duplication, reorder spikes, sender crashes and
-//! time-varying clock drift — while the per-receiver [`ChannelModel`]
-//! (crate::ChannelModel) keeps describing the *steady-state* channel.
+//! time-varying clock drift — while the per-receiver
+//! [`ChannelModel`](crate::ChannelModel) keeps describing the
+//! *steady-state* channel.
 //! The plan carries its own [`SimRng`] stream, so
 //!
 //! * a plan with no windows perturbs a run **not at all** (bit-identical
