@@ -87,6 +87,15 @@ $soak --loopback --seed 2016 --intervals 400 --buffers 4 --shards 4 \
 cmp target/net_telemetry_a.txt target/net_telemetry_b.txt
 cmp target/net_trace_a.jsonl target/net_trace_b.jsonl
 test -s target/net_trace_a.jsonl
+# Tracing changes no counter: the same flood with the flight recorder
+# on but no trace ring (no --trace-out) prints the same snapshot.
+$soak --loopback --seed 2016 --intervals 400 --buffers 4 --shards 4 \
+    --flood 0.9 --copies 4 --span-every 1 > target/net_telemetry_ringless.txt
+cmp target/net_telemetry_a.txt target/net_telemetry_ringless.txt
+# The capture opens with its header line. The parser also reads a file
+# without one, so no gate below would notice a writer that dropped it.
+test "$(head -n 1 target/net_trace_a.jsonl)" = \
+    '{"trace":"dap-obs","version":3,"clock_ns":0}'
 
 echo "== fleet soak (1k tagged senders, session tables, byte-identity) =="
 # Crowd-scale gate: every sender spoofed by the flooder at p = 0.8,

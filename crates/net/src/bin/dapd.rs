@@ -81,7 +81,7 @@ use dap_net::pool::{DapShard, OverflowPolicy, PoolConfig, PoolObs, ReceiverPool,
 use dap_net::pump::{Flooder, SenderPump};
 use dap_net::telemetry::{SharedRegistry, TelemetryServer};
 use dap_net::transport::{Transport, UdpTransport};
-use dap_obs::{JsonlSink, TimeSource, TraceRecord, TraceSink};
+use dap_obs::{TimeSource, TraceRecord};
 use dap_simnet::SimDuration;
 
 const FLAGS: &[&str] = &[
@@ -206,11 +206,9 @@ fn refuse_unread(opts: &Opts) {
 /// when full rings shed records (`shed`): such a capture lacks each
 /// ring's oldest records, and `daptrace audit` flags the gap.
 fn write_trace(path: &str, records: &[TraceRecord], shed: u64, time: &TimeSource) {
-    let mut sink = JsonlSink::create(path, time).expect("create --trace-out file");
-    for record in records {
-        sink.record(record.clone());
-    }
-    sink.finish().expect("flush --trace-out file");
+    let file = std::fs::File::create(path).expect("create --trace-out file");
+    dap_obs::write_trace(std::io::BufWriter::new(file), time.now_ns(), records)
+        .expect("write --trace-out file");
     let note = if shed > 0 {
         format!(" ({shed} shed by full rings; raise --trace-depth)")
     } else {

@@ -190,8 +190,10 @@ fn crypto_lanes(out: &mut Report) {
 /// The seeded loopback campaign (`FleetSpec::untagged`, p = 0.9, m = 4)
 /// end to end — encode, transport, shard routing, bounded queues,
 /// decode, verify — as ns per frame, at four flight-recorder levels.
-/// Each traced level is paired against the untraced run; the every-span
-/// pair is the observability-overhead measurement ci.sh gates at ≤ 10%.
+/// Each traced level is paired against the untraced run, which holds no
+/// trace ring and builds no record, so each pair reads the recorder's
+/// whole cost; the every-span pair is the observability-overhead
+/// measurement ci.sh gates at ≤ 10%.
 fn ingest_lanes(out: &mut Report) {
     // 1000 intervals (41,000 frames): below that the fixed set-up costs
     // (thread spawn, ring preallocation, trace collection) swamp the

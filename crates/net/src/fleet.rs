@@ -27,7 +27,7 @@
 //! Determinism: one driver thread plays all traffic in virtual time and
 //! drains the wire into the pool after every interval,
 //! [`OverflowPolicy::Block`] forbids timing-dependent shedding, frozen
-//! clocks zero the stopwatches, and every shard RNG forks from the pool
+//! clocks zero every duration, and every shard RNG forks from the pool
 //! seed — so two same-seed runs render byte-identical registries and
 //! traces (the ci.sh soak gates `cmp` exactly this).
 
@@ -141,8 +141,8 @@ impl FleetSpec {
         }
     }
 
-    /// The pin set in the shared form the pool, session tables and
-    /// adversary plan consume.
+    /// The pin set in the shared form the session tables and adversary
+    /// plan consume.
     #[must_use]
     pub fn pin_set(&self) -> Arc<BTreeSet<u64>> {
         Arc::new(self.pins.iter().copied().collect())
@@ -603,7 +603,6 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     if spec.trace_depth > 0 {
         wire.enable_trace(wire_source, spec.trace_depth);
     }
-    let pins = spec.pin_set();
     let config = PoolConfig {
         shards: spec.shards,
         queue_depth: spec.queue_depth,
@@ -614,10 +613,9 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
             RoutePolicy::BySender
         },
         drain_budget: spec.drain_budget,
-        pins: Arc::clone(&pins),
     };
     let obs = PoolObs {
-        // Frozen clocks: stopwatch durations collapse to 0, so the
+        // Frozen clocks: every duration collapses to 0, so the
         // latency histograms carry only deterministic sample counts.
         time: TimeSource::frozen(),
         trace_depth: spec.trace_depth,
@@ -648,7 +646,7 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
         spec.flood,
         u64::from(spec.copies),
         spec.senders,
-        &pins,
+        &spec.pin_set(),
     );
     if let Some(end) = spec.flood_end {
         adversary = adversary.ramped(end, spec.intervals);
@@ -663,9 +661,8 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     // Control-plane narration: p̂ estimate samples trace at their own
     // reserved source id, so the forensic audit can line the
     // estimator's view up against the wire's actual behaviour.
-    let mut ctrl_trace = (spec.adaptive && spec.trace_depth > 0).then(|| {
-        dap_obs::TraceEmitter::new(wire_source + 1, dap_obs::RingSink::new(spec.trace_depth))
-    });
+    let mut ctrl_trace = (spec.adaptive && spec.trace_depth > 0)
+        .then(|| dap_obs::TraceRing::new(wire_source + 1, spec.trace_depth));
 
     // Settle interval boundaries only where something reads them: a
     // windowed drain closes its window at the tick, and the control
@@ -770,8 +767,8 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
             let samples_before = ctrl.samples();
             let directive = ctrl.step(handle.live());
             if ctrl.samples() > samples_before {
-                if let Some(emitter) = ctrl_trace.as_mut() {
-                    emitter.emit(
+                if let Some(ring) = ctrl_trace.as_mut() {
+                    ring.emit(
                         at.ticks(),
                         dap_obs::TraceEvent::ControlEstimate {
                             epoch: ctrl.epoch(),
@@ -826,9 +823,7 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     }
     let mut trace = report.trace;
     let mut trace_shed = report.trace_shed;
-    let rings =
-        std::iter::once(wire.take_trace()).chain(ctrl_trace.map(dap_obs::TraceEmitter::into_sink));
-    for ring in rings {
+    for ring in wire.take_trace().into_iter().chain(ctrl_trace) {
         trace_shed += ring.shed();
         trace.extend(ring.into_records());
     }

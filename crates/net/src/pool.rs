@@ -23,19 +23,20 @@
 //! # Observability
 //!
 //! Every worker owns a [`Registry`] (counters, the `net.stage.*`
-//! latency histograms and, on the wire, queue occupancy) and a
-//! [`TraceEmitter`] whose source id is its shard index, so the collected
-//! records totally order per source even though threads interleave
-//! freely. Each per-frame fact is recorded once: decode and verify time
+//! latency histograms and, on the wire, queue occupancy) and, when the
+//! run is traced, a [`TraceRing`] whose source id is its shard index, so
+//! the collected records totally order per source even though threads
+//! interleave freely. Untraced, no source holds a ring and no record is
+//! built. Each per-frame fact is recorded once: decode and verify time
 //! go only to the stage histograms, and a verdict only to its
 //! [`TraceEvent::VerifyEnd`]. [`PoolObs`] selects the posture: wall
 //! time + live publishing on the wire, frozen [`TimeSource`] + bounded
-//! ring traces in the deterministic loopback runs (where every
-//! stopwatch reads 0 and two same-seed runs render byte-identical
+//! ring traces in the deterministic loopback runs (where every clock
+//! reading is 0 and two same-seed runs render byte-identical
 //! snapshots). [`ReceiverPool::shutdown_with_report`] returns the whole
 //! picture.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -46,8 +47,7 @@ use dap_core::{
     RevealOutcome, RevealPrecompute, SenderId,
 };
 use dap_obs::{
-    frame_span, span_id, Histogram, RingSink, SpanStage, TimeSource, TraceEmitter, TraceEvent,
-    TraceRecord,
+    frame_span, span_id, Histogram, SpanStage, TimeSource, TraceEvent, TraceRecord, TraceRing,
 };
 use dap_simnet::{keys, Registry, SimRng, SimTime};
 
@@ -103,16 +103,11 @@ pub struct PoolConfig {
     /// priority order and shed the excess (counted under `net.shed.*`,
     /// traced as [`TraceEvent::ShedDecision`]).
     pub drain_budget: usize,
-    /// Operator pin set, used by the *reader* to attribute ingress drops
-    /// per priority class (pinned vs. unpinned claimed sender). The
-    /// verifier-side drain classification is the verifier's own
-    /// ([`FrameVerifier::classify`]).
-    pub pins: Arc<BTreeSet<u64>>,
 }
 
 impl Default for PoolConfig {
     /// 4 shards × 1024-frame queues, shedding, routed by interval (the
-    /// single-sender wire posture), unwindowed drain, no pins.
+    /// single-sender wire posture), unwindowed drain.
     fn default() -> Self {
         Self {
             shards: 4,
@@ -120,7 +115,6 @@ impl Default for PoolConfig {
             overflow: OverflowPolicy::DropCount,
             route: RoutePolicy::ByInterval,
             drain_budget: usize::MAX,
-            pins: Arc::new(BTreeSet::new()),
         }
     }
 }
@@ -128,11 +122,12 @@ impl Default for PoolConfig {
 /// Observability posture for a pool run.
 #[derive(Debug, Clone)]
 pub struct PoolObs {
-    /// Where stopwatches read from: [`TimeSource::wall`] on the wire,
+    /// Where the stage clock reads from: [`TimeSource::wall`] on the wire,
     /// [`TimeSource::frozen`] in deterministic runs (durations collapse
     /// to 0 but histogram *counts* still fingerprint the run).
     pub time: TimeSource,
-    /// Per-source trace ring capacity; 0 disables tracing entirely.
+    /// Per-source trace ring capacity; 0 disables tracing entirely: no
+    /// source holds a ring and no record is built.
     pub trace_depth: usize,
     /// Live registry the shards clone their state into (the telemetry
     /// endpoint scrapes this). Slot `i` belongs to shard `i`.
@@ -280,8 +275,6 @@ pub struct LiveCounters {
     authenticated: AtomicU64,
     dropped_full: AtomicU64,
     dropped_closed: AtomicU64,
-    dropped_full_pinned: AtomicU64,
-    dropped_closed_pinned: AtomicU64,
     ticks: AtomicU64,
     processed: AtomicU64,
     shed_pinned: AtomicU64,
@@ -349,18 +342,6 @@ impl LiveCounters {
     #[must_use]
     pub fn shed_low(&self) -> u64 {
         self.shed_low.load(Ordering::Relaxed)
-    }
-
-    /// Queue-full drops whose claimed sender is operator-pinned.
-    #[must_use]
-    pub fn dropped_full_pinned(&self) -> u64 {
-        self.dropped_full_pinned.load(Ordering::Relaxed)
-    }
-
-    /// Closed-pool drops whose claimed sender is operator-pinned.
-    #[must_use]
-    pub fn dropped_closed_pinned(&self) -> u64 {
-        self.dropped_closed_pinned.load(Ordering::Relaxed)
     }
 
     /// Frames shed by full shard queues (all drop reasons).
@@ -662,8 +643,7 @@ pub struct PoolHandle {
     overflow: OverflowPolicy,
     route: RoutePolicy,
     live: Arc<LiveCounters>,
-    pins: Arc<BTreeSet<u64>>,
-    reader_trace: Option<Arc<Mutex<TraceEmitter<RingSink>>>>,
+    reader_trace: Option<Arc<Mutex<TraceRing>>>,
     /// The pool's clock, cloned from [`PoolObs::time`] so the reader
     /// side can stamp ingress/enqueue times for the flight recorder.
     time: TimeSource,
@@ -723,11 +703,6 @@ impl PoolHandle {
             }
             Err(PushError::Full { depth }) => {
                 self.live.dropped_full.fetch_add(1, Ordering::Relaxed);
-                if self.claims_pinned_sender(bytes) {
-                    self.live
-                        .dropped_full_pinned
-                        .fetch_add(1, Ordering::Relaxed);
-                }
                 if let Some(trace) = &self.reader_trace {
                     trace.lock().expect("reader trace poisoned").emit(
                         at.ticks(),
@@ -741,21 +716,9 @@ impl PoolHandle {
             }
             Err(PushError::Closed) => {
                 self.live.dropped_closed.fetch_add(1, Ordering::Relaxed);
-                if self.claims_pinned_sender(bytes) {
-                    self.live
-                        .dropped_closed_pinned
-                        .fetch_add(1, Ordering::Relaxed);
-                }
                 false
             }
         }
-    }
-
-    /// Whether the frame's claimed (unauthenticated) sender tag is in
-    /// the operator pin set — the reader-side drop attribution. Garbage
-    /// without a readable tag attributes unpinned.
-    fn claims_pinned_sender(&self, bytes: &[u8]) -> bool {
-        codec::peek_sender(bytes).is_some_and(|s| self.pins.contains(&s.0))
     }
 
     /// Pushes a window-boundary tick to every shard queue: each worker
@@ -873,9 +836,9 @@ impl ReceiverPool {
         // Reserved trace source id: the socket reader sits one past the
         // last shard.
         let reader_trace = (obs.trace_depth > 0).then(|| {
-            Arc::new(Mutex::new(TraceEmitter::new(
+            Arc::new(Mutex::new(TraceRing::new(
                 config.shards as u32,
-                RingSink::new(obs.trace_depth),
+                obs.trace_depth,
             )))
         });
         let mut parent = SimRng::new(seed);
@@ -909,7 +872,6 @@ impl ReceiverPool {
                 overflow: config.overflow,
                 route: config.route,
                 live,
-                pins: config.pins,
                 reader_trace,
                 time: obs.time.clone(),
                 span: obs.span_every > 0,
@@ -938,32 +900,34 @@ impl ReceiverPool {
             queue.close();
         }
         let mut registry = Registry::new();
-        let mut shards = Vec::with_capacity(self.workers.len());
-        let mut trace_shed = 0;
+        let mut rings = Vec::with_capacity(self.workers.len());
         for worker in self.workers {
             let shard = worker.join().expect("shard worker panicked");
             registry.merge(&shard.registry);
-            shards.push(shard.trace);
-            trace_shed += shard.trace_shed;
+            rings.extend(shard.trace);
         }
+        let reader = self
+            .handle
+            .reader_trace
+            .as_ref()
+            .map(|r| r.lock().expect("reader trace poisoned"));
         // One exact-size allocation for the combined trace: a forensic
         // capture concatenates six-figure per-shard rings, and growing
         // into that incrementally doubles the copy traffic.
-        let reader_len = self.handle.reader_trace.as_ref().map_or(0, |r| {
-            r.lock()
-                .expect("reader trace poisoned")
-                .sink()
-                .records()
-                .count()
-        });
-        let mut trace = Vec::with_capacity(shards.iter().map(Vec::len).sum::<usize>() + reader_len);
-        for mut shard_trace in shards {
-            trace.append(&mut shard_trace);
+        let len = rings
+            .iter()
+            .chain(reader.as_deref())
+            .map(|r| r.records().count())
+            .sum();
+        let mut trace = Vec::with_capacity(len);
+        let mut trace_shed = 0;
+        for ring in rings {
+            trace_shed += ring.shed();
+            trace.extend(ring.into_records());
         }
-        if let Some(reader) = &self.handle.reader_trace {
-            let reader = reader.lock().expect("reader trace poisoned");
-            trace.extend(reader.sink().records().cloned());
-            trace_shed += reader.sink().shed();
+        if let Some(reader) = reader {
+            trace_shed += reader.shed();
+            trace.extend(reader.records().cloned());
         }
         dap_obs::sort_records(&mut trace);
         let full = self.handle.live.dropped_full();
@@ -976,22 +940,6 @@ impl ReceiverPool {
         }
         if full + closed > 0 {
             registry.add(keys::NET_INGRESS_DROPPED, full + closed);
-        }
-        // Per-class attribution of the same drops (pinned + unpinned
-        // always sums back to the per-reason totals above).
-        let full_pinned = self.handle.live.dropped_full_pinned();
-        let closed_pinned = self.handle.live.dropped_closed_pinned();
-        if full_pinned > 0 {
-            registry.add(keys::NET_DROP_QUEUE_FULL_PINNED, full_pinned);
-        }
-        if full - full_pinned > 0 {
-            registry.add(keys::NET_DROP_QUEUE_FULL_UNPINNED, full - full_pinned);
-        }
-        if closed_pinned > 0 {
-            registry.add(keys::NET_DROP_CLOSED_PINNED, closed_pinned);
-        }
-        if closed - closed_pinned > 0 {
-            registry.add(keys::NET_DROP_CLOSED_UNPINNED, closed - closed_pinned);
         }
         PoolReport {
             registry,
@@ -1020,7 +968,7 @@ fn run_shard<V: FrameVerifier>(
         live,
         obs,
         registry: Registry::new(),
-        trace: TraceEmitter::new(shard as u32, RingSink::new(obs.trace_depth)),
+        trace: (obs.trace_depth > 0).then(|| TraceRing::new(shard as u32, obs.trace_depth)),
         flight: FlightState::new(obs.span_every),
         window: Window::default(),
         decoded: Vec::new(),
@@ -1105,8 +1053,9 @@ fn run_shard<V: FrameVerifier>(
                     // A directive is a window boundary too: drain what the
                     // old posture admitted before re-sizing anything.
                     datagrams += worker.flush_window(drain_budget, verifier, rng);
-                    if let Some(update) = verifier.on_posture(&directive) {
-                        worker.trace.emit(
+                    let update = verifier.on_posture(&directive);
+                    if let (Some(update), Some(ring)) = (update, worker.trace.as_mut()) {
+                        ring.emit(
                             at.ticks(),
                             TraceEvent::PostureChange {
                                 epoch: directive.epoch,
@@ -1144,23 +1093,17 @@ fn run_shard<V: FrameVerifier>(
     if let Some(shared) = &obs.publish {
         shared.publish(shard, &worker.registry);
     }
-    let ring = worker.trace.into_sink();
-    // A ring of depth 0 sheds every record: that is tracing off, not a
-    // full ring.
-    let shed = if obs.trace_depth > 0 { ring.shed() } else { 0 };
     ShardOutput {
         registry: worker.registry,
-        trace: ring.into_records(),
-        trace_shed: shed,
+        trace: worker.trace,
     }
 }
 
 /// What one shard worker hands back at shutdown.
 struct ShardOutput {
     registry: Registry,
-    trace: Vec<TraceRecord>,
-    /// Records its trace ring overwrote because it was full.
-    trace_shed: u64,
+    /// Its trace ring, when the run is traced.
+    trace: Option<TraceRing>,
 }
 
 /// A windowed shard's frames since the last window boundary. Each frame
@@ -1191,7 +1134,8 @@ struct Worker<'a> {
     live: &'a LiveCounters,
     obs: &'a PoolObs,
     registry: Registry,
-    trace: TraceEmitter<RingSink>,
+    /// The shard's trace ring; `None` when the run is untraced.
+    trace: Option<TraceRing>,
     flight: FlightState,
     window: Window,
     /// Decode output, reused across datagrams.
@@ -1407,15 +1351,17 @@ impl Worker<'_> {
             };
             self.registry.incr(class_key);
             live_counter.fetch_add(1, Ordering::Relaxed);
-            let sender = codec::peek_sender(datagram).unwrap_or(SenderId::UNTAGGED);
-            self.trace.emit(
-                frame.at.ticks(),
-                TraceEvent::ShedDecision {
-                    sender: sender.0,
-                    class: class.label(),
-                    interval: codec::peek_index(datagram).unwrap_or(0),
-                },
-            );
+            if let Some(ring) = self.trace.as_mut() {
+                let sender = codec::peek_sender(datagram).unwrap_or(SenderId::UNTAGGED);
+                ring.emit(
+                    frame.at.ticks(),
+                    TraceEvent::ShedDecision {
+                        sender: sender.0,
+                        class: class.label(),
+                        interval: codec::peek_index(datagram).unwrap_or(0),
+                    },
+                );
+            }
         }
         frames.clear();
         order.clear();
@@ -1430,17 +1376,19 @@ impl Worker<'_> {
         verified
     }
 
-    /// Decode-and-verify for one datagram: counters, per-frame trace
-    /// events, and each frame's decode and verify time in the local
-    /// stage histograms. On datagrams the flight recorder samples, it
-    /// also records the remaining stages and emits every decoded
-    /// frame's [`TraceEvent::FrameSpan`] — after the frame's causal
-    /// events, so a span always closes its frame's record group.
+    /// Decode-and-verify for one datagram: counters, each frame's
+    /// decode and verify time in the local stage histograms, and, when
+    /// the shard is traced, per-frame trace events. On datagrams the
+    /// flight recorder samples, it also records the remaining stages
+    /// and, traced, emits every decoded frame's
+    /// [`TraceEvent::FrameSpan`] — after the frame's causal events, so
+    /// a span always closes its frame's record group.
     ///
     /// The stage chain runs on: the decode stage takes everything since
     /// the previous reading (the datagram's bookkeeping included), each
     /// frame's verify or reveal-authenticate stage its `on_frame` call,
-    /// and a sampled frame's buffer stage its verdict's trace records.
+    /// and a sampled frame's buffer stage its verdict's trace records
+    /// (none untraced).
     fn process_datagram<V: FrameVerifier>(
         &mut self,
         frame: &FrameRef,
@@ -1456,12 +1404,14 @@ impl Worker<'_> {
             &mut self.flight,
         );
         let at = frame.at.ticks();
-        trace.emit(
-            at,
-            TraceEvent::FrameRx {
-                bytes: datagram.len() as u64,
-            },
-        );
+        if let Some(ring) = trace.as_mut() {
+            ring.emit(
+                at,
+                TraceEvent::FrameRx {
+                    bytes: datagram.len() as u64,
+                },
+            );
+        }
         // The pre-verify stages are per-datagram: record them once here;
         // the per-frame stages land inside the loop below.
         let sampled = flight.sampled().map(|ordinal| {
@@ -1500,42 +1450,44 @@ impl Worker<'_> {
             // A sampled frame's buffer stage times the verdict's trace
             // output, from here to its span; an unsampled frame's lands
             // in the next stage.
-            trace.emit(
-                at,
-                TraceEvent::VerifyEnd {
-                    interval: verdict.interval,
-                    outcome: verdict.outcome,
-                    elapsed_ns,
-                },
-            );
-            if let Some(note) = verdict.buffer {
-                trace.emit(
+            if let Some(ring) = trace.as_mut() {
+                ring.emit(
                     at,
-                    TraceEvent::BufferDecision {
+                    TraceEvent::VerifyEnd {
                         interval: verdict.interval,
-                        kept: note.kept,
-                        k: note.offered,
-                        m: note.capacity,
+                        outcome: verdict.outcome,
+                        elapsed_ns,
                     },
                 );
-            }
-            if verdict.key_reveal {
-                trace.emit(
-                    at,
-                    TraceEvent::KeyReveal {
-                        interval: verdict.interval,
-                    },
-                );
-            }
-            if let Some(eviction) = verdict.evicted {
-                trace.emit(
-                    at,
-                    TraceEvent::SessionEvicted {
-                        sender: eviction.sender,
-                        shard: self.shard as u32,
-                        occupancy: eviction.occupancy,
-                    },
-                );
+                if let Some(note) = verdict.buffer {
+                    ring.emit(
+                        at,
+                        TraceEvent::BufferDecision {
+                            interval: verdict.interval,
+                            kept: note.kept,
+                            k: note.offered,
+                            m: note.capacity,
+                        },
+                    );
+                }
+                if verdict.key_reveal {
+                    ring.emit(
+                        at,
+                        TraceEvent::KeyReveal {
+                            interval: verdict.interval,
+                        },
+                    );
+                }
+                if let Some(eviction) = verdict.evicted {
+                    ring.emit(
+                        at,
+                        TraceEvent::SessionEvicted {
+                            sender: eviction.sender,
+                            shard: self.shard as u32,
+                            occupancy: eviction.occupancy,
+                        },
+                    );
+                }
             }
             if let Some((ordinal, [ingress_ns, queue_ns, prefetch_ns])) = sampled {
                 // Read on every sampled frame, so the records stay out
@@ -1548,23 +1500,25 @@ impl Worker<'_> {
                     0
                 };
                 flight.record(SpanStage::Buffer, buffer_ns);
-                trace.emit(
-                    at,
-                    frame_span(
-                        span_id(ordinal, frame_idx),
-                        verdict.interval,
-                        verdict.outcome,
-                        [
-                            ingress_ns,
-                            queue_ns,
-                            decode_ns,
-                            prefetch_ns,
-                            verify_ns,
-                            buffer_ns,
-                            reveal_ns,
-                        ],
-                    ),
-                );
+                if let Some(ring) = trace.as_mut() {
+                    ring.emit(
+                        at,
+                        frame_span(
+                            span_id(ordinal, frame_idx),
+                            verdict.interval,
+                            verdict.outcome,
+                            [
+                                ingress_ns,
+                                queue_ns,
+                                decode_ns,
+                                prefetch_ns,
+                                verify_ns,
+                                buffer_ns,
+                                reveal_ns,
+                            ],
+                        ),
+                    );
+                }
             }
         }
         if junk > 0 {
@@ -1894,7 +1848,6 @@ mod tests {
                     overflow: OverflowPolicy::Block,
                     route: RoutePolicy::ByInterval,
                     drain_budget,
-                    ..PoolConfig::default()
                 },
                 21,
                 |shard| DapShard::new(bootstrap, &[b'b', shard as u8]),
@@ -1945,7 +1898,6 @@ mod tests {
                     overflow: OverflowPolicy::Block,
                     route: RoutePolicy::ByInterval,
                     drain_budget,
-                    ..PoolConfig::default()
                 },
                 31,
                 |shard| DapShard::new(bootstrap, &[b'q', shard as u8]),
@@ -2147,7 +2099,6 @@ mod tests {
                     overflow: OverflowPolicy::Block,
                     route: RoutePolicy::ByInterval,
                     drain_budget: if windowed { 64 } else { usize::MAX },
-                    ..PoolConfig::default()
                 },
                 3,
                 |_| Costed {

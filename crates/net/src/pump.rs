@@ -129,12 +129,6 @@ impl<T: Transport, C: ChainStore, K: NetClock> SenderPump<T, C, K> {
         self.transport.send(&frame)?;
         Ok(1)
     }
-
-    /// The pump's current interval on its own clock.
-    #[must_use]
-    pub fn interval_now(&self) -> u64 {
-        self.sender.interval_at(self.clock.now())
-    }
 }
 
 /// How far into an interval the pump wakes (one tenth, at least 1 tick).

@@ -178,12 +178,12 @@ impl<T> IngressQueue<T> {
                     depth: state.batch.items.len(),
                 });
             }
-            let parked = clock.map(TimeSource::stopwatch);
+            let parked_at = clock.map(TimeSource::now_ns);
             state.parked_writers += 1;
             state = self.writable.wait(state).expect("queue mutex poisoned");
             state.parked_writers -= 1;
-            if let (Some(watch), Some(clock)) = (parked, clock) {
-                parked_ns += watch.elapsed_ns(clock);
+            if let (Some(start), Some(clock)) = (parked_at, clock) {
+                parked_ns += clock.now_ns().saturating_sub(start);
             }
         }
         if state.closed {

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dap_obs::{RingSink, TraceEmitter, TraceEvent};
+use dap_obs::{TraceEvent, TraceRing};
 use dap_simnet::{keys, ChannelModel, Metrics, SimRng};
 
 /// A broadcast medium a node can send frames into and read frames from.
@@ -139,7 +139,7 @@ struct LoopbackState {
     /// Wire-fault trace (loss/corruption injections), stamped with the
     /// send ordinal — fate is sampled at send time, so the ordinal is
     /// the deterministic "when" of the wire.
-    trace: Option<TraceEmitter<RingSink>>,
+    trace: Option<TraceRing>,
 }
 
 /// A seeded in-process broadcast medium.
@@ -187,21 +187,24 @@ impl LoopbackTransport {
     /// recorded as [`TraceEvent::FaultInjected`] under `source`, ring-
     /// bounded at `depth` records. Pick a `source` id that does not
     /// collide with the pool's shard/reader ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is 0: an untraced wire enables no ring.
     pub fn enable_trace(&self, source: u32, depth: usize) {
         self.state.lock().expect("loopback mutex poisoned").trace =
-            Some(TraceEmitter::new(source, RingSink::new(depth)));
+            Some(TraceRing::new(source, depth));
     }
 
     /// Takes the wire-fault trace ring: the records collected so far
-    /// and how many it shed (an empty ring when tracing is off).
+    /// and how many it shed (`None` when tracing is off).
     #[must_use]
-    pub fn take_trace(&self) -> RingSink {
+    pub fn take_trace(&self) -> Option<TraceRing> {
         self.state
             .lock()
             .expect("loopback mutex poisoned")
             .trace
             .take()
-            .map_or_else(RingSink::default, TraceEmitter::into_sink)
     }
 
     /// Wire-level counters (`net.wire.*`): frames sent, lost, corrupted.

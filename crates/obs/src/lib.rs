@@ -14,15 +14,15 @@
 //!   cover all of `u64` at ≤ 1/16 relative error) with `record`,
 //!   `merge`, `quantile` and a byte-stable `render`;
 //! * [`gauge`] — [`Gauge`], a last/min/max sample tracker;
-//! * [`time`] — [`TimeSource`]: wall-clock `Instant` on the wire, a
-//!   tick-driven [`ManualTime`] in sim and tests, and [`Stopwatch`]
-//!   over either, so latency instrumentation can stay in place while a
-//!   deterministic run records all-zero durations instead of
-//!   scheduler noise;
-//! * [`trace`] — typed [`TraceEvent`]s behind a [`TraceSink`] trait
-//!   (bounded ring buffer or JSONL file), each record carrying a
+//! * [`time`] — [`TimeSource`]: wall-clock `Instant` on the wire or a
+//!   tick-driven [`ManualTime`] in sim and tests, so latency
+//!   instrumentation can stay in place while a deterministic run
+//!   records all-zero durations instead of scheduler noise;
+//! * [`trace`] — typed [`TraceEvent`]s recorded into one bounded
+//!   [`TraceRing`] per traced source, each record carrying a
 //!   per-source monotone sequence number so interleavings from a
-//!   sharded pool can be totally ordered and replay-diffed;
+//!   sharded pool can be totally ordered and replay-diffed, and
+//!   [`write_trace`], which writes a capture as a JSONL file;
 //! * [`json`] — the minimal JSON writer the bench binaries use (moved
 //!   here from `dap-bench` so the trace layer can sit below it;
 //!   `dap_bench::json` re-exports it unchanged);
@@ -55,8 +55,8 @@ pub use gauge::Gauge;
 pub use hist::Histogram;
 pub use parse::{parse_record_line, parse_trace, ParsedTrace, TraceHeader, TraceParseError};
 pub use span::{frame_span, span_id, SpanStage};
-pub use time::{ManualTime, Stopwatch, TimeSource};
+pub use time::{ManualTime, TimeSource};
 pub use trace::{
-    header_line, render_jsonl, sort_records, JsonlSink, NullSink, RingSink, TraceEmitter,
-    TraceEvent, TraceRecord, TraceSink, OUTCOMES,
+    header_line, render_jsonl, sort_records, write_trace, TraceEvent, TraceRecord, TraceRing,
+    OUTCOMES,
 };

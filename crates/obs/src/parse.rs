@@ -46,7 +46,8 @@ pub struct TraceHeader {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedTrace {
     /// The header, when the text began with one (files written by
-    /// `JsonlSink::create` do; in-memory renders do not).
+    /// [`write_trace`](crate::write_trace) do; in-memory renders do
+    /// not).
     pub header: Option<TraceHeader>,
     /// Every record, in file order.
     pub records: Vec<TraceRecord>,

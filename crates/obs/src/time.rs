@@ -3,10 +3,11 @@
 //!
 //! The rule the whole observability plane follows: a latency
 //! measurement must never make a fingerprinted run irreproducible. So
-//! every stopwatch reads a [`TimeSource`] — real `Instant`s in live UDP
-//! runs and benches, a [`ManualTime`] (an explicitly advanced atomic
-//! nanosecond counter, usually left at zero) in the seeded loopback
-//! campaigns — and the instrumentation code is identical either way.
+//! every clock reading comes from a [`TimeSource`] — real `Instant`s in
+//! live UDP runs and benches, a [`ManualTime`] (an explicitly advanced
+//! atomic nanosecond counter, usually left at zero) in the seeded
+//! loopback campaigns — and the instrumentation code is identical
+//! either way.
 //! Under manual time every duration comes out as a deterministic
 //! constant, so histogram *counts* still fingerprint the run while the
 //! recorded durations carry no scheduler noise.
@@ -73,7 +74,7 @@ impl TimeSource {
     }
 
     /// A manual source frozen at zero — the deterministic-campaign
-    /// posture: every stopwatch reads an elapsed time of exactly 0.
+    /// posture: every reading is 0, so every elapsed time is exactly 0.
     #[must_use]
     pub fn frozen() -> Self {
         Self::Manual(ManualTime::new())
@@ -95,29 +96,6 @@ impl TimeSource {
     pub fn is_wall(&self) -> bool {
         matches!(self, Self::Wall { .. })
     }
-
-    /// Starts a stopwatch on this source.
-    #[must_use]
-    pub fn stopwatch(&self) -> Stopwatch {
-        Stopwatch {
-            start_ns: self.now_ns(),
-        }
-    }
-}
-
-/// A start reading; elapsed time is computed against the same source.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start_ns: u64,
-}
-
-impl Stopwatch {
-    /// Nanoseconds since the stopwatch started, on `source`'s clock
-    /// (saturating at zero if the source went backwards).
-    #[must_use]
-    pub fn elapsed_ns(&self, source: &TimeSource) -> u64 {
-        source.now_ns().saturating_sub(self.start_ns)
-    }
 }
 
 #[cfg(test)]
@@ -128,10 +106,10 @@ mod tests {
     fn manual_time_is_shared_and_explicit() {
         let clock = ManualTime::new();
         let source = TimeSource::manual(clock.clone());
-        let sw = source.stopwatch();
-        assert_eq!(sw.elapsed_ns(&source), 0);
+        let start = source.now_ns();
+        assert_eq!(source.now_ns() - start, 0);
         clock.advance_ns(250);
-        assert_eq!(sw.elapsed_ns(&source), 250);
+        assert_eq!(source.now_ns() - start, 250);
         clock.set_ns(1_000);
         assert_eq!(source.now_ns(), 1_000);
         assert!(!source.is_wall());
@@ -140,24 +118,24 @@ mod tests {
     #[test]
     fn frozen_source_always_reads_zero_elapsed() {
         let source = TimeSource::frozen();
-        let sw = source.stopwatch();
-        assert_eq!(sw.elapsed_ns(&source), 0);
-        assert_eq!(source.now_ns(), 0);
+        let start = source.now_ns();
+        assert_eq!(start, 0);
+        assert_eq!(source.now_ns(), start);
     }
 
     #[test]
     fn wall_source_advances() {
         let source = TimeSource::wall();
         assert!(source.is_wall());
-        let sw = source.stopwatch();
+        let start = source.now_ns();
         // Burn a little real time; the reading must be monotone.
         let mut x = 0u64;
         for i in 0..10_000u64 {
             x = x.wrapping_add(i);
         }
         std::hint::black_box(x);
-        let a = sw.elapsed_ns(&source);
-        let b = sw.elapsed_ns(&source);
-        assert!(b >= a);
+        let a = source.now_ns();
+        let b = source.now_ns();
+        assert!(start <= a && a <= b);
     }
 }

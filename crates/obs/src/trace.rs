@@ -1,5 +1,5 @@
 //! Structured tracing: typed events, per-source monotone sequence
-//! numbers, pluggable sinks.
+//! numbers, one bounded ring per traced source.
 //!
 //! Every record names its *source* (a shard index, the wire, the socket
 //! reader) and carries that source's own monotone sequence number. Two
@@ -12,14 +12,13 @@
 //! The `at` field is protocol time (the simulator-tick timestamp the
 //! frame was ingested at, or a source-specific ordinal for the wire) —
 //! **not** wall time, which would destroy reproducibility. The header
-//! line [`JsonlSink::create`] writes stamps its timestamp from the
-//! run's own [`TimeSource`], so a deterministic (frozen-clock) run
-//! renders a byte-identical *whole file*, header included.
+//! line [`write_trace`] writes stamps its timestamp from the run's own
+//! [`TimeSource`](crate::TimeSource), so a deterministic (frozen-clock)
+//! run renders a byte-identical *whole file*, header included.
 
 use std::io::{self, Write};
 
 use crate::json::JsonObject;
-use crate::time::TimeSource;
 
 /// Every verify-outcome label a verifier may write into
 /// [`TraceEvent::VerifyEnd`] and [`TraceEvent::FrameSpan`]. The trace
@@ -307,30 +306,19 @@ impl TraceRecord {
     }
 }
 
-/// Where records go. Sinks are owned per emitter, so recording needs no
-/// synchronisation on the hot path.
-pub trait TraceSink {
-    /// Accepts one record.
-    fn record(&mut self, record: TraceRecord);
-}
-
-/// Swallows everything — tracing compiled in, turned off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _record: TraceRecord) {}
-}
-
-/// A bounded ring buffer keeping the most recent records; older ones
-/// are shed and counted. This is the in-memory sink the pool shards
-/// use — bounded so a flood cannot turn tracing into an allocator
-/// attack on the defender. Once the backing store is warm the ring is
-/// allocation-free: a full ring overwrites its oldest slot in place
-/// rather than shuffling a deque, which keeps the per-record cost flat
-/// on the verify hot path.
-#[derive(Debug, Clone, Default)]
-pub struct RingSink {
+/// One trace source's bounded ring: it stamps each event with the
+/// source id and the source's next sequence number, and keeps the most
+/// recent records; older ones are shed and counted. Bounded so a flood
+/// cannot turn tracing into an allocator attack on the defender. Once
+/// the backing store is warm the ring is allocation-free: a full ring
+/// overwrites its oldest slot in place rather than shuffling a deque,
+/// which keeps the per-record cost flat on the verify hot path. Each
+/// source owns its ring, so recording needs no synchronisation, and an
+/// untraced source holds no ring at all.
+#[derive(Debug, Clone)]
+pub struct TraceRing {
+    source: u32,
+    next_seq: u64,
     capacity: usize,
     records: Vec<TraceRecord>,
     /// Oldest slot (the next overwrite target) once the ring is full.
@@ -338,21 +326,50 @@ pub struct RingSink {
     shed: u64,
 }
 
-impl RingSink {
+impl TraceRing {
     /// Storage preallocated up front, so a forensic-depth ring pays its
     /// allocator bill at setup instead of mid-campaign. Deeper rings
     /// grow amortized past this point.
     const PREALLOC_CAP: usize = 1 << 16;
 
-    /// A ring holding at most `capacity` records (0 disables retention:
-    /// every record is shed and counted).
+    /// A ring for `source` holding at most `capacity` records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is 0: tracing off is no ring, not an empty
+    /// one.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(source: u32, capacity: usize) -> Self {
+        assert!(capacity >= 1, "a trace ring holds at least one record");
         Self {
+            source,
+            next_seq: 0,
             capacity,
             records: Vec::with_capacity(capacity.min(Self::PREALLOC_CAP)),
             head: 0,
             shed: 0,
+        }
+    }
+
+    /// Records one event at protocol time `at`, overwriting the oldest
+    /// record when the ring is full.
+    pub fn emit(&mut self, at: u64, event: TraceEvent) {
+        let record = TraceRecord {
+            source: self.source,
+            seq: self.next_seq,
+            at,
+            event,
+        };
+        self.next_seq += 1;
+        if self.records.len() < self.capacity {
+            self.records.push(record);
+        } else {
+            self.records[self.head] = record;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            self.shed = self.shed.saturating_add(1);
         }
     }
 
@@ -379,49 +396,6 @@ impl RingSink {
     }
 }
 
-impl TraceSink for RingSink {
-    fn record(&mut self, record: TraceRecord) {
-        if self.capacity == 0 {
-            self.shed = self.shed.saturating_add(1);
-            return;
-        }
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.records[self.head] = record;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-            self.shed = self.shed.saturating_add(1);
-        }
-    }
-}
-
-/// Writes one JSON object per line to an [`io::Write`].
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    writer: W,
-}
-
-impl JsonlSink<io::BufWriter<std::fs::File>> {
-    /// Creates `path` and writes the header line. The header timestamp
-    /// is read from `time` — the run's own [`TimeSource`] — so a
-    /// deterministic run (frozen or manual clocks) produces a
-    /// byte-identical whole file and ci gates can `cmp` traces without
-    /// skipping the header; only a wall-clocked run stamps real time.
-    ///
-    /// # Errors
-    ///
-    /// File creation / write errors.
-    pub fn create(path: &str, time: &TimeSource) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        let mut writer = io::BufWriter::new(file);
-        writeln!(writer, "{}", header_line(time.now_ns()))?;
-        Ok(Self { writer })
-    }
-}
-
 /// The JSONL header line (no trailing newline) for a trace whose clock
 /// read `clock_ns` at creation.
 #[must_use]
@@ -433,83 +407,27 @@ pub fn header_line(clock_ns: u64) -> String {
         .finish()
 }
 
-impl<W: Write> JsonlSink<W> {
-    /// A sink over an arbitrary writer, with no header line.
-    pub fn from_writer(writer: W) -> Self {
-        Self { writer }
+/// Writes a capture — the file [`parse_trace`](crate::parse_trace)
+/// reads back: the header line for `clock_ns`, then one JSONL line per
+/// record, then a flush. Pass the run's own
+/// [`TimeSource`](crate::TimeSource) reading as `clock_ns`, so a
+/// deterministic run (frozen or manual clocks) writes a byte-identical
+/// whole file and ci gates can `cmp` traces without skipping the
+/// header; only a wall-clocked run stamps real time.
+///
+/// # Errors
+///
+/// The first write or flush error.
+pub fn write_trace<W: Write>(
+    mut writer: W,
+    clock_ns: u64,
+    records: &[TraceRecord],
+) -> io::Result<()> {
+    writeln!(writer, "{}", header_line(clock_ns))?;
+    for record in records {
+        writeln!(writer, "{}", record.to_json())?;
     }
-
-    /// Flushes and returns the writer.
-    ///
-    /// # Errors
-    ///
-    /// Flush errors.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, record: TraceRecord) {
-        // A full disk mid-trace must not take the run down with it.
-        let _ = writeln!(self.writer, "{}", record.to_json());
-    }
-}
-
-/// Stamps records with one source id and that source's monotone
-/// sequence numbers.
-#[derive(Debug, Clone, Default)]
-pub struct TraceEmitter<S: TraceSink> {
-    source: u32,
-    next_seq: u64,
-    sink: S,
-}
-
-impl<S: TraceSink> TraceEmitter<S> {
-    /// An emitter for `source` writing into `sink`.
-    pub fn new(source: u32, sink: S) -> Self {
-        Self {
-            source,
-            next_seq: 0,
-            sink,
-        }
-    }
-
-    /// Emits one event at protocol time `at`.
-    pub fn emit(&mut self, at: u64, event: TraceEvent) {
-        let record = TraceRecord {
-            source: self.source,
-            seq: self.next_seq,
-            at,
-            event,
-        };
-        self.next_seq += 1;
-        self.sink.record(record);
-    }
-
-    /// This emitter's source id.
-    #[must_use]
-    pub fn source(&self) -> u32 {
-        self.source
-    }
-
-    /// Records emitted so far.
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The sink, for in-place inspection.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Consumes the emitter, returning its sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
+    writer.flush()
 }
 
 /// Sorts records into the canonical total order: by `(source, seq)`.
@@ -538,6 +456,7 @@ pub fn render_jsonl(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::TimeSource;
 
     fn sample(source: u32, seq: u64) -> TraceRecord {
         TraceRecord {
@@ -550,9 +469,9 @@ mod tests {
 
     #[test]
     fn emitter_assigns_monotone_seqs() {
-        let mut emitter = TraceEmitter::new(3, RingSink::new(8));
-        emitter.emit(100, TraceEvent::KeyReveal { interval: 7 });
-        emitter.emit(
+        let mut ring = TraceRing::new(3, 8);
+        ring.emit(100, TraceEvent::KeyReveal { interval: 7 });
+        ring.emit(
             100,
             TraceEvent::VerifyEnd {
                 interval: 7,
@@ -560,8 +479,7 @@ mod tests {
                 elapsed_ns: 0,
             },
         );
-        assert_eq!(emitter.emitted(), 2);
-        let records = emitter.into_sink().into_records();
+        let records = ring.into_records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].seq, 0);
         assert_eq!(records[1].seq, 1);
@@ -570,19 +488,21 @@ mod tests {
 
     #[test]
     fn ring_sheds_oldest_and_counts() {
-        let mut ring = RingSink::new(2);
+        let mut ring = TraceRing::new(0, 2);
         for seq in 0..5 {
-            ring.record(sample(0, seq));
+            ring.emit(seq * 10, TraceEvent::FrameRx { bytes: 42 });
         }
         assert_eq!(ring.shed(), 3);
         let kept: Vec<u64> = ring.records().map(|r| r.seq).collect();
         assert_eq!(kept, vec![3, 4]);
         assert_eq!(ring.clone().into_records().len(), 2);
-        assert_eq!(ring.into_records()[0].seq, 3);
-        let mut zero = RingSink::new(0);
-        zero.record(sample(0, 0));
-        assert_eq!(zero.shed(), 1);
-        assert_eq!(zero.records().count(), 0);
+        assert_eq!(ring.into_records()[0], sample(0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one record")]
+    fn a_ring_of_capacity_zero_is_refused() {
+        let _ = TraceRing::new(0, 0);
     }
 
     #[test]
@@ -664,14 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_record() {
-        let mut sink = JsonlSink::from_writer(Vec::new());
-        sink.record(sample(0, 0));
-        sink.record(sample(0, 1));
-        let bytes = sink.finish().expect("flush");
+    fn write_trace_writes_the_header_then_one_line_per_record() {
+        let records = [sample(0, 0), sample(0, 1)];
+        let mut bytes = Vec::new();
+        write_trace(&mut bytes, 17, &records).expect("write to a Vec");
         let text = String::from_utf8(bytes).expect("utf8");
-        assert_eq!(text.lines().count(), 2);
-        assert_eq!(render_jsonl(&[sample(0, 0), sample(0, 1)]), text);
+        assert_eq!(
+            text,
+            format!("{}\n{}", header_line(17), render_jsonl(&records))
+        );
+        assert_eq!(text.lines().count(), 3);
     }
 
     #[test]

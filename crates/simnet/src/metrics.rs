@@ -417,16 +417,8 @@ pub mod keys {
     pub const NET_INGRESS_DROPPED: &str = "net.ingress.dropped";
     /// Wire pool drop reason: shard queue full (DropCount posture).
     pub const NET_DROP_QUEUE_FULL: &str = "net.drop.queue_full";
-    /// Queue-full drops whose claimed sender is operator-pinned.
-    pub const NET_DROP_QUEUE_FULL_PINNED: &str = "net.drop.queue_full.pinned";
-    /// Queue-full drops whose claimed sender is not pinned.
-    pub const NET_DROP_QUEUE_FULL_UNPINNED: &str = "net.drop.queue_full.unpinned";
     /// Wire pool drop reason: pool already shutting down.
     pub const NET_DROP_CLOSED: &str = "net.drop.closed";
-    /// Closed-pool drops whose claimed sender is operator-pinned.
-    pub const NET_DROP_CLOSED_PINNED: &str = "net.drop.closed.pinned";
-    /// Closed-pool drops whose claimed sender is not pinned.
-    pub const NET_DROP_CLOSED_UNPINNED: &str = "net.drop.closed.unpinned";
     /// Priority drain: frames shed at a window flush (all classes).
     pub const NET_SHED_TOTAL: &str = "net.shed.total";
     /// Priority drain: shed frames claiming a pinned sender.
@@ -574,11 +566,7 @@ pub mod keys {
         NET_INGRESS_BYTES,
         NET_INGRESS_DROPPED,
         NET_DROP_QUEUE_FULL,
-        NET_DROP_QUEUE_FULL_PINNED,
-        NET_DROP_QUEUE_FULL_UNPINNED,
         NET_DROP_CLOSED,
-        NET_DROP_CLOSED_PINNED,
-        NET_DROP_CLOSED_UNPINNED,
         NET_SHED_TOTAL,
         NET_SHED_PINNED,
         NET_SHED_HIGH,

@@ -17,7 +17,7 @@
 //!   sender pump, a sharded multi-threaded receiver pool with
 //!   backpressure, and the live flooder adversary;
 //! * [`obs`] — the observability plane: streaming histograms, gauges,
-//!   wall/manual stopwatches and structured trace events shared by the
+//!   wall/manual time sources and structured trace events shared by the
 //!   simulator and the wire runtime.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and

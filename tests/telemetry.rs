@@ -7,7 +7,8 @@
 
 use std::sync::Arc;
 
-use crowdsense_dap::net::fleet::{run_fleet_with, FleetReport, FleetSpec};
+use crowdsense_dap::net::adversary::AdversaryClass;
+use crowdsense_dap::net::fleet::{run_fleet, run_fleet_with, FleetReport, FleetSpec};
 use crowdsense_dap::net::telemetry::SharedRegistry;
 use crowdsense_dap::obs::{render_jsonl, TraceEvent};
 use crowdsense_dap::simnet::keys;
@@ -183,4 +184,79 @@ fn frozen_time_keeps_latency_histograms_countful_but_durationless() {
         .registry
         .get_histogram(keys::NET_QUEUE_OCCUPANCY)
         .is_none());
+}
+
+#[test]
+fn tracing_changes_no_counter() {
+    // Each shape runs untraced and traced at the same span cadence: the
+    // untagged flood (unwindowed drain); the tagged fleet under the
+    // burst adversary with pins, a drain budget and a session cap (the
+    // shed and eviction paths); and the adaptive ramp (the posture
+    // path). A ring only records, so every counter, histogram and
+    // report field must agree, and the untraced run holds no record.
+    let flood = FleetSpec {
+        intervals: 200,
+        span_every: 1,
+        ..FleetSpec::untagged()
+    };
+    let overload = FleetSpec {
+        flood: 0.9,
+        adversary: AdversaryClass::BurstReanchor,
+        pins: (1..=8).collect(),
+        drain_budget: 96,
+        max_sessions: 12,
+        span_every: 1,
+        ..FleetSpec::default()
+    };
+    let ramp = FleetSpec {
+        intervals: 300,
+        buffers: 2,
+        flood: 0.1,
+        flood_end: Some(0.9),
+        adaptive: true,
+        span_every: 1,
+        ..FleetSpec::untagged()
+    };
+    let fields = |r: &FleetReport| {
+        (
+            [r.auth_rate, r.expected_rate, r.shed_fraction].map(f64::to_bits),
+            [r.frames, r.shed_frames, r.evictions],
+            [
+                r.min_sender_auth_permille,
+                r.max_sender_auth_permille,
+                r.median_sender_auth_permille,
+                r.min_pinned_auth_permille,
+                r.max_pinned_auth_permille,
+                r.min_unpinned_auth_permille,
+                r.max_unpinned_auth_permille,
+            ],
+        )
+    };
+    for (spec, paths) in [
+        (flood, ["frame_span", "key_reveal"]),
+        (overload, ["shed_decision", "session_evicted"]),
+        (ramp, ["posture_change", "control_estimate"]),
+    ] {
+        let untraced = run_fleet(&FleetSpec {
+            trace_depth: 0,
+            ..spec.clone()
+        });
+        let traced = run_fleet(&FleetSpec {
+            trace_depth: 65_536,
+            ..spec
+        });
+        for path in paths {
+            assert!(
+                traced.trace.iter().any(|r| r.event.name() == path),
+                "the traced run never emitted {path}"
+            );
+        }
+        assert!(untraced.trace.is_empty() && untraced.trace_shed == 0);
+        assert_eq!(
+            untraced.registry.render(),
+            traced.registry.render(),
+            "{paths:?}"
+        );
+        assert_eq!(fields(&untraced), fields(&traced), "{paths:?}");
+    }
 }
