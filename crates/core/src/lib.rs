@@ -41,6 +41,6 @@ pub mod wire;
 
 pub use adaptive::PostureDirective;
 pub use codec::SenderId;
-pub use receiver::{AnnounceOutcome, DapReceiver, DapStats, RevealOutcome, RevealPrecompute};
+pub use receiver::{AnnounceOutcome, DapReceiver, DapStats, RevealOutcome};
 pub use sender::{DapBootstrap, DapSender};
 pub use wire::{Announce, DapMessage, DapParams, Reveal};

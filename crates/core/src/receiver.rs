@@ -18,10 +18,9 @@
 //!    a matching entry with index `i`; equality authenticates `M_i`.
 
 use dap_crypto::mac::{
-    mac80_many_prepared, mac80_prepared, micro_mac_many, micro_mac_prepared, prepare_chain_key,
-    prepare_chain_keys, prepare_receiver_key, MicroMac,
+    mac80_prepared, micro_mac_prepared, prepare_chain_key, prepare_receiver_key, MicroMac,
 };
-use dap_crypto::oneway::{one_way_iter, one_way_many, Domain};
+use dap_crypto::oneway::{one_way_iter, Domain};
 use dap_crypto::{ChainAnchor, Key, PreparedMacKey};
 use dap_simnet::{SimRng, SimTime};
 use dap_tesla::ReservoirBuffer;
@@ -171,30 +170,6 @@ pub struct DapReceiver {
     interval_key: Option<(u64, Key, PreparedMacKey)>,
 }
 
-/// Pure-crypto products of a reveal, computed ahead of
-/// [`DapReceiver::on_reveal_precomputed`] — typically for a whole drain
-/// window at once via [`DapReceiver::precompute_reveals`], which runs
-/// every hash lane-parallel (`dap_crypto::lanes`).
-///
-/// Every field is a deterministic function of the receiver's local key
-/// and the reveal bytes, independent of receiver *state*, so computing
-/// them early (or batched, or in a different order) cannot change any
-/// outcome: the consuming call is bit-identical to scalar
-/// [`DapReceiver::on_reveal`].
-#[derive(Debug, Clone)]
-pub struct RevealPrecompute {
-    /// Interval the precomputed reveal claimed.
-    index: u64,
-    /// Disclosed chain key the products were derived from.
-    key: Key,
-    /// `F(key)` — answers the steady-state one-step chain walk.
-    chain_image: Key,
-    /// The `K'_i = F'(K_i)` HMAC key schedule.
-    prepared: PreparedMacKey,
-    /// The μMAC the receiver expects to find buffered.
-    expect: MicroMac,
-}
-
 impl DapReceiver {
     /// Bootstraps a receiver. `local_seed` derives the node-local secret
     /// `K_recv` used for μMAC computation; it is never transmitted.
@@ -309,82 +284,6 @@ impl DapReceiver {
         }
     }
 
-    /// Algorithm 2 lines 15–25: process a reveal.
-    pub fn on_reveal(&mut self, reveal: &Reveal, local_time: SimTime) -> RevealOutcome {
-        self.on_reveal_inner(reveal, local_time, None)
-    }
-
-    /// [`on_reveal`](Self::on_reveal) consuming crypto products computed
-    /// ahead of time by [`precompute_reveals`](Self::precompute_reveals).
-    ///
-    /// The precompute must have been taken from this receiver for this
-    /// reveal; a mismatched `(index, key)` pairing is detected and falls
-    /// back to the scalar computation, so the call is always
-    /// bit-identical to [`on_reveal`](Self::on_reveal).
-    pub fn on_reveal_precomputed(
-        &mut self,
-        reveal: &Reveal,
-        local_time: SimTime,
-        pre: &RevealPrecompute,
-    ) -> RevealOutcome {
-        self.on_reveal_inner(reveal, local_time, Some(pre))
-    }
-
-    /// Batched pure-crypto prefix of [`on_reveal`](Self::on_reveal) for a
-    /// window of `(receiver, reveal)` pairs: one lane-parallel pass for
-    /// the chain images (`F(K_i)`), one for the `K'_i` re-keys (skipping
-    /// pairs answered by a receiver's interval cache), one for the
-    /// message MACs and one for the μMAC re-keys.
-    ///
-    /// Receivers may repeat across pairs (one receiver draining several
-    /// frames) — only `&self` is needed here, state changes happen in
-    /// [`on_reveal_precomputed`](Self::on_reveal_precomputed).
-    #[must_use]
-    pub fn precompute_reveals(items: &[(&DapReceiver, &Reveal)]) -> Vec<RevealPrecompute> {
-        let keys: Vec<Key> = items.iter().map(|(_, r)| r.key).collect();
-        let images = one_way_many(Domain::F, &keys);
-
-        // Interval-cache lookups first; batch the re-key only for misses.
-        let mut prepared: Vec<Option<PreparedMacKey>> = items
-            .iter()
-            .map(|(rx, r)| rx.cached_interval_key(r.index, &r.key))
-            .collect();
-        let miss_keys: Vec<Key> = prepared
-            .iter()
-            .zip(keys.iter())
-            .filter(|(p, _)| p.is_none())
-            .map(|(_, k)| *k)
-            .collect();
-        let mut fresh = prepare_chain_keys(&miss_keys).into_iter();
-        for slot in prepared.iter_mut() {
-            if slot.is_none() {
-                *slot = Some(fresh.next().expect("one schedule per miss"));
-            }
-        }
-        let prepared: Vec<PreparedMacKey> = prepared.into_iter().map(Option::unwrap).collect();
-
-        let messages: Vec<&[u8]> = items.iter().map(|(_, r)| r.message.as_slice()).collect();
-        let tags = mac80_many_prepared(&prepared, &messages);
-        let recv_keys: Vec<&PreparedMacKey> = items.iter().map(|(rx, _)| &rx.local_key).collect();
-        let expects = micro_mac_many(&recv_keys, &tags);
-
-        items
-            .iter()
-            .zip(images)
-            .zip(prepared)
-            .zip(expects)
-            .map(
-                |((((_, r), chain_image), prepared), expect)| RevealPrecompute {
-                    index: r.index,
-                    key: r.key,
-                    chain_image,
-                    prepared,
-                    expect,
-                },
-            )
-            .collect()
-    }
-
     /// The cached `K'` schedule for `(index, key)`, if this receiver
     /// verified exactly that pairing before.
     fn cached_interval_key(&self, index: u64, key: &Key) -> Option<PreparedMacKey> {
@@ -394,27 +293,13 @@ impl DapReceiver {
             .map(|(_, _, prepared)| *prepared)
     }
 
-    fn on_reveal_inner(
-        &mut self,
-        reveal: &Reveal,
-        local_time: SimTime,
-        pre: Option<&RevealPrecompute>,
-    ) -> RevealOutcome {
+    /// Algorithm 2 lines 15–25: process a reveal.
+    pub fn on_reveal(&mut self, reveal: &Reveal, local_time: SimTime) -> RevealOutcome {
         self.tick(local_time);
         self.stats.reveals += 1;
 
-        // A precompute pairs with exactly one (index, key); anything else
-        // (a misrouted entry) downgrades to the scalar computation.
-        let pre = pre.filter(|p| {
-            p.index == reveal.index && dap_crypto::ct_eq(p.key.as_bytes(), reveal.key.as_bytes())
-        });
-
         // Weak authentication: the disclosed key must be on the chain.
-        let weak = match pre {
-            Some(p) => self.weak_authenticate_with_image(&reveal.key, reveal.index, &p.chain_image),
-            None => self.weak_authenticate(&reveal.key, reveal.index),
-        };
-        if !weak {
+        if !self.weak_authenticate(&reveal.key, reveal.index) {
             self.stats.weak_rejected += 1;
             return RevealOutcome::WeakRejected {
                 index: reveal.index,
@@ -432,16 +317,11 @@ impl DapReceiver {
         // genuine reveal can at worst suppress that one interval —
         // exactly what jamming the reveal would do; it can never get a
         // forged message authenticated.
-        let (prepared, expect) = match pre {
-            Some(p) => (p.prepared, p.expect),
-            None => {
-                let prepared = self
-                    .cached_interval_key(reveal.index, &reveal.key)
-                    .unwrap_or_else(|| prepare_chain_key(&reveal.key));
-                let tag = mac80_prepared(&prepared, &reveal.message);
-                (prepared, micro_mac_prepared(&self.local_key, &tag))
-            }
-        };
+        let prepared = self
+            .cached_interval_key(reveal.index, &reveal.key)
+            .unwrap_or_else(|| prepare_chain_key(&reveal.key));
+        let tag = mac80_prepared(&prepared, &reveal.message);
+        let expect = micro_mac_prepared(&self.local_key, &tag);
         // Weak auth vouched for the key, so the schedule may be cached
         // for the interval's remaining frames.
         self.interval_key = Some((reveal.index, reveal.key, prepared));
@@ -521,26 +401,7 @@ impl DapReceiver {
     const RECOVERED_RETENTION: u64 = 8;
 
     fn weak_authenticate(&mut self, key: &Key, index: u64) -> bool {
-        let result = self.anchor.accept_recovering(key, index);
-        self.finish_weak_authenticate(key, index, result)
-    }
-
-    /// [`weak_authenticate`] with `F(key)` already computed (batched):
-    /// the steady-state one-step walk is answered by the image, every
-    /// other shape falls through to the full walk — bit-identical either
-    /// way (`ChainAnchor::accept_recovering_with_image`).
-    fn weak_authenticate_with_image(&mut self, key: &Key, index: u64, image: &Key) -> bool {
-        let result = self.anchor.accept_recovering_with_image(key, index, image);
-        self.finish_weak_authenticate(key, index, result)
-    }
-
-    fn finish_weak_authenticate(
-        &mut self,
-        key: &Key,
-        index: u64,
-        result: Result<Vec<Key>, dap_crypto::ChainVerifyError>,
-    ) -> bool {
-        match result {
+        match self.anchor.accept_recovering(key, index) {
             Ok(segment) => {
                 let steps = segment.len() as u64;
                 if steps > 1 {
@@ -880,73 +741,6 @@ mod tests {
             receiver.on_reveal(&forged, during(7)),
             RevealOutcome::WeakRejected { index: 4 }
         );
-    }
-
-    #[test]
-    fn precomputed_reveals_match_scalar_path_exactly() {
-        // Two receivers share a window: genuine reveals, a tampered
-        // message, a forged key and a duplicate — the precomputed path
-        // must mirror the scalar receiver outcome-for-outcome and
-        // stat-for-stat.
-        let (mut sender, scalar_rx, mut rng) = setup(4);
-        let mut batch_rx = scalar_rx.clone();
-        let mut scalar_rx = scalar_rx;
-
-        let mut reveals: Vec<(Reveal, SimTime)> = Vec::new();
-        for i in 1..=6u64 {
-            let ann = sender.announce(i, format!("m{i}").as_bytes()).unwrap();
-            scalar_rx.on_announce(&ann, during(i), &mut rng);
-            batch_rx.on_announce(&ann, during(i), &mut SimRng::new(1000 + i));
-            let rev = sender.reveal(i).unwrap();
-            reveals.push((rev, during(i + 1)));
-        }
-        // m = 4 with one offer per interval stores deterministically, so
-        // both receivers buffered every announce despite distinct coins.
-        let mut tampered = reveals[2].0.clone();
-        tampered.message = b"evil".to_vec();
-        reveals[2].0 = tampered;
-        let mut forged = reveals[4].0.clone();
-        forged.key = Key::derive(b"forged", b"k");
-        reveals[4].0 = forged;
-        // Duplicate of interval 1 at the end.
-        reveals.push((reveals[0].0.clone(), during(7)));
-
-        let scalar_outcomes: Vec<RevealOutcome> = reveals
-            .iter()
-            .map(|(r, t)| scalar_rx.on_reveal(r, *t))
-            .collect();
-
-        let reveal_refs: Vec<(&DapReceiver, &Reveal)> =
-            reveals.iter().map(|(r, _)| (&batch_rx as &_, r)).collect();
-        // Note: precomputes for the whole window are taken against the
-        // receiver's *initial* state — exactly what the pool drain does.
-        let pres = DapReceiver::precompute_reveals(&reveal_refs);
-        let batch_outcomes: Vec<RevealOutcome> = reveals
-            .iter()
-            .zip(pres.iter())
-            .map(|((r, t), pre)| batch_rx.on_reveal_precomputed(r, *t, pre))
-            .collect();
-
-        assert_eq!(scalar_outcomes, batch_outcomes);
-        assert_eq!(scalar_rx.stats(), batch_rx.stats());
-    }
-
-    #[test]
-    fn mismatched_precompute_falls_back_to_scalar() {
-        let (mut sender, mut receiver, mut rng) = setup(4);
-        let ann = sender.announce(1, b"real").unwrap();
-        receiver.on_announce(&ann, during(1), &mut rng);
-        let rev = sender.reveal(1).unwrap();
-        // Precompute taken for a *different* reveal (forged key): the
-        // consuming call must detect the mismatch and still authenticate.
-        let mut other = rev.clone();
-        other.key = Key::derive(b"other", b"k");
-        let pre = DapReceiver::precompute_reveals(&[(&receiver, &other)])
-            .pop()
-            .unwrap();
-        assert!(receiver
-            .on_reveal_precomputed(&rev, during(2), &pre)
-            .is_authenticated());
     }
 
     #[test]

@@ -75,39 +75,6 @@ impl PreparedMacKey {
         sha256::digest_from_midstate(&self.outer, BLOCK_LEN as u64, &inner_digest)
     }
 
-    /// Runs the HMAC key schedule for a whole batch of keys with the
-    /// pad-block compressions lane-parallel: all `2n` ipad/opad blocks go
-    /// through one [`crate::lanes::compress_many`] call instead of `2n`
-    /// scalar compressions.
-    ///
-    /// Bit-identical to `keys.iter().map(|k| PreparedMacKey::new(k))`.
-    #[must_use]
-    pub fn new_many(keys: &[&[u8]]) -> Vec<Self> {
-        let n = keys.len();
-        let mut states = vec![sha256::INITIAL_STATE; 2 * n];
-        let mut blocks = vec![[0u8; BLOCK_LEN]; 2 * n];
-        for (i, key) in keys.iter().enumerate() {
-            let mut block_key = [0u8; BLOCK_LEN];
-            if key.len() > BLOCK_LEN {
-                let digest = sha256::digest(key);
-                block_key[..DIGEST_LEN].copy_from_slice(&digest);
-            } else {
-                block_key[..key.len()].copy_from_slice(key);
-            }
-            for j in 0..BLOCK_LEN {
-                blocks[2 * i][j] = block_key[j] ^ 0x36;
-                blocks[2 * i + 1][j] = block_key[j] ^ 0x5c;
-            }
-        }
-        crate::lanes::compress_many(&mut states, &blocks);
-        (0..n)
-            .map(|i| Self {
-                inner: states[2 * i],
-                outer: states[2 * i + 1],
-            })
-            .collect()
-    }
-
     /// Batch [`mac`](Self::mac): `out[i] = keys[i].mac(messages[i])`,
     /// with both HMAC passes (inner over the messages, outer over the
     /// inner digests) running lane-parallel across the whole batch.
@@ -315,23 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn new_many_matches_scalar_keying() {
-        let keys: Vec<Vec<u8>> = vec![
-            vec![],
-            b"k".to_vec(),
-            vec![0xaau8; 64],
-            vec![0xaau8; 131], // long key: hashed first
-            b"Jefe".to_vec(),
-        ];
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let batch = PreparedMacKey::new_many(&refs);
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(batch[i], PreparedMacKey::new(key), "key {i}");
-        }
-        assert!(PreparedMacKey::new_many(&[]).is_empty());
-    }
-
-    #[test]
     fn mac_many_matches_scalar_loop() {
         let prepared: Vec<PreparedMacKey> =
             (0u8..7).map(|i| PreparedMacKey::new(&[i; 16])).collect();
@@ -346,7 +296,10 @@ mod tests {
 
     #[test]
     fn rfc4231_through_mac_many() {
-        let keys = PreparedMacKey::new_many(&[&[0x0bu8; 20][..], b"Jefe", &[0xaau8; 131][..]]);
+        let keys: Vec<PreparedMacKey> = [&[0x0bu8; 20][..], b"Jefe", &[0xaau8; 131][..]]
+            .into_iter()
+            .map(PreparedMacKey::new)
+            .collect();
         let key_refs: Vec<&PreparedMacKey> = keys.iter().collect();
         let tags = PreparedMacKey::mac_many(
             &key_refs,

@@ -16,6 +16,13 @@ use crate::oneway::{one_way, one_way_iter, one_way_trace, Domain};
 /// [`ChainStore`] implementation so they agree key-for-key.
 pub(crate) const CHAIN_HEAD_LABEL: &[u8] = b"crowdsense-dap/chain-head";
 
+/// Seeds [`KeyChain::generate_many`] walks together: enough to fill
+/// every lane, few enough that a level's scratch (one 64-byte block and
+/// one prepared key per seed) stays at 16 KiB. Whole-fleet batches
+/// allocated blocks large enough for the allocator to map them fresh on
+/// every level.
+const GENERATE_MANY_CHUNK: usize = 256;
+
 /// An 80-bit symmetric key, the size the paper uses on the wire
 /// (`Ki (80b)` in Fig. 4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,13 +159,16 @@ impl KeyChain {
     }
 
     /// Generates many chains at once, one per seed — key-for-key equal
-    /// to calling [`KeyChain::generate`] on each seed, but walking all
+    /// to calling [`KeyChain::generate`] on each seed, but walking the
     /// chains *level by level* so every `F` application at a given
     /// depth runs through [`one_way_many`]'s lane-parallel SHA-256.
     /// This is the fleet bootstrap path: provisioning `n` senders costs
     /// `n · len` compressions either way, but the batched walk keeps
     /// the SIMD lanes full instead of hashing one 10-byte key at a
     /// time.
+    ///
+    /// The walk takes 256 seeds at a time, so each level's scratch stays
+    /// at 16 KiB whatever the fleet size.
     ///
     /// # Panics
     ///
@@ -167,28 +177,26 @@ impl KeyChain {
     /// [`one_way_many`]: crate::oneway::one_way_many
     #[must_use]
     pub fn generate_many(seeds: &[&[u8]], len: usize, domain: Domain) -> Vec<Self> {
-        if seeds.is_empty() {
-            return Vec::new();
-        }
-        assert!(len > 0, "key chain must have at least one usable key");
-        let mut level: Vec<Key> = seeds
-            .iter()
-            .map(|seed| Key::derive(CHAIN_HEAD_LABEL, seed))
-            .collect();
-        let mut chains: Vec<Vec<Key>> = seeds.iter().map(|_| vec![level[0]; len + 1]).collect();
-        for (chain, head) in chains.iter_mut().zip(&level) {
-            chain[len] = *head;
-        }
-        for i in (0..len).rev() {
-            level = crate::oneway::one_way_many(domain, &level);
-            for (chain, key) in chains.iter_mut().zip(&level) {
-                chain[i] = *key;
+        assert!(
+            len > 0 || seeds.is_empty(),
+            "key chain must have at least one usable key"
+        );
+        let mut chains = Vec::with_capacity(seeds.len());
+        for chunk in seeds.chunks(GENERATE_MANY_CHUNK) {
+            let mut level: Vec<Key> = chunk
+                .iter()
+                .map(|seed| Key::derive(CHAIN_HEAD_LABEL, seed))
+                .collect();
+            let mut keys: Vec<Vec<Key>> = level.iter().map(|head| vec![*head; len + 1]).collect();
+            for i in (0..len).rev() {
+                level = crate::oneway::one_way_many(domain, &level);
+                for (chain, key) in keys.iter_mut().zip(&level) {
+                    chain[i] = *key;
+                }
             }
+            chains.extend(keys.into_iter().map(|keys| Self { keys, domain }));
         }
         chains
-            .into_iter()
-            .map(|keys| Self { keys, domain })
-            .collect()
     }
 
     /// Generates a chain whose last key `K_len` is exactly `head`.
@@ -403,51 +411,6 @@ impl ChainAnchor {
         self.index = claimed_index;
         Ok(trace)
     }
-
-    /// [`accept_recovering`](Self::accept_recovering) with the first
-    /// one-way image of `candidate` already computed — typically by a
-    /// lane-parallel batch ([`crate::lanes`]) amortising the hash across
-    /// a whole drain window.
-    ///
-    /// When `claimed_index` is exactly one step ahead (the steady-state
-    /// disclosure path), `first_image` answers the walk with zero fresh
-    /// compressions; every other shape defers to
-    /// [`accept_recovering`](Self::accept_recovering), so results are
-    /// bit-identical to the unassisted call.
-    ///
-    /// `first_image` **must** equal `one_way(domain, candidate)`; a
-    /// wrong image would corrupt the anchor. Debug builds assert it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`verify`](Self::verify); the anchor is unchanged on error.
-    pub fn accept_recovering_with_image(
-        &mut self,
-        candidate: &Key,
-        claimed_index: u64,
-        first_image: &Key,
-    ) -> Result<Vec<Key>, ChainVerifyError> {
-        debug_assert_eq!(
-            *first_image,
-            one_way(self.domain, candidate),
-            "first_image must be the candidate's one-way image"
-        );
-        if claimed_index == self.index + 1 {
-            if self.max_steps < 1 {
-                return Err(ChainVerifyError::TooFarAhead {
-                    steps: 1,
-                    max_steps: self.max_steps,
-                });
-            }
-            if !crate::ct_eq(first_image.as_bytes(), self.key.as_bytes()) {
-                return Err(ChainVerifyError::Mismatch);
-            }
-            self.key = *candidate;
-            self.index = claimed_index;
-            return Ok(vec![*candidate]);
-        }
-        self.accept_recovering(candidate, claimed_index)
-    }
 }
 
 #[cfg(test)]
@@ -477,13 +440,14 @@ mod tests {
 
     #[test]
     fn generate_many_matches_per_seed_generate_key_for_key() {
-        let seeds: Vec<Vec<u8>> = (0u64..17).map(|i| i.to_be_bytes().to_vec()).collect();
+        // Past two whole chunks, so the last chunk is ragged.
+        let seeds: Vec<Vec<u8>> = (0u64..600).map(|i| i.to_be_bytes().to_vec()).collect();
         let refs: Vec<&[u8]> = seeds.iter().map(Vec::as_slice).collect();
-        let batched = KeyChain::generate_many(&refs, 23, Domain::F);
+        let batched = KeyChain::generate_many(&refs, 5, Domain::F);
         assert_eq!(batched.len(), seeds.len());
         for (seed, chain) in seeds.iter().zip(&batched) {
-            let scalar = KeyChain::generate(seed, 23, Domain::F);
-            for i in 0..=23 {
+            let scalar = KeyChain::generate(seed, 5, Domain::F);
+            for i in 0..=5 {
                 assert_eq!(chain.key(i), scalar.key(i), "seed {seed:?} key {i}");
             }
         }
@@ -530,46 +494,6 @@ mod tests {
         let bounded = anchor.clone().with_max_steps(2);
         assert!(matches!(
             bounded.clone().accept_recovering(chain.key(8).unwrap(), 8),
-            Err(ChainVerifyError::TooFarAhead { .. })
-        ));
-    }
-
-    #[test]
-    fn accept_with_image_matches_unassisted_accept() {
-        let chain = KeyChain::generate(b"s", 16, Domain::F);
-        // Steady state: image answers the one-step walk.
-        let mut assisted = chain.anchor();
-        let mut plain = chain.anchor();
-        for i in 1..=4u64 {
-            let key = chain.key(i as usize).unwrap();
-            let image = one_way(Domain::F, key);
-            assert_eq!(
-                assisted.accept_recovering_with_image(key, i, &image),
-                plain.accept_recovering(key, i),
-                "interval {i}"
-            );
-            assert_eq!(assisted, plain);
-        }
-        // Gap: defers to the full walk, same segment.
-        let key = chain.key(9).unwrap();
-        let image = one_way(Domain::F, key);
-        assert_eq!(
-            assisted.accept_recovering_with_image(key, 9, &image),
-            plain.accept_recovering(key, 9)
-        );
-        // Forged one-step candidate: rejected, anchor unchanged.
-        let forged = Key::derive(b"forged", b"x");
-        let forged_image = one_way(Domain::F, &forged);
-        assert_eq!(
-            assisted.accept_recovering_with_image(&forged, 10, &forged_image),
-            Err(ChainVerifyError::Mismatch)
-        );
-        assert_eq!(assisted, plain);
-        // A zero step budget rejects even the assisted fast path.
-        let mut bounded = chain.anchor().with_max_steps(0);
-        let k1 = chain.key(1).unwrap();
-        assert!(matches!(
-            bounded.accept_recovering_with_image(k1, 1, &one_way(Domain::F, k1)),
             Err(ChainVerifyError::TooFarAhead { .. })
         ));
     }

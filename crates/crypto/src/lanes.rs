@@ -4,11 +4,10 @@
 //! SHA extensions (SHA-NI): `sha256rnds2` runs two rounds of one
 //! message per instruction, so a single compression takes ~50 ns
 //! instead of the portable kernel's ~370 ns. The second is multi-buffer
-//! hashing over *independent* messages: a pool shard draining its
-//! ingress window re-keys and re-MACs a whole batch of frames whose
-//! hashes are mutually independent, and `W` such compressions run in
-//! lockstep, one 32-bit SIMD lane per message: 4 lanes on SSE2
-//! (`__m128i`), 8 lanes on AVX2 (`__m256i`).
+//! hashing over *independent* messages: walking a whole fleet's key
+//! chains level by level hashes one key per chain, and `W` such
+//! compressions run in lockstep, one 32-bit SIMD lane per message: 4
+//! lanes on SSE2 (`__m128i`), 8 lanes on AVX2 (`__m256i`).
 //!
 //! Both hashing entry points dispatch on the CPU alone, detected once
 //! per process with `std::arch::is_x86_feature_detected!`:
@@ -24,8 +23,8 @@
 //! The batch entry points are [`digest_many`] (full hashes) and
 //! [`digest_many_from_midstates`] (per-lane cached midstates — the HMAC
 //! shape: every lane resumes from its own ipad/opad state with the same
-//! number of prior bytes). [`crate::hmac::PreparedMacKey::mac_many`],
-//! [`crate::mac::mac80_many`] and friends are built on top.
+//! number of prior bytes). [`crate::hmac::PreparedMacKey::mac_many`]
+//! and [`crate::oneway::one_way_many`] are built on top.
 #![allow(unsafe_code)] // SIMD and SHA intrinsics; every unsafe call sits behind a feature check.
 
 use std::sync::OnceLock;

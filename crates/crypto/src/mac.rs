@@ -13,7 +13,7 @@
 
 use crate::hmac::PreparedMacKey;
 use crate::keychain::Key;
-use crate::oneway::{one_way, one_way_many, Domain};
+use crate::oneway::{one_way, Domain};
 
 /// An 80-bit packet MAC (`MAC_i` in the paper, 80 b on the wire).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,73 +136,6 @@ pub fn mac80_prepared(prepared: &PreparedMacKey, message: &[u8]) -> Mac80 {
     Mac80::from_slice(&tag[..Mac80::LEN]).expect("digest longer than tag")
 }
 
-/// Batch [`prepare_chain_key`]: runs the F′ derivations *and* the HMAC
-/// key schedules for a whole batch of chain keys lane-parallel.
-/// Bit-identical to the scalar loop.
-#[must_use]
-pub fn prepare_chain_keys(chain_keys: &[Key]) -> Vec<PreparedMacKey> {
-    let mac_keys = one_way_many(Domain::MacKey, chain_keys);
-    let key_bytes: Vec<&[u8]> = mac_keys.iter().map(Key::as_bytes).collect();
-    PreparedMacKey::new_many(&key_bytes)
-}
-
-/// Batch [`mac80`]: `out[i] = mac80(&chain_keys[i], messages[i])` with
-/// every SHA-256 compression lane-parallel across the batch.
-///
-/// # Panics
-///
-/// Panics if `chain_keys` and `messages` differ in length.
-#[must_use]
-pub fn mac80_many(chain_keys: &[Key], messages: &[&[u8]]) -> Vec<Mac80> {
-    mac80_many_prepared(&prepare_chain_keys(chain_keys), messages)
-}
-
-/// [`mac80_many`] with the `K'_i = F'(K_i)` key schedules already cached.
-///
-/// # Panics
-///
-/// Panics if `prepared` and `messages` differ in length.
-#[must_use]
-pub fn mac80_many_prepared(prepared: &[PreparedMacKey], messages: &[&[u8]]) -> Vec<Mac80> {
-    let refs: Vec<&PreparedMacKey> = prepared.iter().collect();
-    PreparedMacKey::mac_many(&refs, messages)
-        .iter()
-        .map(|tag| Mac80::from_slice(&tag[..Mac80::LEN]).expect("digest longer than tag"))
-        .collect()
-}
-
-/// Batch [`verify_mac80`]: `out[i]` is the constant-time comparison of
-/// the recomputed tag for `(chain_keys[i], messages[i])` against
-/// `tags[i]`.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-#[must_use]
-pub fn verify_mac80_many(chain_keys: &[Key], messages: &[&[u8]], tags: &[Mac80]) -> Vec<bool> {
-    assert_eq!(chain_keys.len(), tags.len(), "one tag per key");
-    mac80_many(chain_keys, messages)
-        .iter()
-        .zip(tags.iter())
-        .map(|(got, want)| crate::ct_eq(got.as_bytes(), want.as_bytes()))
-        .collect()
-}
-
-/// Batch [`micro_mac_prepared`]: `out[i]` re-keys `macs[i]` under the
-/// (already prepared) receiver secret `receiver_keys[i]`, lane-parallel.
-///
-/// # Panics
-///
-/// Panics if `receiver_keys` and `macs` differ in length.
-#[must_use]
-pub fn micro_mac_many(receiver_keys: &[&PreparedMacKey], macs: &[Mac80]) -> Vec<MicroMac> {
-    let messages: Vec<&[u8]> = macs.iter().map(Mac80::as_bytes).collect();
-    PreparedMacKey::mac_many(receiver_keys, &messages)
-        .iter()
-        .map(|tag| MicroMac::from_slice(&tag[..MicroMac::LEN]).expect("digest longer than tag"))
-        .collect()
-}
-
 /// Computes the receiver-local μMAC `MAC_{K_recv}(mac)` (24 bits).
 ///
 /// `K_recv` never leaves the receiver, so an attacker flooding the channel
@@ -285,40 +218,6 @@ mod tests {
             micro_mac_prepared(&prepared_recv, &tag),
             micro_mac(&recv, &tag)
         );
-    }
-
-    #[test]
-    fn batch_mac_apis_match_scalar_loops() {
-        let keys: Vec<Key> = (0u8..6).map(key).collect();
-        let messages: Vec<Vec<u8>> = (0..6usize).map(|i| vec![i as u8; i * 13]).collect();
-        let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-
-        let prepared = prepare_chain_keys(&keys);
-        let tags = mac80_many(&keys, &msg_refs);
-        for i in 0..keys.len() {
-            assert_eq!(prepared[i], prepare_chain_key(&keys[i]), "prepare {i}");
-            assert_eq!(tags[i], mac80(&keys[i], &messages[i]), "mac {i}");
-        }
-        assert_eq!(mac80_many_prepared(&prepared, &msg_refs), tags);
-
-        let oks = verify_mac80_many(&keys, &msg_refs, &tags);
-        assert!(oks.iter().all(|&ok| ok));
-        let mut bad = tags.clone();
-        bad[3] = mac80(&key(99), b"other");
-        let oks = verify_mac80_many(&keys, &msg_refs, &bad);
-        assert!(oks.iter().enumerate().all(|(i, &ok)| ok == (i != 3)));
-
-        let recv_keys: Vec<PreparedMacKey> =
-            (10u8..16).map(|b| prepare_receiver_key(&key(b))).collect();
-        let recv_refs: Vec<&PreparedMacKey> = recv_keys.iter().collect();
-        let micros = micro_mac_many(&recv_refs, &tags);
-        for i in 0..tags.len() {
-            assert_eq!(
-                micros[i],
-                micro_mac_prepared(&recv_keys[i], &tags[i]),
-                "micro {i}"
-            );
-        }
     }
 
     #[test]

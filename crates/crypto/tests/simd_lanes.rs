@@ -15,11 +15,9 @@ use dap_crypto::lanes::{
     compress_many_with, detected, digest_many, digest_many_from_midstates_with, supported,
     LaneWidth,
 };
-use dap_crypto::mac::{mac80, mac80_many, verify_mac80, verify_mac80_many, Mac80};
 use dap_crypto::sha256::{
     digest, digest_from_midstate, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE,
 };
-use dap_crypto::Key;
 use dap_testkit::{check, Gen};
 
 /// The batch sizes every width must handle: empty, sub-width, exactly
@@ -146,72 +144,19 @@ fn midstate_batches_equal_the_scalar_midstate_path() {
 }
 
 #[test]
-fn mac80_many_equals_the_scalar_mac_loop() {
-    check("mac80_many_lane_vs_scalar", |g| {
-        let n = g.usize_in(0..17);
-        let keys: Vec<Key> = (0..n)
-            .map(|_| Key::from_slice(&g.byte_array::<10>()).unwrap())
-            .collect();
-        let messages: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..96)).collect();
-        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        let got = mac80_many(&keys, &refs);
-        for i in 0..n {
-            assert_eq!(got[i], mac80(&keys[i], &messages[i]), "lane {i} of {n}");
-        }
-    });
-}
-
-#[test]
-fn verify_mac80_many_equals_the_scalar_verify_loop() {
-    check("verify_mac80_many_lane_vs_scalar", |g| {
-        let n = g.usize_in(1..13);
-        let keys: Vec<Key> = (0..n)
-            .map(|_| Key::from_slice(&g.byte_array::<10>()).unwrap())
-            .collect();
-        let messages: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..64)).collect();
-        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        // Corrupt a random subset of tags so both accept and reject
-        // lanes appear in the same batch.
-        let tags: Vec<Mac80> = mac80_many(&keys, &refs)
-            .into_iter()
-            .map(|tag| {
-                if g.any_bool() {
-                    let mut bytes = [0u8; Mac80::LEN];
-                    bytes.copy_from_slice(tag.as_bytes());
-                    bytes[0] ^= 1;
-                    Mac80::from_slice(&bytes).unwrap()
-                } else {
-                    tag
-                }
-            })
-            .collect();
-        let got = verify_mac80_many(&keys, &refs, &tags);
-        for i in 0..n {
-            assert_eq!(
-                got[i],
-                verify_mac80(&keys[i], &messages[i], &tags[i]),
-                "lane {i} of {n}"
-            );
-        }
-    });
-}
-
-#[test]
 fn prepared_mac_many_equals_the_scalar_prepared_mac() {
     check("prepared_mac_many_lane_vs_scalar", |g| {
         let n = g.usize_in(0..11);
         // Keys straddle the block boundary so both the copied and the
-        // pre-hashed key schedules flow through the batch constructor.
+        // pre-hashed key schedules feed the batch.
         let keys: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..96)).collect();
-        let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let prepared = PreparedMacKey::new_many(&key_refs);
+        let prepared: Vec<PreparedMacKey> = keys.iter().map(|k| PreparedMacKey::new(k)).collect();
         let messages: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..128)).collect();
         let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
         let prepared_refs: Vec<&PreparedMacKey> = prepared.iter().collect();
         let got = PreparedMacKey::mac_many(&prepared_refs, &msg_refs);
         for i in 0..n {
-            let scalar = PreparedMacKey::new(&keys[i]);
-            assert_eq!(got[i], scalar.mac(&messages[i]), "lane {i} of {n}");
+            assert_eq!(got[i], prepared[i].mac(&messages[i]), "lane {i} of {n}");
             assert_eq!(got[i], hmac_sha256(&keys[i], &messages[i]), "lane {i}");
         }
     });
@@ -285,10 +230,9 @@ fn hmac_many_with(width: LaneWidth, keys: &[&[u8]], data: &[&[u8]]) -> Vec<[u8; 
 
 /// RFC 4231 HMAC-SHA-256 test cases 1-4, 6 and 7 (case 5 specifies a
 /// truncated output and is out of scope), through
-/// [`PreparedMacKey::new_many`] + [`PreparedMacKey::mac_many`] — the
-/// batched HMAC pipeline the reveal-verify batch path uses — and through
-/// every kernel the host supports, SHA-NI and the portable reference
-/// included.
+/// [`PreparedMacKey::mac_many`] — the batched HMAC pipeline under
+/// `one_way_many` and fleet chain generation — and through every kernel
+/// the host supports, SHA-NI and the portable reference included.
 #[test]
 fn rfc_4231_vectors_through_the_multi_lane_path() {
     let case4_key: Vec<u8> = (1..=25).collect();
@@ -319,7 +263,7 @@ fn rfc_4231_vectors_through_the_multi_lane_path() {
         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
     ];
-    let prepared = PreparedMacKey::new_many(&keys);
+    let prepared: Vec<PreparedMacKey> = keys.iter().map(|k| PreparedMacKey::new(k)).collect();
     let prepared_refs: Vec<&PreparedMacKey> = prepared.iter().collect();
     let mut paths = vec![(
         "mac_many".to_string(),

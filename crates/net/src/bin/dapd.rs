@@ -564,6 +564,9 @@ fn run_receiver(opts: &Opts) {
         eprintln!("telemetry: http://{}/", server.local_addr());
         server
     });
+    // One wall clock for the pool's stages and the capture header, so
+    // the header stamps the run's elapsed time.
+    let time = TimeSource::wall();
     let pool = ReceiverPool::spawn_with_obs(
         PoolConfig {
             shards,
@@ -575,7 +578,7 @@ fn run_receiver(opts: &Opts) {
         seed,
         |shard| DapShard::new(bootstrap, &[b'u', b'd', b'p', shard as u8]),
         PoolObs {
-            time: TimeSource::wall(),
+            time: time.clone(),
             trace_depth,
             publish: shared,
             // Live enough for a scrape without a per-frame lock.
@@ -624,7 +627,7 @@ fn run_receiver(opts: &Opts) {
     let report = pool.shutdown_with_report();
     print!("{}", report.registry.render());
     if let Some(path) = trace_out {
-        write_trace(path, &report.trace, report.trace_shed, &TimeSource::wall());
+        write_trace(path, &report.trace, report.trace_shed, &time);
     }
     let counters = report.registry.counters();
     let auth = counters.get(dap_simnet::keys::NET_REVEAL_AUTH);

@@ -19,9 +19,8 @@
 //!   (`loopback_ingest`) and at three recorder levels, each paired
 //!   against it;
 //! * verify — DAP and TESLA++ announce and reveal verify on the bare
-//!   receivers (the shard layer is recvbench's to measure), the batched
-//!   reveal lanes against their scalar twins, the stationary flood
-//!   announce and the codec round trip;
+//!   receivers (the shard layer is recvbench's to measure), the
+//!   stationary flood announce and the codec round trip;
 //! * overload — the adversary class × defender posture survival matrix;
 //! * Algorithm 3 — the control plane's re-solve at five attack levels;
 //! * sweep — the 12×8×4 parameter sweep, parallel against sequential.
@@ -32,7 +31,7 @@ use dap_bench::json::JsonObject;
 use dap_bench::sweep::{run_sweep_sequential, run_sweep_with_stats, to_csv, SweepConfig};
 use dap_bench::timer::{self, calibrated, paired, record, repeat, versus};
 use dap_core::codec::{self, TaggedFrame};
-use dap_core::{DapMessage, DapParams, DapReceiver, DapSender, Reveal};
+use dap_core::{DapMessage, DapParams, DapReceiver, DapSender};
 use dap_crypto::lanes::{self, LaneWidth};
 use dap_crypto::mac::{micro_mac_prepared, prepare_receiver_key, Mac80};
 use dap_crypto::oneway::one_way_iter;
@@ -43,7 +42,7 @@ use dap_net::adversary::AdversaryClass;
 use dap_net::fleet::{run_fleet, FleetReport, FleetSpec};
 use dap_obs::Histogram;
 use dap_simnet::{SimDuration, SimRng, SimTime};
-use dap_tesla::teslapp::{TeslaPpMessage, TeslaPpOutcome, TeslaPpReceiver, TeslaPpSender};
+use dap_tesla::teslapp::{TeslaPpOutcome, TeslaPpReceiver, TeslaPpSender};
 use dap_tesla::TeslaParams;
 
 /// The records so far, printed as they land and written as one array.
@@ -260,42 +259,24 @@ fn with_tail(record: JsonObject, hist: &Histogram) -> JsonObject {
         .u64("p99_ns", q(0.99))
 }
 
-/// Scalar lanes interleave announce and reveal over fresh intervals
+/// The verify lanes interleave announce and reveal over fresh intervals
 /// (the receivers drop pools more than d + 2 intervals old — that bound
 /// is the point of the protocol), with only the verify call timed.
 const REVEALS: u64 = 2048;
-/// Batched lanes: 64 sender/receiver pairs per window, the fleet shape,
-/// where one drain window carries one reveal from each of many sessions,
-/// so every batch hands the multi-lane compressor a full load. 64 × 32
-/// = 2048 reveals, as in the scalar lanes.
-const PAIRS: usize = 64;
-const WINDOWS: u64 = 32;
-
-/// Time spent per frame in each batched window: the window is the
-/// amortisation unit, so each of its frames paid an equal share.
-fn record_window(hist: &mut Histogram, window_ns: u128) {
-    hist.record_n(
-        u64::try_from(window_ns / PAIRS as u128).unwrap_or(u64::MAX),
-        PAIRS as u64,
-    );
-}
 
 /// What one protocol's verify lanes collect over their repetitions:
-/// the scalar pass's announce samples, and per-frame latencies.
+/// the announce samples, and per-frame latencies.
 #[derive(Default)]
 struct VerifyRun {
     announce: Vec<f64>,
     announce_hist: Histogram,
     reveal_hist: Histogram,
-    batched_hist: Histogram,
 }
 
 impl VerifyRun {
-    /// Records `<protocol>_announce_verify`, `<protocol>_reveal_verify`
-    /// and `<protocol>_reveal_verify_batched`, the last with its median
-    /// per-pair speedup over the scalar reveal lane.
-    fn push(self, out: &mut Report, protocol: &str, scalar: &[f64], batched: &[f64]) {
-        // The first scalar pass is `paired`'s discarded warm-up.
+    /// Records `<protocol>_announce_verify` and `<protocol>_reveal_verify`.
+    fn push(self, out: &mut Report, protocol: &str, reveal: &[f64]) {
+        // The first pass is `repeat`'s discarded warm-up.
         let announce = &self.announce[self.announce.len() - timer::REPS..];
         let name = |lane: &str| format!("{protocol}_{lane}");
         out.push(with_tail(
@@ -303,28 +284,14 @@ impl VerifyRun {
             &self.announce_hist,
         ));
         out.push(with_tail(
-            record(&name("reveal_verify"), "ns/frame", scalar),
+            record(&name("reveal_verify"), "ns/frame", reveal),
             &self.reveal_hist,
         ));
-        out.push(
-            with_tail(
-                versus(
-                    record(&name("reveal_verify_batched"), "ns/frame", batched),
-                    &name("reveal_verify"),
-                    batched,
-                    scalar,
-                ),
-                &self.batched_hist,
-            )
-            .str("kernel", &lanes::detected().to_string()),
-        );
     }
 }
 
 /// DAP verify on bare `DapReceiver`s: the stationary flood announce,
-/// announce and reveal verify, and the batched reveal lane
-/// (`precompute_reveals` + `on_reveal_precomputed`) paired against the
-/// scalar reveal lane.
+/// then announce and reveal verify.
 fn dap_verify_lanes(out: &mut Report) {
     // The flood lane hammers one announce: the reservoir bounds state
     // at `m`, so that is a stationary measurement of the attack's
@@ -343,14 +310,14 @@ fn dap_verify_lanes(out: &mut Report) {
     }
 
     let mut run = VerifyRun::default();
-    let scalar = || {
+    let reveal = repeat(|| {
         let chain = usize::try_from(REVEALS).expect("fits") + 4;
         let mut sender = DapSender::new(b"perf/dap", chain, bench_params());
         let mut receiver = DapReceiver::new(sender.bootstrap(), b"perf");
         let mut rng = SimRng::new(7);
         let (mut announce_ns, mut reveal_ns, mut authenticated) = (0, 0, 0);
         for i in 1..=REVEALS {
-            let announce = sender.announce(i, b"batched reading").expect("chain");
+            let announce = sender.announce(i, b"bench reading").expect("chain");
             timed(&mut run.announce_hist, &mut announce_ns, || {
                 receiver.on_announce(&announce, during(i), &mut rng)
             });
@@ -366,60 +333,11 @@ fn dap_verify_lanes(out: &mut Report) {
         );
         run.announce.push(announce_ns as f64 / REVEALS as f64);
         reveal_ns as f64 / REVEALS as f64
-    };
-    let batched = || {
-        let chain = usize::try_from(WINDOWS).expect("fits") + 4;
-        let mut senders: Vec<DapSender> = (0..PAIRS)
-            .map(|p| {
-                DapSender::new(
-                    format!("perf/dap-batch/{p}").as_bytes(),
-                    chain,
-                    bench_params(),
-                )
-            })
-            .collect();
-        let mut receivers: Vec<DapReceiver> = senders
-            .iter()
-            .map(|s| DapReceiver::new(s.bootstrap(), b"perf"))
-            .collect();
-        let mut rng = SimRng::new(7);
-        let (mut elapsed, mut authenticated) = (0u128, 0u64);
-        for i in 1..=WINDOWS {
-            // Announces land untimed — this lane measures reveal verify.
-            for (sender, receiver) in senders.iter_mut().zip(receivers.iter_mut()) {
-                let announce = sender.announce(i, b"batched reading").expect("chain");
-                receiver.on_announce(&announce, during(i), &mut rng);
-            }
-            let reveals: Vec<Reveal> = senders
-                .iter_mut()
-                .map(|s| s.reveal(i).expect("announced"))
-                .collect();
-            let t0 = Instant::now();
-            let items: Vec<(&DapReceiver, &Reveal)> =
-                receivers.iter().zip(reveals.iter()).collect();
-            let pres = DapReceiver::precompute_reveals(&items);
-            for ((receiver, reveal), pre) in receivers.iter_mut().zip(&reveals).zip(&pres) {
-                authenticated += u64::from(
-                    receiver
-                        .on_reveal_precomputed(reveal, during(i + 1), pre)
-                        .is_authenticated(),
-                );
-            }
-            let window_ns = t0.elapsed().as_nanos();
-            elapsed += window_ns;
-            record_window(&mut run.batched_hist, window_ns);
-        }
-        assert_eq!(
-            authenticated, REVEALS,
-            "bench reveals must authenticate for the timing to mean anything"
-        );
-        elapsed as f64 / REVEALS as f64
-    };
-    let (scalar, batched) = paired(scalar, batched);
-    run.push(out, "dap", &scalar, &batched);
+    });
+    run.push(out, "dap", &reveal);
 }
 
-/// TESLA++ over the same workloads, as the comparison baseline. No
+/// TESLA++ over the same workload, as the comparison baseline. No
 /// stationary flood lane: TESLA++ stores *every* safe announcement
 /// until its reveal window expires, so hammering one index only
 /// measures that list growing — TESLA++'s flood weakness, not a
@@ -427,13 +345,13 @@ fn dap_verify_lanes(out: &mut Report) {
 fn teslapp_verify_lanes(out: &mut Report) {
     let params = TeslaParams::new(SimDuration(100), 1, 0);
     let mut run = VerifyRun::default();
-    let scalar = || {
+    let reveal = repeat(|| {
         let chain = usize::try_from(REVEALS).expect("fits") + 4;
         let mut sender = TeslaPpSender::new(b"perf/tpp", chain, params);
         let mut receiver = TeslaPpReceiver::new(sender.bootstrap(), b"perf");
         let (mut announce_ns, mut reveal_ns, mut authenticated) = (0, 0, 0);
         for i in 1..=REVEALS {
-            let announce = sender.announce(i, b"batched reading").expect("fresh chain");
+            let announce = sender.announce(i, b"bench reading").expect("fresh chain");
             timed(&mut run.announce_hist, &mut announce_ns, || {
                 receiver.on_message(&announce, during(i))
             });
@@ -449,49 +367,8 @@ fn teslapp_verify_lanes(out: &mut Report) {
         );
         run.announce.push(announce_ns as f64 / REVEALS as f64);
         reveal_ns as f64 / REVEALS as f64
-    };
-    let batched = || {
-        let chain = usize::try_from(WINDOWS).expect("fits") + 4;
-        let mut senders: Vec<TeslaPpSender> = (0..PAIRS)
-            .map(|p| TeslaPpSender::new(format!("perf/tpp-batch/{p}").as_bytes(), chain, params))
-            .collect();
-        let mut receivers: Vec<TeslaPpReceiver> = senders
-            .iter()
-            .map(|s| TeslaPpReceiver::new(s.bootstrap(), b"perf"))
-            .collect();
-        let (mut elapsed, mut authenticated) = (0u128, 0u64);
-        for i in 1..=WINDOWS {
-            for (sender, receiver) in senders.iter_mut().zip(receivers.iter_mut()) {
-                let announce = sender.announce(i, b"batched reading").expect("chain");
-                receiver.on_message(&announce, during(i));
-            }
-            let reveals: Vec<TeslaPpMessage> = senders
-                .iter_mut()
-                .map(|s| s.reveal(i).expect("announced"))
-                .collect();
-            let t0 = Instant::now();
-            let items: Vec<(&TeslaPpReceiver, &TeslaPpMessage)> =
-                receivers.iter().zip(reveals.iter()).collect();
-            let pres = TeslaPpReceiver::precompute_reveals(&items);
-            for ((receiver, message), pre) in receivers.iter_mut().zip(&reveals).zip(&pres) {
-                let outcome = match pre {
-                    Some(p) => receiver.on_message_precomputed(message, during(i + 1), p),
-                    None => receiver.on_message(message, during(i + 1)),
-                };
-                authenticated += u64::from(matches!(outcome, TeslaPpOutcome::Authenticated { .. }));
-            }
-            let window_ns = t0.elapsed().as_nanos();
-            elapsed += window_ns;
-            record_window(&mut run.batched_hist, window_ns);
-        }
-        assert_eq!(
-            authenticated, REVEALS,
-            "bench reveals must authenticate for the timing to mean anything"
-        );
-        elapsed as f64 / REVEALS as f64
-    };
-    let (scalar, batched) = paired(scalar, batched);
-    run.push(out, "teslapp", &scalar, &batched);
+    });
+    run.push(out, "teslapp", &reveal);
 }
 
 /// Codec cost: encode one reveal, then decode the datagram the way the

@@ -31,13 +31,10 @@
 //! seed — so two same-seed runs render byte-identical registries and
 //! traces (the ci.sh soak gates `cmp` exactly this).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dap_core::{
-    codec, DapBootstrap, DapMessage, DapParams, DapReceiver, DapSender, PostureDirective, Reveal,
-    RevealPrecompute, SenderId,
-};
+use dap_core::{codec, DapBootstrap, DapMessage, DapParams, DapSender, PostureDirective, SenderId};
 use dap_crypto::oneway::Domain;
 use dap_crypto::KeyChain;
 use dap_obs::{TimeSource, TraceRecord};
@@ -325,12 +322,6 @@ pub struct FleetShard {
     /// but are not auth attempts, so a replay adversary cannot dilute a
     /// sender's measured rate with the sender's own traffic.
     reveal_outcomes: BTreeMap<u64, (u64, u64)>,
-    /// One entry per reveal of the current drain window, in window
-    /// order, tagged with the claimed sender id; `on_frame` pops one
-    /// per reveal frame it sees. `None` where the sender had no
-    /// *resident* session at prefetch time (admission decisions stay in
-    /// `on_frame`, where they are counted and can evict).
-    pre: VecDeque<Option<(u64, RevealPrecompute)>>,
 }
 
 impl FleetShard {
@@ -371,7 +362,6 @@ impl FleetShard {
             directory,
             params: fleet_params(spec.buffers),
             reveal_outcomes: BTreeMap::new(),
-            pre: VecDeque::new(),
         }
     }
 
@@ -392,18 +382,6 @@ impl FrameVerifier for FleetShard {
         registry: &mut Registry,
         live: &LiveCounters,
     ) -> FrameVerdict {
-        // Pop unconditionally for every reveal — even one the early
-        // return below discards — so the queue stays aligned with the
-        // window's reveal sequence; a precompute serves only the sender
-        // it was made for.
-        let pre = match frame {
-            DapMessage::Reveal(_) => self
-                .pre
-                .pop_front()
-                .flatten()
-                .and_then(|(claimed, pre)| (claimed == sender.0).then_some(pre)),
-            DapMessage::Announce(_) => None,
-        };
         let (directory, buffers) = (&self.directory, self.params.buffers);
         let Some(session) = self.table.lookup(sender, |id| {
             // Admissions provision at the *commanded* buffer count:
@@ -437,15 +415,7 @@ impl FrameVerifier for FleetShard {
         }
         registry.add(keys::NET_SESSION_EVICTED, session.evicted.len() as u64);
         let evicted = session.evicted.first().copied();
-        let (verdict, attempt) = dap_verdict(
-            session.receiver,
-            frame,
-            pre.as_ref(),
-            at,
-            rng,
-            registry,
-            live,
-        );
+        let (verdict, attempt) = dap_verdict(session.receiver, frame, at, rng, registry, live);
         if let Some(success) = attempt {
             let tally = self.reveal_outcomes.entry(sender.0).or_insert((0, 0));
             tally.0 += u64::from(success);
@@ -503,39 +473,6 @@ impl FrameVerifier for FleetShard {
             from_m: from as u64,
             to_m: to as u64,
         })
-    }
-
-    fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
-        // Only senders with a *resident* session precompute:
-        // `SessionTable::peek` never admits, evicts or touches the
-        // eviction clock, so this pass is invisible to session
-        // accounting. A session evicted and re-admitted between here
-        // and consumption is harmless anyway — every precompute field
-        // is a pure function of the reveal bytes and the sender's
-        // deterministic per-id local seed, not of receiver state.
-        let reveals: Vec<(SenderId, &Reveal)> = batch
-            .iter()
-            .filter_map(|(sender, frame)| match frame {
-                DapMessage::Reveal(r) => Some((*sender, r)),
-                DapMessage::Announce(_) => None,
-            })
-            .collect();
-        let mut slots: Vec<Option<u64>> = Vec::with_capacity(reveals.len());
-        let mut items: Vec<(&DapReceiver, &Reveal)> = Vec::new();
-        for (sender, reveal) in &reveals {
-            match self.table.peek(*sender) {
-                Some(receiver) => {
-                    slots.push(Some(sender.0));
-                    items.push((receiver, reveal));
-                }
-                None => slots.push(None),
-            }
-        }
-        let mut pres = DapReceiver::precompute_reveals(&items).into_iter();
-        self.pre = slots
-            .into_iter()
-            .map(|slot| slot.map(|sender| (sender, pres.next().expect("one precompute per item"))))
-            .collect();
     }
 }
 
@@ -885,6 +822,7 @@ fn forge<T: Transport>(flooder: &mut Flooder<T>, tag: Option<SenderId>, interval
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dap_core::Reveal;
 
     #[test]
     fn same_seed_gives_identical_metrics() {
@@ -1281,9 +1219,8 @@ mod tests {
     fn windowed_fleet_prefetch_matches_the_unwindowed_path() {
         // Clean fleet: every sender's outcome history is identical, so
         // every flush sees one priority class and the windowed drain
-        // order degenerates to arrival order — the only difference
-        // between the two runs is the batch prefetch pipeline, which
-        // must therefore be registry-invisible.
+        // order degenerates to arrival order — windowing alone must
+        // therefore be registry-invisible.
         let spec = |drain_budget: usize| FleetSpec {
             senders: 16,
             intervals: 5,

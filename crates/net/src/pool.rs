@@ -36,15 +36,14 @@
 //! snapshots). [`ReceiverPool::shutdown_with_report`] returns the whole
 //! picture.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use dap_core::codec::TaggedFrame;
 use dap_core::{
-    codec, AnnounceOutcome, DapBootstrap, DapMessage, DapReceiver, PostureDirective, Reveal,
-    RevealOutcome, RevealPrecompute, SenderId,
+    codec, AnnounceOutcome, DapBootstrap, DapMessage, DapReceiver, PostureDirective, RevealOutcome,
+    SenderId,
 };
 use dap_obs::{
     frame_span, span_id, Histogram, SpanStage, TimeSource, TraceEvent, TraceRecord, TraceRing,
@@ -137,14 +136,15 @@ pub struct PoolObs {
     /// Flight-recorder sampling: every `span_every`-th verified
     /// datagram per shard gets a [`TraceEvent::FrameSpan`] per decoded
     /// frame, and samples in the `net.stage.*` histograms of the stages
-    /// only the recorder times (ingress, queue wait, prefetch, buffer).
-    /// The decode, verify and reveal-authenticate stages are timed on
-    /// every frame regardless: one clock reading ends each of them. The
-    /// recorder adds one reading per sampled frame (its buffer stage),
-    /// one per windowed take and one per window's prefetch. 0 disables
-    /// the recorder; 1 records every datagram. The sampling decision is
-    /// a pure function of the shard's datagram ordinal, so two same-seed
-    /// runs sample the same frames.
+    /// only the recorder times (ingress, queue wait, buffer, and the
+    /// prefetch stage, which no path runs and which records 0). The
+    /// decode, verify and reveal-authenticate stages are timed on every
+    /// frame regardless: one clock reading ends each of them. The
+    /// recorder adds one reading per sampled frame (its buffer stage)
+    /// and one per windowed take. 0 disables the recorder; 1 records
+    /// every datagram. The sampling decision is a pure function of the
+    /// shard's datagram ordinal, so two same-seed runs sample the same
+    /// frames.
     pub span_every: u64,
 }
 
@@ -224,15 +224,11 @@ pub trait FrameVerifier: Send {
         PriorityClass::High
     }
 
-    /// Batch hook the windowed drain calls once per flush, before any
-    /// [`FrameVerifier::on_frame`]: `batch` holds every in-budget frame
-    /// of the window, decoded, in exactly the order `on_frame` is about
-    /// to see them. Implementations may front-load *pure* crypto here —
-    /// lane-parallel SHA-256 over all the window's reveals — and hand
-    /// the results back to themselves through internal state. The hook
-    /// must not touch counters, traces, RNGs or protocol state: a run
-    /// with an inert `prefetch` must be byte-identical to a run that
-    /// uses it. Default: no-op.
+    /// Retired batch hook: the pool never calls it. Every frame, windowed
+    /// or not, verifies through [`FrameVerifier::on_frame`] alone. It
+    /// stays a default no-op only so verifiers that still forward it
+    /// compile; it goes together with the `net.stage.prefetch_ns` stage,
+    /// which reads 0.
     fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
         let _ = batch;
     }
@@ -423,12 +419,6 @@ impl LiveCounters {
 #[derive(Debug)]
 pub struct DapShard {
     receiver: DapReceiver,
-    /// Precomputes for the current drain window's reveals, in window
-    /// order; `on_frame` pops one per reveal. Pure crypto only — a
-    /// popped entry that doesn't match its reveal (never, in practice:
-    /// both sides parse the same bytes) is discarded by the receiver's
-    /// own `(index, key)` filter and the scalar path runs instead.
-    pre: VecDeque<RevealPrecompute>,
 }
 
 impl DapShard {
@@ -439,7 +429,6 @@ impl DapShard {
     pub fn new(bootstrap: DapBootstrap, local_seed: &[u8]) -> Self {
         Self {
             receiver: DapReceiver::new(bootstrap, local_seed),
-            pre: VecDeque::new(),
         }
     }
 
@@ -460,31 +449,7 @@ impl FrameVerifier for DapShard {
         registry: &mut Registry,
         live: &LiveCounters,
     ) -> FrameVerdict {
-        let pre = match frame {
-            DapMessage::Reveal(_) => self.pre.pop_front(),
-            DapMessage::Announce(_) => None,
-        };
-        dap_verdict(
-            &mut self.receiver,
-            frame,
-            pre.as_ref(),
-            at,
-            rng,
-            registry,
-            live,
-        )
-        .0
-    }
-
-    fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
-        let items: Vec<(&DapReceiver, &Reveal)> = batch
-            .iter()
-            .filter_map(|(_, frame)| match frame {
-                DapMessage::Reveal(r) => Some((&self.receiver, r)),
-                DapMessage::Announce(_) => None,
-            })
-            .collect();
-        self.pre = DapReceiver::precompute_reveals(&items).into();
+        dap_verdict(&mut self.receiver, frame, at, rng, registry, live).0
     }
 
     fn on_posture(&mut self, directive: &PostureDirective) -> Option<PostureUpdate> {
@@ -503,8 +468,7 @@ impl FrameVerifier for DapShard {
 
 /// Algorithm 2's verdict mapping, shared by every DAP verifier
 /// ([`DapShard`] and [`crate::fleet::FleetShard`]): runs one frame
-/// through `receiver` — a reveal through `pre` when the drain window
-/// prefetched it — counts the outcome under `net.announce.*` /
+/// through `receiver`, counts the outcome under `net.announce.*` /
 /// `net.reveal.*`, feeds the live auth and reveal-time evidence
 /// counters, and returns the verdict. The second value is set for a
 /// reveal that reached a verdict (an auth *attempt*): `Some(true)`
@@ -513,7 +477,6 @@ impl FrameVerifier for DapShard {
 pub(crate) fn dap_verdict(
     receiver: &mut DapReceiver,
     frame: &DapMessage,
-    pre: Option<&RevealPrecompute>,
     at: SimTime,
     rng: &mut SimRng,
     registry: &mut Registry,
@@ -538,10 +501,7 @@ pub(crate) fn dap_verdict(
         DapMessage::Reveal(r) => {
             registry.incr(keys::NET_REVEAL_TOTAL);
             let before = *receiver.stats();
-            let outcome = match pre {
-                Some(pre) => receiver.on_reveal_precomputed(r, at, pre),
-                None => receiver.on_reveal(r, at),
-            };
+            let outcome = receiver.on_reveal(r, at);
             let after = receiver.stats();
             live.count_reveal_evidence(
                 after.buffered_decided - before.buffered_decided,
@@ -1009,9 +969,9 @@ fn run_shard<V: FrameVerifier>(
             worker.registry.record(keys::NET_QUEUE_OCCUPANCY, taken);
         }
         // Frame work starts here on an unwindowed shard. A windowed one
-        // only buffers at a take, and its frame work starts after the
-        // window's prefetch; it reads the clock here only to stamp queue
-        // waits for the recorder.
+        // only buffers at a take, and its frame work starts once the
+        // window's drain order is known; it reads the clock here only to
+        // stamp queue waits for the recorder.
         if !windowed || worker.flight.enabled() {
             worker.flight.restart(&obs.time);
         }
@@ -1116,8 +1076,6 @@ struct Window {
     bytes: Vec<u8>,
     /// Drain order of the window being flushed: `(class, index)`.
     order: Vec<(PriorityClass, usize)>,
-    /// The in-budget frames, decoded, for [`FrameVerifier::prefetch`].
-    prefetch: Vec<(SenderId, DapMessage)>,
 }
 
 impl Window {
@@ -1189,22 +1147,18 @@ const STAGE_KEYS: [&str; SpanStage::COUNT] = [
 ];
 
 /// Per-shard stage timing: the stage chain's last clock reading, the
-/// flight recorder's deterministic sampling ordinal, the current
-/// window's amortised prefetch share, and the local stage histograms
-/// every frame's decode and verify time land in. The worker reads the
-/// clock once per stage boundary: [`FlightState::restart`] opens the
-/// chain where frame work starts, and each [`FlightState::lap`] ends one
-/// stage and starts the next, so a stage covers everything since the
-/// previous reading. Lives on the worker's stack — recording never
-/// allocates, and the locals keep the per-frame path off the registry's
-/// keyed map (samples fold into the shared registry only at publish
-/// boundaries).
+/// flight recorder's deterministic sampling ordinal, and the local stage
+/// histograms every frame's decode and verify time land in. The worker
+/// reads the clock once per stage boundary: [`FlightState::restart`]
+/// opens the chain where frame work starts, and each
+/// [`FlightState::lap`] ends one stage and starts the next, so a stage
+/// covers everything since the previous reading. Lives on the worker's
+/// stack — recording never allocates, and the locals keep the per-frame
+/// path off the registry's keyed map (samples fold into the shared
+/// registry only at publish boundaries).
 struct FlightState {
     every: u64,
     ordinal: u64,
-    /// The last batch-prefetch's per-frame cost share, charged to every
-    /// sampled frame of the window it prefetched (0 unwindowed).
-    prefetch_share_ns: u64,
     /// The chain's last clock reading.
     last_ns: u64,
     /// Stage-latency samples, indexed by [`SpanStage`] discriminant.
@@ -1216,7 +1170,6 @@ impl FlightState {
         Self {
             every,
             ordinal: 0,
-            prefetch_share_ns: 0,
             last_ns: 0,
             stages: std::array::from_fn(|_| Histogram::new()),
         }
@@ -1295,42 +1248,14 @@ impl Worker<'_> {
             frames,
             bytes,
             order,
-            prefetch,
         } = &mut window;
         order.extend(frames.iter().enumerate().map(|(idx, frame)| {
             let sender = codec::peek_sender(frame.datagram(bytes)).unwrap_or(SenderId::UNTAGGED);
             (verifier.classify(sender), idx)
         }));
         order.sort_unstable_by_key(|&(class, idx)| (class, idx));
-        // Pre-decode the in-budget prefix and offer it to the verifier
-        // as one batch, in drain order. This parse is a *shadow* of the
-        // one `process_datagram` performs — it emits no counters, traces
-        // or latency samples, so the observable pipeline below is
-        // untouched; it exists only so the verifier can run
-        // lane-parallel crypto over the whole window before the
-        // sequential decision loop starts. Shed frames (past the budget)
-        // are never decoded at all. The decode buffer still holds the
-        // last datagram `process_datagram` handled, and decoding appends.
-        self.decoded.clear();
-        for &(_, idx) in order.iter().take(drain_budget) {
-            codec::decode_datagram(frames[idx].datagram(bytes), &mut self.decoded);
-            prefetch.extend(self.decoded.drain(..).map(|f| (f.sender, f.message)));
-        }
-        // The batch prefetch is one lane-parallel pass over the whole
-        // window, so the recorder charges each sampled frame its
-        // amortised share rather than billing the first frame for all of
-        // it. The reading after it opens the chain: frame work starts
-        // here.
-        let prefetch_start =
-            (self.flight.enabled() && !prefetch.is_empty()).then(|| self.obs.time.now_ns());
-        if !prefetch.is_empty() {
-            verifier.prefetch(prefetch);
-        }
+        // Frame work starts here, once the drain order is known.
         self.flight.restart(&self.obs.time);
-        if let Some(start) = prefetch_start {
-            self.flight.prefetch_share_ns =
-                self.flight.last_ns.saturating_sub(start) / prefetch.len() as u64;
-        }
         let mut verified = 0u64;
         for (pos, &(class, idx)) in order.iter().enumerate() {
             let frame = &frames[idx];
@@ -1365,14 +1290,12 @@ impl Worker<'_> {
         }
         frames.clear();
         order.clear();
-        prefetch.clear();
         let used = bytes.len();
         bytes.clear();
         // A window that carried a burst of large datagrams keeps its
         // arena only until a window that needs far less.
         release_slack(bytes, used);
         self.window = window;
-        self.flight.prefetch_share_ns = 0;
         verified
     }
 
@@ -1417,7 +1340,9 @@ impl Worker<'_> {
         let sampled = flight.sampled().map(|ordinal| {
             let ingress_ns = flight.record(SpanStage::Ingress, u64::from(frame.ingress_ns));
             let queue_ns = flight.record(SpanStage::QueueWait, u64::from(frame.queue_ns));
-            let prefetch_ns = flight.record(SpanStage::Prefetch, flight.prefetch_share_ns);
+            // No stage runs between the queue and decode: the prefetch
+            // stage reads 0.
+            let prefetch_ns = flight.record(SpanStage::Prefetch, 0);
             (ordinal, [ingress_ns, queue_ns, prefetch_ns])
         });
         // Frames may be packed back to back inside one datagram, but
@@ -1833,11 +1758,10 @@ mod tests {
 
     #[test]
     fn windowed_prefetch_drain_matches_the_unwindowed_path() {
-        // Same traffic through a windowed pool (prefetch + precomputed
-        // reveals) and an unwindowed one (pure scalar path): with a
-        // budget that never sheds and one priority class, the drain
-        // order is arrival order in both, so the registries must render
-        // byte-identically — the batch pipeline is outcome-invisible.
+        // Same traffic through a windowed pool and an unwindowed one:
+        // with a budget that never sheds and one priority class, the
+        // drain order is arrival order in both, so the registries must
+        // render byte-identically — windowing alone changes no outcome.
         let run = |drain_budget: usize| {
             let mut sender = DapSender::new(b"batch", 64, params(4));
             let bootstrap = sender.bootstrap();
@@ -2020,12 +1944,11 @@ mod tests {
     const ANNOUNCE_NS: u64 = 170;
     const REVEAL_NS: u64 = 1_900;
     const POSTURE_NS: u64 = 50_000;
-    const PREFETCH_NS: u64 = 3_000;
     const PARKED_NS: u64 = 1_000_000;
 
     /// A [`DapShard`] that advances a manual clock by a fixed cost in
-    /// `on_frame`, `prefetch` and `on_posture`, and can hold one
-    /// `on_frame` call until the test releases it.
+    /// `on_frame` and `on_posture`, can hold one `on_frame` call until
+    /// the test releases it, and panics if the pool calls `prefetch`.
     struct Costed {
         inner: DapShard,
         clock: dap_obs::ManualTime,
@@ -2062,9 +1985,8 @@ mod tests {
             verdict
         }
 
-        fn prefetch(&mut self, batch: &[(SenderId, DapMessage)]) {
-            self.inner.prefetch(batch);
-            self.clock.advance_ns(PREFETCH_NS);
+        fn prefetch(&mut self, _batch: &[(SenderId, DapMessage)]) {
+            panic!("the pool never calls prefetch");
         }
 
         fn on_posture(&mut self, directive: &PostureDirective) -> Option<PostureUpdate> {
@@ -2078,7 +2000,8 @@ mod tests {
         // Only the verifier and the test move the clock, so every stage
         // sum is exact: verify and reveal-authenticate hold `on_frame`
         // and nothing else, and decode holds nothing — not the parked
-        // time before a take, not a directive, not a window's prefetch.
+        // time before a take, not a directive. The prefetch stage reads
+        // 0: no path runs it.
         // The directive lands mid-run in the same take as the frame
         // after it: the test queues both while the worker is held
         // inside the last frame of interval 4.
@@ -2125,7 +2048,7 @@ mod tests {
             };
             // Announces, reveals and bytes pushed, and the share of them
             // the worker has verified.
-            let (mut pushed, mut processed, mut windows) = ([0u64; 3], [0u64; 3], 0u64);
+            let (mut pushed, mut processed) = ([0u64; 3], [0u64; 3]);
             let push = |pushed: &mut [u64; 3], bytes: &[u8], at: SimTime, reveal: bool| {
                 assert!(handle.ingest(bytes, at));
                 pushed[usize::from(reveal)] += 1;
@@ -2145,7 +2068,6 @@ mod tests {
                 for (k, (bytes, reveal)) in datagrams.iter().enumerate() {
                     push(&mut pushed, bytes, during(i), *reveal);
                     if k == last {
-                        windows += u64::from(windowed && pushed != processed);
                         handle.tick();
                         if i == 4 {
                             held.recv().unwrap();
@@ -2160,7 +2082,6 @@ mod tests {
                             );
                             push(&mut pushed, &forged(i, 3), during(i), false);
                             release.send(()).unwrap();
-                            windows += u64::from(windowed);
                             handle.tick();
                         }
                     }
@@ -2184,11 +2105,18 @@ mod tests {
             }
             assert_eq!(handle.live().postures(), 1);
             let report = pool.shutdown_with_report();
-            (report, pushed[0], pushed[1], windows)
+            (report, pushed[0], pushed[1])
         };
         for windowed in [false, true] {
             for span_every in [0, 1] {
-                let (report, announces, reveals, windows) = run(windowed, span_every);
+                // A worker that panicked, in `prefetch` say, never
+                // finishes its frames and `quiesce` would wait for ever:
+                // the run gets a deadline instead.
+                let (done_tx, done) = mpsc::channel();
+                std::thread::spawn(move || done_tx.send(run(windowed, span_every)));
+                let (report, announces, reveals) = done
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("the run finishes: no shard worker panicked");
                 let case = format!("windowed {windowed}, span_every {span_every}");
                 let hist = |key| report.registry.get_histogram(key);
                 let sum = |key| hist(key).map_or(0, Histogram::sum);
@@ -2223,13 +2151,7 @@ mod tests {
                 ] {
                     assert_eq!(count(key), sampled, "{key}, {case}");
                 }
-                // Each window's prefetch is shared out over its frames.
-                let prefetch_ns = if span_every > 0 {
-                    PREFETCH_NS * windows
-                } else {
-                    0
-                };
-                assert_eq!(sum(keys::NET_STAGE_PREFETCH_NS), prefetch_ns, "{case}");
+                assert_eq!(sum(keys::NET_STAGE_PREFETCH_NS), 0, "{case}");
                 assert_eq!(sum(keys::NET_STAGE_BUFFER_NS), 0, "{case}");
                 let counters = report.registry.counters();
                 assert_eq!(counters.get(keys::NET_INGRESS_FRAMES), frames, "{case}");

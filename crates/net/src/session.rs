@@ -220,12 +220,6 @@ impl SessionTable {
         self.sessions.contains_key(&sender.0)
     }
 
-    /// The sender's receiver for post-run inspection (no LRU touch).
-    #[must_use]
-    pub fn peek(&self, sender: SenderId) -> Option<&DapReceiver> {
-        self.sessions.get(&sender.0).map(|e| &e.receiver)
-    }
-
     /// Whether `sender` is in the operator pin set.
     #[must_use]
     pub fn is_pinned(&self, sender: SenderId) -> bool {

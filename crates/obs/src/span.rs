@@ -2,7 +2,7 @@
 //!
 //! A sampled frame's trip through the verify pipeline splits into the
 //! seven canonical stages ([`SpanStage`]): ingress routing, queue wait,
-//! decode, batch prefetch, verify, buffer and reveal-authenticate. The
+//! decode, prefetch, verify, buffer and reveal-authenticate. The
 //! shard worker measures each stage where it happens and hands the
 //! seven readings to [`frame_span`], which builds the frame's
 //! [`TraceEvent::FrameSpan`] under a deterministic [`span_id`]. Nothing
@@ -21,7 +21,9 @@ pub enum SpanStage {
     QueueWait,
     /// Datagram decode / frame reassembly.
     Decode,
-    /// The frame's share of its window's batch prefetch.
+    /// Always recorded as 0: no step runs between queue wait and
+    /// decode. The stage keeps its place so spans and traces keep their
+    /// shape.
     Prefetch,
     /// Announce-path verification, reservoir decision included.
     Verify,

@@ -147,8 +147,8 @@ pub enum TraceEvent {
         queue_ns: u32,
         /// Datagram decode/reassembly time (shared by packed frames).
         decode_ns: u32,
-        /// This frame's share of its window's batch-prefetch time
-        /// (0 on the unwindowed drain path).
+        /// Always 0: no step runs between queue wait and decode. The
+        /// field keeps the version-3 record shape.
         prefetch_ns: u32,
         /// Verifier time for announce-path frames (0 for reveals).
         verify_ns: u32,

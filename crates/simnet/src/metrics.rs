@@ -199,7 +199,8 @@ impl Registry {
 
     /// One sorted snapshot of everything: counters as `name value`,
     /// histograms and gauges as `name` plus their own byte-stable
-    /// one-line renders, padded to the longest name. Two registries are
+    /// one-line renders, padded to the longest name, every line ending
+    /// in a newline (`"(no metrics)\n"` when empty). Two registries are
     /// equal iff their snapshots are byte-identical.
     #[must_use]
     pub fn render(&self) -> String {
@@ -214,7 +215,7 @@ impl Registry {
             lines.insert(name, gauge.render());
         }
         if lines.is_empty() {
-            return "(no metrics)".to_string();
+            return "(no metrics)\n".to_string();
         }
         let width = lines.keys().map(|k| k.len()).max().unwrap_or(0);
         let mut out = String::new();
@@ -480,8 +481,8 @@ pub mod keys {
     pub const NET_STAGE_QUEUE_WAIT_NS: &str = "net.stage.queue_wait_ns";
     /// Wire pool: datagram decode (histogram, ns; every datagram).
     pub const NET_STAGE_DECODE_NS: &str = "net.stage.decode_ns";
-    /// Flight recorder: per-frame batch-prefetch share (histogram, ns;
-    /// sampled datagrams).
+    /// Flight recorder: the prefetch stage (histogram, ns; sampled
+    /// datagrams, every sample 0: no step runs there).
     pub const NET_STAGE_PREFETCH_NS: &str = "net.stage.prefetch_ns";
     /// Wire pool: announce-path verify, reservoir decision included
     /// (histogram, ns; every frame, 0 for a reveal).
@@ -699,7 +700,7 @@ mod tests {
     fn registry_aggregates_all_three_kinds() {
         let mut r = Registry::new();
         assert!(r.is_empty());
-        assert_eq!(r.render(), "(no metrics)");
+        assert_eq!(r.render(), "(no metrics)\n");
         r.incr(keys::NET_INGRESS_FRAMES);
         r.add(keys::NET_INGRESS_BYTES, 128);
         r.record(keys::NET_STAGE_VERIFY_NS, 500);

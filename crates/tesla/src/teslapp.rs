@@ -19,10 +19,8 @@
 //! paper's comparison never touches it, so it is out of scope — see
 //! DESIGN.md §4.)
 
-use dap_crypto::mac::{
-    mac80, mac80_many_prepared, mac80_prepared, prepare_chain_key, prepare_chain_keys, Mac80,
-};
-use dap_crypto::oneway::{one_way_many, Domain};
+use dap_crypto::mac::{mac80, mac80_prepared, prepare_chain_key, Mac80};
+use dap_crypto::oneway::Domain;
 use dap_crypto::{ChainAnchor, ChainExhausted, Key, KeyChain, PreparedMacKey};
 use dap_simnet::SimTime;
 
@@ -202,26 +200,6 @@ pub struct TeslaPpReceiver {
     interval_key: Option<(u64, Key, PreparedMacKey)>,
 }
 
-/// Pure-crypto products of a TESLA++ reveal, computed ahead of
-/// [`TeslaPpReceiver::on_message_precomputed`] — typically lane-parallel
-/// for a whole drain window via
-/// [`TeslaPpReceiver::precompute_reveals`]. Every field is a
-/// deterministic function of the receiver's local secret and the reveal
-/// bytes, so consuming one is bit-identical to the scalar path.
-#[derive(Debug, Clone)]
-pub struct TeslaPpPrecompute {
-    /// Interval the precomputed reveal claimed.
-    index: u64,
-    /// Disclosed chain key the products were derived from.
-    key: Key,
-    /// `F(key)` — answers the steady-state one-step chain walk.
-    chain_image: Key,
-    /// The `K'_i = F'(K_i)` HMAC key schedule.
-    prepared: PreparedMacKey,
-    /// The self-MAC the receiver expects to find stored.
-    expect: Mac80,
-}
-
 impl TeslaPpReceiver {
     /// Bootstraps a receiver; `local_seed` derives the receiver-local
     /// re-MAC secret (never transmitted).
@@ -247,101 +225,15 @@ impl TeslaPpReceiver {
 
     /// Handles any TESLA++ message.
     pub fn on_message(&mut self, message: &TeslaPpMessage, local_time: SimTime) -> TeslaPpOutcome {
-        self.on_message_inner(message, local_time, None)
-    }
-
-    /// [`on_message`](Self::on_message) consuming crypto products
-    /// computed ahead of time by
-    /// [`precompute_reveals`](Self::precompute_reveals). A precompute
-    /// paired with the wrong `(index, key)` — or with an announce — is
-    /// ignored, so the call is always bit-identical to
-    /// [`on_message`](Self::on_message).
-    pub fn on_message_precomputed(
-        &mut self,
-        message: &TeslaPpMessage,
-        local_time: SimTime,
-        pre: &TeslaPpPrecompute,
-    ) -> TeslaPpOutcome {
-        self.on_message_inner(message, local_time, Some(pre))
-    }
-
-    /// Batched pure-crypto prefix of the reveal path for a window of
-    /// `(receiver, message)` pairs: chain images, `K'_i` re-keys
-    /// (skipping interval-cache hits), message MACs and self-MACs each
-    /// run as one lane-parallel pass. Announces yield `None` (they have
-    /// no precomputable crypto — the self-MAC depends on arrival order
-    /// only trivially, but announces are already cheap).
-    #[must_use]
-    pub fn precompute_reveals(
-        items: &[(&TeslaPpReceiver, &TeslaPpMessage)],
-    ) -> Vec<Option<TeslaPpPrecompute>> {
-        let reveal_at: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, m))| matches!(m, TeslaPpMessage::Reveal { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let mut fields = Vec::with_capacity(reveal_at.len());
-        for &i in &reveal_at {
-            let (rx, m) = items[i];
-            let TeslaPpMessage::Reveal {
+        self.gc(local_time);
+        match message {
+            TeslaPpMessage::MacAnnounce { index, mac } => self.on_announce(*index, mac, local_time),
+            TeslaPpMessage::Reveal {
                 index,
                 message,
                 key,
-            } = m
-            else {
-                unreachable!("filtered to reveals");
-            };
-            fields.push((rx, *index, message.as_slice(), *key));
+            } => self.on_reveal(*index, message, key),
         }
-
-        let keys: Vec<Key> = fields.iter().map(|(_, _, _, k)| *k).collect();
-        let images = one_way_many(Domain::F, &keys);
-
-        let mut prepared: Vec<Option<PreparedMacKey>> = fields
-            .iter()
-            .map(|(rx, index, _, key)| rx.cached_interval_key(*index, key))
-            .collect();
-        let miss_keys: Vec<Key> = prepared
-            .iter()
-            .zip(keys.iter())
-            .filter(|(p, _)| p.is_none())
-            .map(|(_, k)| *k)
-            .collect();
-        let mut fresh = prepare_chain_keys(&miss_keys).into_iter();
-        for slot in prepared.iter_mut() {
-            if slot.is_none() {
-                *slot = Some(fresh.next().expect("one schedule per miss"));
-            }
-        }
-        let prepared: Vec<PreparedMacKey> = prepared.into_iter().map(Option::unwrap).collect();
-
-        let messages: Vec<&[u8]> = fields.iter().map(|(_, _, m, _)| *m).collect();
-        let tags = mac80_many_prepared(&prepared, &messages);
-        let local_keys: Vec<&PreparedMacKey> =
-            fields.iter().map(|(rx, _, _, _)| &rx.local_key).collect();
-        let tag_bytes: Vec<&[u8]> = tags.iter().map(Mac80::as_bytes).collect();
-        let expects: Vec<Mac80> = PreparedMacKey::mac_many(&local_keys, &tag_bytes)
-            .iter()
-            .map(|t| Mac80::from_slice(&t[..Mac80::LEN]).expect("digest longer than tag"))
-            .collect();
-
-        let mut out = vec![None; items.len()];
-        for (((&i, (_, index, _, key)), chain_image), (prepared, expect)) in reveal_at
-            .iter()
-            .zip(fields.iter())
-            .zip(images)
-            .zip(prepared.into_iter().zip(expects))
-        {
-            out[i] = Some(TeslaPpPrecompute {
-                index: *index,
-                key: *key,
-                chain_image,
-                prepared,
-                expect,
-            });
-        }
-        out
     }
 
     /// The cached `K'` schedule for `(index, key)`, if this receiver
@@ -351,23 +243,6 @@ impl TeslaPpReceiver {
             .as_ref()
             .filter(|(i, k, _)| *i == index && dap_crypto::ct_eq(k.as_bytes(), key.as_bytes()))
             .map(|(_, _, prepared)| *prepared)
-    }
-
-    fn on_message_inner(
-        &mut self,
-        message: &TeslaPpMessage,
-        local_time: SimTime,
-        pre: Option<&TeslaPpPrecompute>,
-    ) -> TeslaPpOutcome {
-        self.gc(local_time);
-        match message {
-            TeslaPpMessage::MacAnnounce { index, mac } => self.on_announce(*index, mac, local_time),
-            TeslaPpMessage::Reveal {
-                index,
-                message,
-                key,
-            } => self.on_reveal(*index, message, key, pre),
-        }
     }
 
     /// Drops stored self-MACs whose reveal window has long passed (the
@@ -400,43 +275,17 @@ impl TeslaPpReceiver {
         TeslaPpOutcome::AnnouncementStored { index }
     }
 
-    fn on_reveal(
-        &mut self,
-        index: u64,
-        message: &[u8],
-        key: &Key,
-        pre: Option<&TeslaPpPrecompute>,
-    ) -> TeslaPpOutcome {
-        // A precompute pairs with exactly one (index, key); anything else
-        // downgrades to the scalar computation.
-        let pre =
-            pre.filter(|p| p.index == index && dap_crypto::ct_eq(p.key.as_bytes(), key.as_bytes()));
-        // Weak authentication: the key must extend the chain. The
-        // image-assisted walk mutates and rejects identically to the
-        // plain one (`accept_recovering` shares `accept`'s semantics).
-        let accepted = match pre {
-            Some(p) => self
-                .anchor
-                .accept_recovering_with_image(key, index, &p.chain_image)
-                .map(|_| ()),
-            None => self.anchor.accept(key, index).map(|_| ()),
-        };
-        match accepted {
-            Ok(()) => {}
-            Err(dap_crypto::ChainVerifyError::NotAhead { .. }) => {}
+    fn on_reveal(&mut self, index: u64, message: &[u8], key: &Key) -> TeslaPpOutcome {
+        // Weak authentication: the key must extend the chain.
+        match self.anchor.accept(key, index) {
+            Ok(_) | Err(dap_crypto::ChainVerifyError::NotAhead { .. }) => {}
             Err(_) => return TeslaPpOutcome::KeyRejected { index },
         }
         // Strong authentication: recompute MAC → self-MAC → search store.
-        let (prepared, expect) = match pre {
-            Some(p) => (p.prepared, p.expect),
-            None => {
-                let prepared = self
-                    .cached_interval_key(index, key)
-                    .unwrap_or_else(|| prepare_chain_key(key));
-                let expect = self.self_mac(&mac80_prepared(&prepared, message));
-                (prepared, expect)
-            }
-        };
+        let prepared = self
+            .cached_interval_key(index, key)
+            .unwrap_or_else(|| prepare_chain_key(key));
+        let expect = self.self_mac(&mac80_prepared(&prepared, message));
         self.interval_key = Some((index, *key, prepared));
         let before = self.stored.len();
         self.stored
@@ -647,49 +496,6 @@ mod tests {
             TeslaPpOutcome::Authenticated { .. }
         ));
         assert_eq!(receiver.expired_count(), 0);
-    }
-
-    #[test]
-    fn precomputed_reveals_match_scalar_path_exactly() {
-        let (mut sender, receiver) = setup();
-        let mut scalar_rx = receiver.clone();
-        let mut batch_rx = receiver;
-
-        let mut msgs: Vec<(TeslaPpMessage, SimTime)> = Vec::new();
-        for i in 1..=5u64 {
-            let ann = sender.announce(i, format!("m{i}").as_bytes()).unwrap();
-            msgs.push((ann, during(i)));
-            msgs.push((sender.reveal(i).unwrap(), during(i + 1)));
-        }
-        // Tamper with one reveal's message, forge another's key.
-        if let TeslaPpMessage::Reveal { message, .. } = &mut msgs[5].0 {
-            *message = b"evil".to_vec();
-        }
-        if let TeslaPpMessage::Reveal { key, .. } = &mut msgs[7].0 {
-            *key = Key::derive(b"forged", b"k");
-        }
-
-        let scalar: Vec<TeslaPpOutcome> = msgs
-            .iter()
-            .map(|(m, t)| scalar_rx.on_message(m, *t))
-            .collect();
-
-        let refs: Vec<(&TeslaPpReceiver, &TeslaPpMessage)> =
-            msgs.iter().map(|(m, _)| (&batch_rx as &_, m)).collect();
-        let pres = TeslaPpReceiver::precompute_reveals(&refs);
-        let batched: Vec<TeslaPpOutcome> = msgs
-            .iter()
-            .zip(pres.iter())
-            .map(|((m, t), pre)| match pre {
-                Some(p) => batch_rx.on_message_precomputed(m, *t, p),
-                None => batch_rx.on_message(m, *t),
-            })
-            .collect();
-
-        assert_eq!(scalar, batched);
-        assert_eq!(scalar_rx.authenticated(), batch_rx.authenticated());
-        assert_eq!(scalar_rx.stored_count(), batch_rx.stored_count());
-        assert_eq!(scalar_rx.expired_count(), batch_rx.expired_count());
     }
 
     #[test]
