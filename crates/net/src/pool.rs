@@ -36,7 +36,7 @@
 //! snapshots). [`ReceiverPool::shutdown_with_report`] returns the whole
 //! picture.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -88,7 +88,9 @@ pub struct PoolConfig {
     /// A worker takes the whole queue at once, so a shard has at most
     /// `2 × queue_depth` frames in flight: the queue refilling while
     /// the worker handles one taken batch (plus, when windowed, the
-    /// frames its window has buffered since the last tick).
+    /// frames its window has buffered since the last tick). A windowed
+    /// shard is woken for datagrams only once half the depth is queued
+    /// (DESIGN §8).
     pub queue_depth: usize,
     /// What happens on overflow.
     pub overflow: OverflowPolicy,
@@ -282,6 +284,9 @@ pub struct LiveCounters {
     give_up: AtomicU64,
     buffered_decided: AtomicU64,
     buffered_forged: AtomicU64,
+    /// One past the index of a shard whose worker panicked; 0 while
+    /// every worker lives.
+    dead_shard: AtomicUsize,
 }
 
 impl LiveCounters {
@@ -401,6 +406,12 @@ impl LiveCounters {
     #[must_use]
     pub fn buffered_forged(&self) -> u64 {
         self.buffered_forged.load(Ordering::Relaxed)
+    }
+
+    /// A shard whose worker panicked, if any: it will never count
+    /// another item processed.
+    fn dead_shard(&self) -> Option<usize> {
+        self.dead_shard.load(Ordering::Relaxed).checked_sub(1)
     }
 
     /// Records reveal-time buffer evidence (verifier-side): `decided`
@@ -733,11 +744,24 @@ impl PoolHandle {
     /// defender posture between intervals without racing the workers.
     /// Single-driver campaigns only: with concurrent producers the
     /// target moves and the wait is unbounded.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the shard, if a shard worker has panicked: its
+    /// items would never count as handled.
     pub fn quiesce(&self) {
+        // A windowed shard's reader sleeps until its queue is half full
+        // or a control item arrives; wake any that holds queued items.
+        for queue in self.queues.iter() {
+            queue.wake_pending();
+        }
         loop {
             let target = self.live.frames() + self.live.ticks() + self.live.postures();
             if self.live.processed() >= target {
                 break;
+            }
+            if let Some(shard) = self.live.dead_shard() {
+                panic!("shard {shard}'s worker panicked, so quiesce can never settle");
             }
             std::thread::yield_now();
         }
@@ -787,9 +811,19 @@ impl ReceiverPool {
         F: FnMut(usize) -> V,
     {
         assert!(config.shards >= 1, "need at least one shard");
+        let windowed = config.drain_budget != usize::MAX;
+        // A windowed shard only buffers frames until the next tick, so a
+        // datagram wakes it once half its queue is full, leaving a
+        // `DropCount` producer the other half while it gets scheduled;
+        // an unwindowed one verifies each frame as it arrives.
+        let wake_at = if windowed {
+            config.queue_depth.div_ceil(2)
+        } else {
+            1
+        };
         let queues: Arc<Vec<IngressQueue<Ingress>>> = Arc::new(
             (0..config.shards)
-                .map(|_| IngressQueue::new(config.queue_depth))
+                .map(|_| IngressQueue::new(config.queue_depth, wake_at))
                 .collect(),
         );
         let live = Arc::new(LiveCounters::default());
@@ -835,7 +869,7 @@ impl ReceiverPool {
                 reader_trace,
                 time: obs.time.clone(),
                 span: obs.span_every > 0,
-                windowed: config.drain_budget != usize::MAX,
+                windowed,
             },
             workers,
         }
@@ -923,6 +957,7 @@ fn run_shard<V: FrameVerifier>(
     live: &LiveCounters,
     obs: &PoolObs,
 ) -> ShardOutput {
+    let _watch = DeathWatch { shard, live };
     let mut worker = Worker {
         shard,
         live,
@@ -1056,6 +1091,24 @@ fn run_shard<V: FrameVerifier>(
     ShardOutput {
         registry: worker.registry,
         trace: worker.trace,
+    }
+}
+
+/// Marks its shard dead in [`LiveCounters`] when the worker unwinds
+/// from a panic, so [`PoolHandle::quiesce`] fails instead of waiting
+/// for items the worker will never count.
+struct DeathWatch<'a> {
+    shard: usize,
+    live: &'a LiveCounters,
+}
+
+impl Drop for DeathWatch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.live
+                .dead_shard
+                .store(self.shard + 1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -2109,9 +2162,10 @@ mod tests {
         };
         for windowed in [false, true] {
             for span_every in [0, 1] {
-                // A worker that panicked, in `prefetch` say, never
-                // finishes its frames and `quiesce` would wait for ever:
-                // the run gets a deadline instead.
+                // A worker that panicked, in `prefetch` say, makes
+                // `quiesce` panic and the run's thread end unanswered;
+                // the deadline fails a run that hangs instead, on a lost
+                // wakeup say.
                 let (done_tx, done) = mpsc::channel();
                 std::thread::spawn(move || done_tx.send(run(windowed, span_every)));
                 let (report, announces, reveals) = done
@@ -2157,6 +2211,122 @@ mod tests {
                 assert_eq!(counters.get(keys::NET_INGRESS_FRAMES), frames, "{case}");
             }
         }
+    }
+
+    #[test]
+    fn quiesce_wakes_a_windowed_shard_below_its_threshold() {
+        // A windowed shard's reader sleeps until half its queue is full
+        // or a control item arrives, and with no live publishing its take
+        // has no timeout. Quiesce after each single datagram must still
+        // see it handled, with no tick.
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sender = DapSender::new(b"wake", 64, params(2));
+            let bootstrap = sender.bootstrap();
+            let pool = ReceiverPool::spawn_with_obs(
+                PoolConfig {
+                    shards: 1,
+                    queue_depth: 64,
+                    overflow: OverflowPolicy::Block,
+                    route: RoutePolicy::ByInterval,
+                    drain_budget: 64,
+                },
+                7,
+                |_| DapShard::new(bootstrap, b"w"),
+                PoolObs {
+                    time: TimeSource::frozen(),
+                    trace_depth: 0,
+                    publish: None,
+                    publish_every: 0,
+                    span_every: 0,
+                },
+            );
+            let handle = pool.handle();
+            for i in 1..=20u64 {
+                let ann = codec::encode(&DapMessage::Announce(sender.announce(i, b"r").unwrap()))
+                    .unwrap();
+                assert!(handle.ingest(&ann, during(i)));
+                handle.quiesce();
+                assert_eq!(handle.live().processed(), i, "datagram {i} handled");
+            }
+            let report = pool.shutdown_with_report();
+            let frames = report.registry.counters().get(keys::NET_INGRESS_FRAMES);
+            done_tx.send(frames).unwrap();
+        });
+        let frames = done
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("each quiesce returns with no tick");
+        assert_eq!(frames, 20, "close flushes the window");
+    }
+
+    /// A verifier whose first frame panics.
+    struct Doomed;
+
+    impl FrameVerifier for Doomed {
+        fn on_frame(
+            &mut self,
+            _sender: SenderId,
+            _frame: &DapMessage,
+            _at: SimTime,
+            _rng: &mut SimRng,
+            _registry: &mut Registry,
+            _live: &LiveCounters,
+        ) -> FrameVerdict {
+            panic!("doomed verifier");
+        }
+    }
+
+    #[test]
+    fn quiesce_panics_naming_a_dead_shard() {
+        // A dead worker never counts its items handled: quiesce must
+        // fail, naming the shard, instead of spinning for ever.
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ReceiverPool::spawn_with_obs(
+                PoolConfig {
+                    shards: 2,
+                    queue_depth: 8,
+                    overflow: OverflowPolicy::Block,
+                    route: RoutePolicy::ByInterval,
+                    ..PoolConfig::default()
+                },
+                9,
+                |_| Doomed,
+                PoolObs {
+                    time: TimeSource::frozen(),
+                    ..PoolObs::default()
+                },
+            );
+            let handle = pool.handle();
+            let ann = codec::encode(&DapMessage::Announce(dap_core::Announce {
+                index: 5,
+                mac: dap_crypto::Mac80::from_slice(&[5; 10]).unwrap(),
+            }))
+            .unwrap();
+            assert!(handle.ingest(&ann, during(5)));
+            let quiesced = std::panic::catch_unwind(|| handle.quiesce());
+            let message = quiesced.map_err(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            });
+            let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.shutdown_with_report()
+            }));
+            done_tx
+                .send((handle.shard_of(5), message, shutdown.is_err()))
+                .unwrap();
+        });
+        let (shard, quiesced, shutdown_panicked) = done
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("quiesce returns or panics");
+        let message = quiesced.expect_err("quiesce panics");
+        assert!(
+            message.contains(&format!("shard {shard}'s worker")),
+            "{message}"
+        );
+        assert!(shutdown_panicked, "shutdown keeps its own panic");
     }
 
     #[test]

@@ -22,6 +22,19 @@
 //! Parked readers and writers are counted under the mutex, so a waiter
 //! is counted before it sleeps and a wakeup cannot be lost.
 //!
+//! A parked reader is woken by one rule. A datagram push wakes it once
+//! the queue holds `wake_at` items; a control item
+//! ([`IngressQueue::push_item`]), [`IngressQueue::wake_pending`] and
+//! [`IngressQueue::close`] wake it whatever the queue holds. The pool
+//! sets `wake_at` to 1 on an unwindowed shard, which verifies each
+//! frame as it takes it, and to half the depth on a windowed one, which
+//! only buffers frames until the next tick: waking it earlier buys no
+//! latency, only a park and a context switch every few datagrams. Half,
+//! not all, leaves a [`OverflowPolicy::DropCount`] producer half the
+//! queue as slack while the woken reader gets scheduled. A push that
+//! finds the arena full below the threshold wakes the reader too, so a
+//! full queue never waits on a sleeping reader.
+//!
 //! Built from `Mutex` + `Condvar` only — the workspace forbids `unsafe`,
 //! so a lock-free ring is off the table.
 
@@ -101,10 +114,13 @@ impl<T> Default for Batch<T> {
 struct State<T> {
     batch: Batch<T>,
     closed: bool,
-    /// Consumers waiting on `readable`; a push notifies only when > 0.
+    /// Consumers waiting on `readable`; a wake signals only when > 0.
     parked_readers: usize,
     /// Producers waiting on `writable`; a take notifies only when > 0.
     parked_writers: usize,
+    /// Signals sent on `readable`, which the wake-rule tests count.
+    #[cfg(test)]
+    reader_wakes: usize,
 }
 
 impl<T> State<T> {
@@ -112,6 +128,16 @@ impl<T> State<T> {
     /// still addressable by `u32` offsets after it.
     fn has_room(&self, capacity: usize, len: usize) -> bool {
         self.batch.items.len() < capacity && self.batch.bytes.len() <= u32::MAX as usize - len
+    }
+
+    /// Whether to signal `readable` now: a reader is parked and `due`.
+    fn wake_reader(&mut self, due: bool) -> bool {
+        let wake = due && self.parked_readers > 0;
+        #[cfg(test)]
+        {
+            self.reader_wakes += usize::from(wake);
+        }
+        wake
     }
 }
 
@@ -123,36 +149,49 @@ pub(crate) struct IngressQueue<T> {
     /// Signalled when a take frees the queue or the queue closes.
     writable: Condvar,
     capacity: usize,
+    /// Queued items at which a datagram push wakes a parked reader.
+    wake_at: usize,
 }
 
 impl<T> IngressQueue<T> {
-    /// A queue holding at most `capacity` items.
+    /// A queue holding at most `capacity` items, whose datagram pushes
+    /// wake a parked reader once `wake_at` items are queued (see the
+    /// module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or `wake_at` lies outside
+    /// `1..=capacity`.
     #[must_use]
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize, wake_at: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be positive");
+        assert!(
+            (1..=capacity).contains(&wake_at),
+            "wake threshold {wake_at} outside 1..={capacity}"
+        );
         Self {
             state: Mutex::new(State {
                 batch: Batch::default(),
                 closed: false,
                 parked_readers: 0,
                 parked_writers: 0,
+                #[cfg(test)]
+                reader_wakes: 0,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
             capacity,
+            wake_at,
         }
     }
 
-    /// Copies `bytes` into the arena and enqueues `make(slot)`, where
-    /// `slot` says where the bytes landed. `make` runs under the lock,
-    /// after the copy. A full queue rejects the push under
-    /// [`OverflowPolicy::DropCount`] and parks the caller under
-    /// [`OverflowPolicy::Block`]; `clock`, when given, times the park
-    /// into [`Slot::parked_ns`].
+    /// Copies the datagram `bytes` into the arena and enqueues
+    /// `make(slot)`, where `slot` says where the bytes landed. `make`
+    /// runs under the lock, after the copy. A full queue rejects the
+    /// push under [`OverflowPolicy::DropCount`] and parks the caller
+    /// under [`OverflowPolicy::Block`]; `clock`, when given, times the
+    /// park into [`Slot::parked_ns`]. The push wakes a parked reader
+    /// only once `wake_at` items are queued.
     ///
     /// # Errors
     ///
@@ -169,10 +208,40 @@ impl<T> IngressQueue<T> {
         clock: Option<&TimeSource>,
         make: impl FnOnce(Slot) -> T,
     ) -> Result<(), PushError> {
+        self.enqueue(bytes, overflow, clock, self.wake_at, make)
+    }
+
+    /// Enqueues a control item, which carries no bytes and always wakes
+    /// a parked reader. Same overflow contract as
+    /// [`IngressQueue::push`].
+    ///
+    /// # Errors
+    ///
+    /// As [`IngressQueue::push`].
+    pub(crate) fn push_item(&self, item: T, overflow: OverflowPolicy) -> Result<(), PushError> {
+        self.enqueue(&[], overflow, None, 1, |_| item)
+    }
+
+    /// [`IngressQueue::push`], waking a parked reader once `wake_at`
+    /// items are queued.
+    fn enqueue(
+        &self,
+        bytes: &[u8],
+        overflow: OverflowPolicy,
+        clock: Option<&TimeSource>,
+        wake_at: usize,
+        make: impl FnOnce(Slot) -> T,
+    ) -> Result<(), PushError> {
         let len = u32::try_from(bytes.len()).expect("datagram longer than u32::MAX bytes");
         let mut state = self.state.lock().expect("queue mutex poisoned");
         let mut parked_ns = 0;
         while !state.closed && !state.has_room(self.capacity, bytes.len()) {
+            // Only the reader can make room. A queue full of items woke
+            // it at the threshold; one whose arena filled first did not.
+            let below = state.batch.items.len() < wake_at;
+            if state.wake_reader(below) {
+                self.readable.notify_one();
+            }
             if overflow == OverflowPolicy::DropCount {
                 return Err(PushError::Full {
                     depth: state.batch.items.len(),
@@ -198,7 +267,8 @@ impl<T> IngressQueue<T> {
             parked_ns,
         });
         state.batch.items.push_back(item);
-        let wake = state.parked_readers > 0;
+        let queued = state.batch.items.len();
+        let wake = state.wake_reader(queued >= wake_at);
         drop(state);
         if wake {
             self.readable.notify_one();
@@ -206,14 +276,16 @@ impl<T> IngressQueue<T> {
         Ok(())
     }
 
-    /// Enqueues an item that carries no bytes (a control message).
-    /// Same overflow contract as [`IngressQueue::push`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IngressQueue::push`].
-    pub(crate) fn push_item(&self, item: T, overflow: OverflowPolicy) -> Result<(), PushError> {
-        self.push(&[], overflow, None, |_| item)
+    /// Wakes a parked reader if any item is queued, below the threshold
+    /// or not, so that everything pushed so far gets taken.
+    pub(crate) fn wake_pending(&self) {
+        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let queued = !state.batch.items.is_empty();
+        let wake = state.wake_reader(queued);
+        drop(state);
+        if wake {
+            self.readable.notify_one();
+        }
     }
 
     /// Takes every queued item under one lock: swaps the queue's batch
@@ -274,6 +346,10 @@ impl<T> IngressQueue<T> {
     pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("queue mutex poisoned");
         state.closed = true;
+        #[cfg(test)]
+        {
+            state.reader_wakes += 1;
+        }
         drop(state);
         self.readable.notify_all();
         self.writable.notify_all();
@@ -333,7 +409,7 @@ mod tests {
 
     #[test]
     fn take_reports_idle_batch_and_closed() {
-        let q = IngressQueue::new(4);
+        let q = IngressQueue::new(4, 1);
         assert_eq!(take_now(&q), (Take::Idle, vec![]));
         push(&q, 5, DROP).unwrap();
         push(&q, 6, DROP).unwrap();
@@ -349,7 +425,7 @@ mod tests {
 
     #[test]
     fn fifo_roundtrip() {
-        let q = IngressQueue::new(4);
+        let q = IngressQueue::new(4, 1);
         push(&q, 1, BLOCK).unwrap();
         push(&q, 2, DROP).unwrap();
         assert_eq!(take_now(&q), (Take::Batch, vec![1, 2]));
@@ -359,7 +435,7 @@ mod tests {
 
     #[test]
     fn drop_count_rejects_when_full() {
-        let q = IngressQueue::new(2);
+        let q = IngressQueue::new(2, 1);
         push(&q, "a", DROP).unwrap();
         push(&q, "b", DROP).unwrap();
         assert_eq!(push(&q, "c", DROP), Err(PushError::Full { depth: 2 }));
@@ -369,7 +445,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_ends() {
-        let q = IngressQueue::new(4);
+        let q = IngressQueue::new(4, 1);
         push(&q, 7, DROP).unwrap();
         q.close();
         assert_eq!(push(&q, 8, DROP), Err(PushError::Closed));
@@ -380,7 +456,7 @@ mod tests {
 
     #[test]
     fn push_blocking_applies_backpressure() {
-        let q = Arc::new(IngressQueue::new(1));
+        let q = Arc::new(IngressQueue::new(1, 1));
         push(&q, 0u32, BLOCK).unwrap();
         let producer = {
             let q = Arc::clone(&q);
@@ -395,7 +471,7 @@ mod tests {
 
     #[test]
     fn bytes_land_in_the_arena_in_push_order() {
-        let q = IngressQueue::new(4);
+        let q = IngressQueue::new(4, 1);
         for datagram in [&b"ab"[..], b"", b"cde"] {
             q.push(datagram, DROP, None, |slot| slot).unwrap();
         }
@@ -414,57 +490,109 @@ mod tests {
     /// that parks on nearly every push, a consumer that parks on nearly
     /// every take, seeded yields on both sides to vary the interleaving.
     /// A lost wakeup hangs one side, which the timeout turns into a
-    /// failure; every item must arrive exactly once, in order.
+    /// failure; every item must arrive exactly once, in order. The
+    /// deeper queue wakes its reader only at half full, so the producer
+    /// also parks on a full queue whose reader it woke at the threshold,
+    /// and the last few items reach the reader only through `close`.
     #[test]
     fn capacity_one_block_queue_delivers_every_item_in_order() {
         const N: u64 = 100_000;
-        let q = Arc::new(IngressQueue::new(1));
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut rng = SimRng::new(0x5eed_0001);
-                for i in 0..N {
-                    if rng.below(4) == 0 {
-                        std::thread::yield_now();
+        for (capacity, wake_at) in [(1, 1), (8, 4)] {
+            let q = Arc::new(IngressQueue::new(capacity, wake_at));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let producer = {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut rng = SimRng::new(0x5eed_0001);
+                    for i in 0..N {
+                        if rng.below(4) == 0 {
+                            std::thread::yield_now();
+                        }
+                        q.push(&i.to_le_bytes(), BLOCK, None, |slot| (i, slot))
+                            .expect("open queue");
                     }
-                    q.push(&i.to_le_bytes(), BLOCK, None, |slot| (i, slot))
-                        .expect("open queue");
-                }
-                q.close();
-            })
-        };
-        let consumer = {
+                    q.close();
+                })
+            };
+            let consumer = {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut rng = SimRng::new(0x5eed_0002);
+                    let mut batch = Batch::default();
+                    let mut next = 0u64;
+                    while q.take(&mut batch, None) == Take::Batch {
+                        for (i, slot) in batch.items.drain(..) {
+                            let bytes = bytes_at(&batch.bytes, slot);
+                            assert_eq!(i, next, "out of order or duplicated");
+                            assert_eq!(bytes, i.to_le_bytes(), "arena bytes of item {i}");
+                            next += 1;
+                        }
+                        if rng.below(4) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    done_tx.send(next).expect("test alive");
+                })
+            };
+            let delivered = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("lost wakeup: the handoff hung");
+            assert_eq!(delivered, N, "every item arrives exactly once ({capacity})");
+            producer.join().unwrap();
+            consumer.join().unwrap();
+        }
+    }
+
+    /// The wake rule, read from the signals the queue sends rather than
+    /// from timing: with a reader parked on a queue of 8 that wakes at
+    /// 4, datagram pushes below the threshold send nothing, and the
+    /// threshold push, a control item, `wake_pending` with an item
+    /// queued and `close` send one each.
+    #[test]
+    fn a_parked_reader_is_woken_at_the_threshold_or_by_a_control_item() {
+        let q = Arc::new(IngressQueue::new(8, 4));
+        let (taken_tx, taken) = std::sync::mpsc::channel();
+        let reader = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                let mut rng = SimRng::new(0x5eed_0002);
                 let mut batch = Batch::default();
-                let mut next = 0u64;
                 while q.take(&mut batch, None) == Take::Batch {
-                    for (i, slot) in batch.items.drain(..) {
-                        let bytes = bytes_at(&batch.bytes, slot);
-                        assert_eq!(i, next, "out of order or duplicated");
-                        assert_eq!(bytes, i.to_le_bytes(), "arena bytes of item {i}");
-                        next += 1;
-                    }
-                    if rng.below(4) == 0 {
-                        std::thread::yield_now();
-                    }
+                    let items: Vec<u32> = batch.items.drain(..).collect();
+                    taken_tx.send(items).expect("test alive");
                 }
-                done_tx.send(next).expect("test alive");
             })
         };
-        let delivered = done_rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("lost wakeup: the handoff hung");
-        assert_eq!(delivered, N, "every item arrives exactly once");
-        producer.join().unwrap();
-        consumer.join().unwrap();
+        let wakes = || q.state.lock().unwrap().reader_wakes;
+        let datagram = |item: u32| q.push(b"d", DROP, None, |_| item).unwrap();
+        wait_parked(&q, 1, 0);
+        for item in 1..=3 {
+            datagram(item);
+        }
+        assert_eq!(wakes(), 0, "three datagrams stay below the threshold");
+        datagram(4);
+        assert_eq!(wakes(), 1, "the threshold push");
+        assert_eq!(taken.recv().unwrap(), [1, 2, 3, 4]);
+        wait_parked(&q, 1, 0);
+        q.push_item(5, DROP).unwrap();
+        assert_eq!(wakes(), 2, "a control item");
+        assert_eq!(taken.recv().unwrap(), [5]);
+        wait_parked(&q, 1, 0);
+        q.wake_pending();
+        assert_eq!(wakes(), 2, "nothing queued, nothing to wake for");
+        datagram(6);
+        assert_eq!(wakes(), 2, "one datagram stays below the threshold");
+        q.wake_pending();
+        assert_eq!(wakes(), 3, "an item is queued");
+        assert_eq!(taken.recv().unwrap(), [6]);
+        wait_parked(&q, 1, 0);
+        q.close();
+        assert_eq!(wakes(), 4, "close");
+        reader.join().unwrap();
     }
 
     #[test]
     fn close_ends_a_parked_take() {
-        let q = Arc::new(IngressQueue::<u8>::new(1));
+        let q = Arc::new(IngressQueue::<u8>::new(1, 1));
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.take(&mut Batch::default(), None))
@@ -476,7 +604,7 @@ mod tests {
 
     #[test]
     fn close_fails_a_push_parked_on_a_full_queue() {
-        let q = Arc::new(IngressQueue::new(1));
+        let q = Arc::new(IngressQueue::new(1, 1));
         push(&q, 0u8, BLOCK).unwrap();
         let producer = {
             let q = Arc::clone(&q);
@@ -493,7 +621,7 @@ mod tests {
     fn a_parked_push_reports_its_park_on_the_given_clock() {
         let manual = dap_obs::ManualTime::new();
         let time = TimeSource::manual(manual.clone());
-        let q = Arc::new(IngressQueue::new(1));
+        let q = Arc::new(IngressQueue::new(1, 1));
         push(
             &q,
             Slot {
@@ -522,7 +650,7 @@ mod tests {
     #[test]
     fn a_burst_arena_shrinks_after_one_ordinary_take() {
         const DEPTH: usize = 64;
-        let q = IngressQueue::new(DEPTH);
+        let q = IngressQueue::new(DEPTH, 1);
         let max = vec![0xabu8; dap_core::codec::MAX_FRAME_LEN];
         for _ in 0..DEPTH {
             q.push(&max, DROP, None, |_| ()).unwrap();
@@ -558,6 +686,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        let _ = IngressQueue::<u8>::new(0);
+        let _ = IngressQueue::<u8>::new(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wake threshold")]
+    fn a_threshold_past_capacity_rejected() {
+        let _ = IngressQueue::<u8>::new(4, 5);
     }
 }
