@@ -293,14 +293,19 @@ echo "== crypto bench regression gate (vs committed BENCH_perf.json) =="
 # Every lane the committed file times against a *_baseline must keep
 # >= 0.8x its committed median speedup in the fresh run -- a >20%
 # regression on any crypto lane fails CI. Ratios (not raw ns) make this
-# robust to slow boxes; lanes the host cannot produce (e.g. compress_x8
-# without AVX2) are skipped.
+# robust to slow boxes. A missing lane fails too, except compress_ni on
+# a CPU without the SHA extensions, where perf has no kernel to time
+# against the portable one.
 for name in $(grep '"vs":"[^"]*_baseline"' BENCH_perf.json | grep -o '"name":"[^"]*"' | cut -d'"' -f4); do
     committed=$(field BENCH_perf.json $name speedup)
     fresh=$(field $bench $name speedup)
     if [ -z "$fresh" ]; then
-        echo "  lane $name not produced on this host -- skipped"
-        continue
+        if [ "$name" = compress_ni ] && ! grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+            echo "  lane compress_ni: no SHA-NI on this host -- skipped"
+            continue
+        fi
+        echo "crypto lane $name missing from the fresh run" >&2
+        exit 1
     fi
     echo "$fresh $committed" | awk '{ exit !($1 >= 0.8 * $2) }' || {
         echo "crypto lane $name regressed: speedup $fresh < 0.8 x committed $committed" >&2

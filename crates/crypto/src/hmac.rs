@@ -70,30 +70,10 @@ impl PreparedMacKey {
     /// 55 bytes (every MAC input in the protocol stack) this is exactly
     /// two compression calls.
     #[must_use]
+    #[inline]
     pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
         let inner_digest = sha256::digest_from_midstate(&self.inner, BLOCK_LEN as u64, message);
         sha256::digest_from_midstate(&self.outer, BLOCK_LEN as u64, &inner_digest)
-    }
-
-    /// Batch [`mac`](Self::mac): `out[i] = keys[i].mac(messages[i])`,
-    /// with both HMAC passes (inner over the messages, outer over the
-    /// inner digests) running lane-parallel across the whole batch.
-    ///
-    /// Bit-identical to the scalar loop — the lanes only reorder
-    /// *independent* compressions, never the data inside one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `messages` differ in length.
-    #[must_use]
-    pub fn mac_many(keys: &[&Self], messages: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
-        assert_eq!(keys.len(), messages.len(), "one message per key");
-        let inner_states: Vec<[u32; 8]> = keys.iter().map(|k| k.inner).collect();
-        let inner_digests =
-            crate::lanes::digest_many_from_midstates(&inner_states, BLOCK_LEN as u64, messages);
-        let outer_states: Vec<[u32; 8]> = keys.iter().map(|k| k.outer).collect();
-        let tails: Vec<&[u8]> = inner_digests.iter().map(|d| d.as_slice()).collect();
-        crate::lanes::digest_many_from_midstates(&outer_states, BLOCK_LEN as u64, &tails)
     }
 
     /// An incremental hasher resuming from the cached key schedule.
@@ -279,48 +259,6 @@ mod tests {
         let s = format!("{:?}", PreparedMacKey::new(b"secret"));
         assert!(s.contains("PreparedMacKey"));
         assert!(!s.contains("secret"));
-    }
-
-    #[test]
-    fn mac_many_matches_scalar_loop() {
-        let prepared: Vec<PreparedMacKey> =
-            (0u8..7).map(|i| PreparedMacKey::new(&[i; 16])).collect();
-        let messages: Vec<Vec<u8>> = (0..7usize).map(|i| vec![0xcd; i * 17]).collect();
-        let key_refs: Vec<&PreparedMacKey> = prepared.iter().collect();
-        let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        let batch = PreparedMacKey::mac_many(&key_refs, &msg_refs);
-        for i in 0..7 {
-            assert_eq!(batch[i], prepared[i].mac(&messages[i]), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn rfc4231_through_mac_many() {
-        let keys: Vec<PreparedMacKey> = [&[0x0bu8; 20][..], b"Jefe", &[0xaau8; 131][..]]
-            .into_iter()
-            .map(PreparedMacKey::new)
-            .collect();
-        let key_refs: Vec<&PreparedMacKey> = keys.iter().collect();
-        let tags = PreparedMacKey::mac_many(
-            &key_refs,
-            &[
-                b"Hi There".as_slice(),
-                b"what do ya want for nothing?".as_slice(),
-                b"Test Using Larger Than Block-Size Key - Hash Key First".as_slice(),
-            ],
-        );
-        assert_eq!(
-            hex(&tags[0]),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex(&tags[1]),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        assert_eq!(
-            hex(&tags[2]),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
     }
 
     #[test]

@@ -16,13 +16,6 @@ use crate::oneway::{one_way, one_way_iter, one_way_trace, Domain};
 /// [`ChainStore`] implementation so they agree key-for-key.
 pub(crate) const CHAIN_HEAD_LABEL: &[u8] = b"crowdsense-dap/chain-head";
 
-/// Seeds [`KeyChain::generate_many`] walks together: enough to fill
-/// every lane, few enough that a level's scratch (one 64-byte block and
-/// one prepared key per seed) stays at 16 KiB. Whole-fleet batches
-/// allocated blocks large enough for the allocator to map them fresh on
-/// every level.
-const GENERATE_MANY_CHUNK: usize = 256;
-
 /// An 80-bit symmetric key, the size the paper uses on the wire
 /// (`Ki (80b)` in Fig. 4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -156,47 +149,6 @@ impl KeyChain {
         assert!(len > 0, "key chain must have at least one usable key");
         let head = Key::derive(CHAIN_HEAD_LABEL, seed);
         Self::from_head(head, len, domain)
-    }
-
-    /// Generates many chains at once, one per seed — key-for-key equal
-    /// to calling [`KeyChain::generate`] on each seed, but walking the
-    /// chains *level by level* so every `F` application at a given
-    /// depth runs through [`one_way_many`]'s lane-parallel SHA-256.
-    /// This is the fleet bootstrap path: provisioning `n` senders costs
-    /// `n · len` compressions either way, but the batched walk keeps
-    /// the SIMD lanes full instead of hashing one 10-byte key at a
-    /// time.
-    ///
-    /// The walk takes 256 seeds at a time, so each level's scratch stays
-    /// at 16 KiB whatever the fleet size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0` and `seeds` is non-empty.
-    ///
-    /// [`one_way_many`]: crate::oneway::one_way_many
-    #[must_use]
-    pub fn generate_many(seeds: &[&[u8]], len: usize, domain: Domain) -> Vec<Self> {
-        assert!(
-            len > 0 || seeds.is_empty(),
-            "key chain must have at least one usable key"
-        );
-        let mut chains = Vec::with_capacity(seeds.len());
-        for chunk in seeds.chunks(GENERATE_MANY_CHUNK) {
-            let mut level: Vec<Key> = chunk
-                .iter()
-                .map(|seed| Key::derive(CHAIN_HEAD_LABEL, seed))
-                .collect();
-            let mut keys: Vec<Vec<Key>> = level.iter().map(|head| vec![*head; len + 1]).collect();
-            for i in (0..len).rev() {
-                level = crate::oneway::one_way_many(domain, &level);
-                for (chain, key) in keys.iter_mut().zip(&level) {
-                    chain[i] = *key;
-                }
-            }
-            chains.extend(keys.into_iter().map(|keys| Self { keys, domain }));
-        }
-        chains
     }
 
     /// Generates a chain whose last key `K_len` is exactly `head`.
@@ -436,22 +388,6 @@ mod tests {
         let c = KeyChain::generate(b"seed-b", 10, Domain::F);
         assert_eq!(a.commitment(), b.commitment());
         assert_ne!(a.commitment(), c.commitment());
-    }
-
-    #[test]
-    fn generate_many_matches_per_seed_generate_key_for_key() {
-        // Past two whole chunks, so the last chunk is ragged.
-        let seeds: Vec<Vec<u8>> = (0u64..600).map(|i| i.to_be_bytes().to_vec()).collect();
-        let refs: Vec<&[u8]> = seeds.iter().map(Vec::as_slice).collect();
-        let batched = KeyChain::generate_many(&refs, 5, Domain::F);
-        assert_eq!(batched.len(), seeds.len());
-        for (seed, chain) in seeds.iter().zip(&batched) {
-            let scalar = KeyChain::generate(seed, 5, Domain::F);
-            for i in 0..=5 {
-                assert_eq!(chain.key(i), scalar.key(i), "seed {seed:?} key {i}");
-            }
-        }
-        assert!(KeyChain::generate_many(&[], 23, Domain::F).is_empty());
     }
 
     #[test]

@@ -31,14 +31,14 @@
 //! assert_eq!(mac80(&disclosed, b"sensor reading"), tag);
 //! ```
 
-// `deny` (not `forbid`) so the SIMD kernels in `lanes` can opt back in
-// with a module-local `allow`; every other module stays unsafe-free.
+// `deny` (not `forbid`) so the SHA-NI kernel in `sha256` and the one
+// call that dispatches into it can opt back in with a local `allow`;
+// every other line stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hmac;
 pub mod keychain;
-pub mod lanes;
 pub mod mac;
 pub mod oneway;
 pub mod pebble;

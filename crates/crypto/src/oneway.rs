@@ -114,22 +114,10 @@ impl std::fmt::Display for Domain {
 /// HMAC-SHA-256, so the chain property "`K_{i+1}` cannot be derived from
 /// `K_i`" holds under standard assumptions.
 #[must_use]
+#[inline]
 pub fn one_way(domain: Domain, key: &Key) -> Key {
     let tag = domain.prepared().mac(key.as_bytes());
     Key::from_slice(&tag[..Key::LEN]).expect("digest longer than key")
-}
-
-/// Batch [`one_way`]: `out[i] = one_way(domain, keys[i])` with the HMAC
-/// compressions lane-parallel across the batch (see [`crate::lanes`]).
-/// Bit-identical to the scalar loop.
-#[must_use]
-pub fn one_way_many(domain: Domain, keys: &[Key]) -> Vec<Key> {
-    let prepared = vec![domain.prepared(); keys.len()];
-    let messages: Vec<&[u8]> = keys.iter().map(Key::as_bytes).collect();
-    PreparedMacKey::mac_many(&prepared, &messages)
-        .iter()
-        .map(|tag| Key::from_slice(&tag[..Key::LEN]).expect("digest longer than key"))
-        .collect()
 }
 
 /// Applies `one_way(domain, ·)` exactly `steps` times.

@@ -4,6 +4,16 @@
 //! is parameterised over "a one-way hash function", and this module
 //! provides the concrete instance. Correctness is pinned by the official
 //! NIST test vectors in the unit tests.
+//!
+//! Every hash in the crate compresses through one entry point,
+//! [`Sha256::compress_from`], which runs one kernel per host: the x86
+//! SHA extensions (SHA-NI) where the CPU has them, detected once per
+//! process ([`sha_ni`]), and the portable [`Sha256::compress_portable`]
+//! otherwise. `sha256rnds2` runs two rounds per instruction, so a
+//! compression takes ~50 ns instead of the portable kernel's ~370 ns.
+//! The portable kernel is the reference the SHA-NI one is tested
+//! against (`tests/simd_lanes.rs`), so results are bit-identical on
+//! every host.
 
 /// Digest size in bytes (256 bits).
 pub const DIGEST_LEN: usize = 32;
@@ -25,7 +35,7 @@ const H0: [u32; 8] = [
     0x5be0_cd19,
 ];
 
-pub(crate) const K: [u32; 64] = [
+const K: [u32; 64] = [
     0x428a_2f98,
     0x7137_4491,
     0xb5c0_fbcf,
@@ -237,18 +247,30 @@ impl Sha256 {
 
     /// Applies the SHA-256 compression function to `state` for one
     /// 64-byte `block` — the pure fast path behind midstate caching, and
-    /// the one every single-message hash in the crate goes through. Runs
-    /// the SHA-NI kernel where the CPU has it and
-    /// [`Sha256::compress_portable`] otherwise (see [`crate::lanes`]).
+    /// the one every hash in the crate goes through. Runs the SHA-NI
+    /// kernel where [`sha_ni`] is true and [`Sha256::compress_portable`]
+    /// otherwise.
     #[must_use]
     #[inline]
     pub fn compress_from(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
-        crate::lanes::compress_one(state, block)
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni() {
+            let mut out = *state;
+            // SAFETY: `sha_ni()` is true only when sha, ssse3 and sse4.1
+            // were detected on this CPU at run time, which is all
+            // `compress_ni` asks of its caller.
+            #[allow(unsafe_code)]
+            unsafe {
+                ni::compress_ni(&mut out, block);
+            }
+            return out;
+        }
+        Self::compress_portable(state, block)
     }
 
     /// The portable SHA-256 compression function, written straight from
-    /// FIPS 180-4 §6.2.2. Every other kernel is tested against it, and
-    /// it runs wherever the CPU offers no faster one.
+    /// FIPS 180-4 §6.2.2. The SHA-NI kernel is tested against it, and
+    /// it runs wherever the CPU lacks the SHA extensions.
     #[must_use]
     pub fn compress_portable(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
         let mut w = [0u32; 64];
@@ -317,6 +339,7 @@ impl Sha256 {
 ///
 /// Panics if `prior_bytes` is not a multiple of [`BLOCK_LEN`].
 #[must_use]
+#[inline]
 pub fn digest_from_midstate(state: &[u32; 8], prior_bytes: u64, tail: &[u8]) -> [u8; DIGEST_LEN] {
     assert!(
         prior_bytes.is_multiple_of(BLOCK_LEN as u64),
@@ -361,6 +384,121 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// Whether this CPU runs the SHA-NI kernel, detected once per process:
+/// it must report `sha`, plus `ssse3` and `sse4.1` for the kernel's
+/// shuffles and blends. Always `false` off x86-64.
+#[must_use]
+#[inline]
+pub fn sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *CACHE.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The SHA-NI kernel. Every function here carries
+/// `#[target_feature]`, and its one caller, [`Sha256::compress_from`],
+/// enters it only where [`sha_ni`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // SHA intrinsics behind one run-time feature check.
+mod ni {
+    use core::arch::x86_64::*;
+
+    use super::{BLOCK_LEN, K};
+
+    /// `W[4q..4q + 4]` from the four previous schedule quads `W[4q -
+    /// 16..4q]`: `sha256msg1` adds `σ0(W[t - 15])` to `W[t - 16]`,
+    /// `palignr` supplies `W[t - 7]`, and `sha256msg2` adds
+    /// `σ1(W[t - 2])`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(partial, w3)
+    }
+
+    /// Rounds `4q..4q + 4`. Each `sha256rnds2` runs two rounds on the
+    /// low two words of `W + K` and returns the new ABEF; the old ABEF is
+    /// then the new CDGH, so the two state registers swap roles between
+    /// the calls and end where they started.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, q: usize) {
+        let k = &K[4 * q..4 * q + 4];
+        let wk = _mm_add_epi32(
+            w,
+            _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+        );
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    /// One SHA-256 compression on the SHA extensions: `state ←
+    /// compress(state, block)`.
+    ///
+    /// `sha256rnds2` wants the eight state words split across two
+    /// registers as ABEF and CDGH, so the state is permuted into that
+    /// layout on entry and back on exit. Register names list lanes
+    /// highest first, as Intel's do: `dcba` holds `a` in lane 0.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_ni(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        // Reverses the bytes of each 32-bit lane: the block's words are
+        // big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let words = state.as_mut_ptr().cast::<__m128i>();
+        let bytes = block.as_ptr().cast::<__m128i>();
+
+        // SAFETY: `state` is 32 bytes, so `words` and `words.add(1)`
+        // cover it exactly; `loadu` has no alignment requirement.
+        let (dcba, hgfe) = (_mm_loadu_si128(words), _mm_loadu_si128(words.add(1)));
+        let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        // SAFETY: `block` is 64 bytes, so `bytes.add(0..4)` are the four
+        // 16-byte quarters inside it; `loadu` has no alignment
+        // requirement.
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(bytes), bswap);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(bytes.add(1)), bswap);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(bytes.add(2)), bswap);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(bytes.add(3)), bswap);
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for q in (4..16).step_by(4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, q);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, q + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, q + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, q + 3);
+        }
+
+        let feba = _mm_shuffle_epi32::<0x1b>(_mm_add_epi32(abef, abef_in));
+        let dchg = _mm_shuffle_epi32::<0xb1>(_mm_add_epi32(cdgh, cdgh_in));
+        // SAFETY: as for the loads — `words` and `words.add(1)` are the
+        // two halves of the 32-byte `state`, and `storeu` is unaligned.
+        _mm_storeu_si128(words, _mm_blend_epi16::<0xf0>(feba, dchg));
+        _mm_storeu_si128(words.add(1), _mm_alignr_epi8::<8>(dchg, feba));
+    }
 }
 
 #[cfg(test)]

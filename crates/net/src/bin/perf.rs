@@ -12,9 +12,9 @@
 //! 100) is the wall-clock budget of one calibrated repetition.
 //!
 //! The lanes, in order:
-//! * crypto — `one_way_iter_4096`, `micro_mac_rekey` and one
-//!   `compress_*` per kernel this host runs, each against its
-//!   pre-optimisation `*_baseline`;
+//! * crypto — `one_way_iter_4096` and `micro_mac_rekey`, each against
+//!   its pre-optimisation `*_baseline`, and on a SHA-NI host
+//!   `compress_ni` against the portable kernel;
 //! * ingest — the seeded loopback campaign untraced
 //!   (`loopback_ingest`) and at three recorder levels, each paired
 //!   against it;
@@ -32,10 +32,9 @@ use dap_bench::sweep::{run_sweep_sequential, run_sweep_with_stats, to_csv, Sweep
 use dap_bench::timer::{self, calibrated, paired, record, repeat, versus};
 use dap_core::codec::{self, TaggedFrame};
 use dap_core::{DapMessage, DapParams, DapReceiver, DapSender};
-use dap_crypto::lanes::{self, LaneWidth};
 use dap_crypto::mac::{micro_mac_prepared, prepare_receiver_key, Mac80};
 use dap_crypto::oneway::one_way_iter;
-use dap_crypto::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE};
+use dap_crypto::sha256::{self, sha_ni, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE};
 use dap_crypto::{Domain, Key};
 use dap_game::solve_posture_permille;
 use dap_net::adversary::AdversaryClass;
@@ -151,38 +150,43 @@ fn crypto_lanes(out: &mut Report) {
         }),
     );
 
-    // Compression kernels: ns per *block* for each kernel this host
-    // supports, against the portable compressor on the same blocks
-    // (`compress_many_with(Scalar, ..)` runs exactly the portable loop
-    // the lane kernels fall back to). Hosts without sse2/avx2/SHA-NI
-    // simply omit the record they can't run.
+    // The compression kernel: ns per *block* of `compress_from`, which
+    // runs SHA-NI here, against the portable kernel on the same blocks.
+    // A host without SHA-NI runs the portable kernel on both sides, so
+    // it omits the record.
+    if !sha_ni() {
+        return;
+    }
     const BLOCKS: usize = 8;
-    let blocks = vec![[0x5au8; BLOCK_LEN]; BLOCKS];
-    for &width in lanes::supported() {
-        let name = match width {
-            LaneWidth::Scalar => continue,
-            LaneWidth::W4 => "compress_x4",
-            LaneWidth::W8 => "compress_x8",
-            LaneWidth::ShaNi => "compress_ni",
-        };
+    let blocks = [[0x5au8; BLOCK_LEN]; BLOCKS];
+    let (mut fast, mut portable) = ([INITIAL_STATE; BLOCKS], [INITIAL_STATE; BLOCKS]);
+    // Sanity: the kernel must agree with the portable one.
+    compress_each(&mut fast, &blocks, Sha256::compress_from);
+    compress_each(&mut portable, &blocks, Sha256::compress_portable);
+    assert_eq!(
+        fast, portable,
+        "compress_ni must match the portable compression"
+    );
 
-        // Sanity: the kernel must agree with the portable one.
-        let mut fast = vec![INITIAL_STATE; BLOCKS];
-        let mut portable = vec![INITIAL_STATE; BLOCKS];
-        lanes::compress_many_with(width, &mut fast, &blocks);
-        lanes::compress_many_with(LaneWidth::Scalar, &mut portable, &blocks);
-        assert_eq!(fast, portable, "{name} must match the portable compression");
+    let mut kernel = calibrated(|| compress_each(&mut fast, &blocks, Sha256::compress_from));
+    let mut baseline =
+        calibrated(|| compress_each(&mut portable, &blocks, Sha256::compress_portable));
+    out.against_baseline(
+        "compress_ni",
+        "ns/block",
+        || kernel() / BLOCKS as f64,
+        || baseline() / BLOCKS as f64,
+    );
+}
 
-        let mut kernel = calibrated(|| lanes::compress_many_with(width, &mut fast, &blocks));
-        let mut baseline = calibrated(|| {
-            lanes::compress_many_with(LaneWidth::Scalar, &mut portable, &blocks);
-        });
-        out.against_baseline(
-            name,
-            "ns/block",
-            || kernel() / BLOCKS as f64,
-            || baseline() / BLOCKS as f64,
-        );
+/// `states[i] ← compress(states[i], blocks[i])` for every block.
+fn compress_each(
+    states: &mut [[u32; 8]],
+    blocks: &[[u8; BLOCK_LEN]],
+    compress: impl Fn(&[u32; 8], &[u8; BLOCK_LEN]) -> [u32; 8],
+) {
+    for (state, block) in states.iter_mut().zip(blocks) {
+        *state = compress(state, block);
     }
 }
 

@@ -245,9 +245,9 @@ pub fn fleet_chain_seed(fleet_seed: u64, sender: SenderId) -> [u8; 16] {
     seed
 }
 
-/// The fleet directory: bootstraps for sender ids `1..=senders`, all
-/// chains re-derived from the fleet seed. Ids outside the range are
-/// unknown (a spoofed id the roster never provisioned).
+/// Sender `sender`'s bootstrap in a fleet of ids `1..=senders`, its
+/// chain re-derived from the fleet seed, or `None` for an id outside
+/// that range (a spoofed id the roster never provisioned).
 #[must_use]
 pub fn fleet_bootstrap(
     fleet_seed: u64,
@@ -261,22 +261,23 @@ pub fn fleet_bootstrap(
     })
 }
 
-/// All fleet chains in one batched walk: the per-sender seeds run
-/// through [`KeyChain::generate_many`], which levels every `F`
-/// application across the fleet into lane-parallel SHA-256 — the
-/// 4096-sender soak setup cost, paid once instead of per admission.
-/// Chain `k` (0-based) belongs to sender id `k + 1` and is key-for-key
-/// equal to the scalar [`fleet_bootstrap`] derivation.
+/// Every fleet chain, derived once at set-up instead of per admission.
+/// Chain `k` (0-based) belongs to sender id `k + 1` and is the chain
+/// [`fleet_bootstrap`] derives for that id.
 #[must_use]
 pub fn fleet_chains(fleet_seed: u64, senders: u64, chain_len: usize) -> Vec<KeyChain> {
-    let seeds: Vec<[u8; 16]> = (1..=senders)
-        .map(|id| fleet_chain_seed(fleet_seed, SenderId(id)))
-        .collect();
-    let refs: Vec<&[u8]> = seeds.iter().map(|s| s.as_slice()).collect();
-    KeyChain::generate_many(&refs, chain_len, Domain::F)
+    (1..=senders)
+        .map(|id| {
+            KeyChain::generate(
+                &fleet_chain_seed(fleet_seed, SenderId(id)),
+                chain_len,
+                Domain::F,
+            )
+        })
+        .collect()
 }
 
-/// The whole fleet's bootstrap records, batch-derived and shared: one
+/// The whole fleet's bootstrap records, derived once and shared: one
 /// `Arc` serves every shard's admission path, so re-admitting an
 /// evicted sender is an index into this table instead of an `O(len)`
 /// chain walk.
@@ -514,8 +515,7 @@ pub fn run_fleet_with(spec: &FleetSpec, publish: Option<Arc<SharedRegistry>>) ->
     let flooder_seed = rng.next_u64();
     let mut shuffle_rng = rng.fork(4);
 
-    // Every sender its own chain — a tagged roster derives all of them
-    // in one lane-parallel batch walk. The same chains seed the shared
+    // Every sender its own chain. The same chains seed the shared
     // directory, so the shards never re-walk a chain on admission.
     let chains = if spec.untagged {
         vec![KeyChain::generate(
@@ -1510,5 +1510,28 @@ mod tests {
         assert_eq!(verdict.outcome, "unknown_sender");
         assert_eq!(registry.counters().get(keys::NET_SESSION_UNKNOWN), 1);
         assert_eq!(shard.table().occupancy(), 0);
+    }
+
+    #[test]
+    fn fleet_directory_slot_k_is_the_bootstrap_of_sender_k_plus_one() {
+        let (seed, senders, chain_len) = (2016, 300, 4);
+        let params = fleet_params(2);
+        let directory = fleet_directory(seed, senders, chain_len, params);
+        assert_eq!(directory.len(), 300);
+        for (k, slot) in directory.iter().enumerate() {
+            let id = SenderId(k as u64 + 1);
+            assert_eq!(
+                Some(*slot),
+                fleet_bootstrap(seed, senders, chain_len, params, id),
+                "slot {k}"
+            );
+        }
+        for id in [0, senders + 1] {
+            assert_eq!(
+                fleet_bootstrap(seed, senders, chain_len, params, SenderId(id)),
+                None,
+                "id {id}"
+            );
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! * **Determinism** — a run is a pure function of the seed. The default
 //!   seed is fixed; override it with the `DAP_TESTKIT_SEED` environment
-//!   variable (decimal or `0x…` hex).
+//!   variable (decimal or `0x…` hex; a value that is neither panics).
 //! * **Reproducibility** — on failure the harness prints the seed and
 //!   case number needed to replay the exact failure.
 //! * **Shrinking** — the failing draw sequence is minimised Hypothesis-
@@ -262,11 +262,24 @@ pub struct Config {
 pub const DEFAULT_SEED: u64 = 0xda9_7e57_5eed;
 
 impl Default for Config {
+    /// 96 cases from `DAP_TESTKIT_SEED` when it is set and non-empty,
+    /// else from [`DEFAULT_SEED`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the value, when `DAP_TESTKIT_SEED` is neither
+    /// decimal nor `0x…` hex: a mistyped replay seed must not run the
+    /// default case set, where the property it meant to replay may pass.
     fn default() -> Self {
-        let seed = std::env::var("DAP_TESTKIT_SEED")
-            .ok()
-            .and_then(|s| parse_seed(&s))
-            .unwrap_or(DEFAULT_SEED);
+        let seed = match std::env::var_os("DAP_TESTKIT_SEED") {
+            Some(raw) if !raw.is_empty() => {
+                let raw = raw.to_string_lossy();
+                parse_seed(&raw).unwrap_or_else(|| {
+                    panic!("DAP_TESTKIT_SEED={raw:?} is neither decimal nor 0x-prefixed hex")
+                })
+            }
+            _ => DEFAULT_SEED,
+        };
         Self {
             cases: 96,
             seed,
