@@ -246,18 +246,27 @@ p99=$(field $bench dap_reveal_verify p99_ns)
 test -n "$p99" && test "$p99" -gt 0
 grep -q '"name":"overload_burst-reanchor_prioritized"' $bench
 grep -q '"pinned_permille"' $bench
-# The seed fixes every survival field, so each overload lane must carry
-# the committed file's: any drift means a drain decided differently.
-for name in $(grep -o '"name":"overload_[^"]*"' BENCH_perf.json | cut -d'"' -f4); do
-    for key in pinned_permille unpinned_permille shed_permille evictions; do
+# seeded LANE KEY... requires each KEY of LANE to equal the committed
+# file's: the seed fixes it, so any drift means a receiver or a drain
+# decided differently, not noise.
+seeded() {
+    name=$1
+    shift
+    for key in "$@"; do
         committed=$(field BENCH_perf.json $name $key)
         fresh=$(field $bench $name $key)
         test -n "$committed" && test "$fresh" = "$committed" || {
-            echo "overload lane $name: $key ${fresh:-missing} != committed $committed" >&2
+            echo "lane $name: $key ${fresh:-missing} != committed $committed" >&2
             exit 1
         }
     done
+}
+# Every overload lane's survival fields, and the flood lane's reservoir
+# decisions.
+for name in $(grep -o '"name":"overload_[^"]*"' BENCH_perf.json | cut -d'"' -f4); do
+    seeded $name pinned_permille unpinned_permille shed_permille evictions
 done
+seeded dap_flood_announce stored_permille
 
 echo "== sweep parallelism gate (workers engaged, bit-identical) =="
 # The provisioning floor guarantees at least two engaged workers on any

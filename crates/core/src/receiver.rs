@@ -4,10 +4,11 @@
 //!
 //! 1. **safe-packet test** — discard if the key for `i` may already be
 //!    public (`i + d < x` under worst-case skew);
-//! 2. compute `μMAC_i = MAC_{K_recv}(MAC_i)` (24 bits; `K_recv` never
-//!    leaves the node) and offer `(μMAC_i, i)` — 56 bits — to the
-//!    `m`-buffer reservoir: the `k`-th copy of the receiving interval is
-//!    kept with probability `m/k`.
+//! 2. offer `(μMAC_i, i)` — 56 bits — to the `m`-buffer reservoir, where
+//!    `μMAC_i = MAC_{K_recv}(MAC_i)` (24 bits; `K_recv` never leaves the
+//!    node): the `k`-th copy of the receiving interval is kept with
+//!    probability `m/k`. The coin is flipped before the μMAC is
+//!    computed, so only a kept copy pays for it.
 //!
 //! Processing a reveal `(M_i, K_i, i)` one interval later:
 //!
@@ -140,8 +141,8 @@ pub struct DapReceiver {
     anchor: ChainAnchor,
     params: DapParams,
     /// `K_recv` with its HMAC key schedule run once at bootstrap: the
-    /// announce hot path re-keys every incoming MAC under this secret,
-    /// so caching the midstates halves its compression count.
+    /// announce hot path re-keys every kept MAC under this secret, so
+    /// caching the midstates halves its compression count.
     local_key: PreparedMacKey,
     /// Chain keys recovered while re-anchoring across a gap, kept for
     /// duplicate reveals of in-gap intervals ([`Self::weak_authenticate`]
@@ -269,13 +270,14 @@ impl DapReceiver {
             return AnnounceOutcome::Unsafe;
         }
 
-        let micro = micro_mac_prepared(&self.local_key, &announce.mac);
         self.stats.announces_offered += 1;
         let pool = self
             .pools
             .entry(announce.index)
             .or_insert_with(|| ReservoirBuffer::new(self.buffers));
-        let outcome = pool.offer(micro, rng);
+        // The coin goes first: only a kept copy's μMAC is ever read, so a
+        // sampled-out copy costs no HMAC.
+        let outcome = pool.offer_with(|| micro_mac_prepared(&self.local_key, &announce.mac), rng);
         if outcome.is_stored() {
             self.stats.announces_stored += 1;
             AnnounceOutcome::Stored
@@ -320,23 +322,22 @@ impl DapReceiver {
         let prepared = self
             .cached_interval_key(reveal.index, &reveal.key)
             .unwrap_or_else(|| prepare_chain_key(&reveal.key));
-        let tag = mac80_prepared(&prepared, &reveal.message);
-        let expect = micro_mac_prepared(&self.local_key, &tag);
         // Weak auth vouched for the key, so the schedule may be cached
         // for the interval's remaining frames.
         self.interval_key = Some((reveal.index, reveal.key, prepared));
-        let Some(pool) = self.pools.remove(&reveal.index) else {
+        let Some(pool) = self
+            .pools
+            .remove(&reveal.index)
+            .filter(|pool| !pool.is_empty())
+        else {
             self.stats.no_candidate += 1;
             return RevealOutcome::NoCandidate {
                 index: reveal.index,
             };
         };
-        if pool.is_empty() {
-            self.stats.no_candidate += 1;
-            return RevealOutcome::NoCandidate {
-                index: reveal.index,
-            };
-        }
+        // Only a candidate can use the expected μMAC.
+        let tag = mac80_prepared(&prepared, &reveal.message);
+        let expect = micro_mac_prepared(&self.local_key, &tag);
         let mut matched = false;
         for micro in pool.iter() {
             self.stats.buffered_decided += 1;

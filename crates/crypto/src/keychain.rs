@@ -8,13 +8,27 @@
 //! `K_j` verifies any later disclosure `K_i` (`i > j`) by checking
 //! `F^{i-j}(K_i) == K_j`, which also recovers from lost disclosures.
 
+use std::sync::OnceLock;
+
 use crate::error::ChainVerifyError;
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, PreparedMacKey};
 use crate::oneway::{one_way, one_way_iter, one_way_trace, Domain};
 
-/// Label deriving a chain head from a seed — shared by every
-/// [`ChainStore`] implementation so they agree key-for-key.
-pub(crate) const CHAIN_HEAD_LABEL: &[u8] = b"crowdsense-dap/chain-head";
+/// Label deriving a chain head from a seed.
+const CHAIN_HEAD_LABEL: &[u8] = b"crowdsense-dap/chain-head";
+
+/// `Key::derive(CHAIN_HEAD_LABEL, seed)`, the head `K_len` of the chain
+/// generated from `seed` — shared by every [`ChainStore`]
+/// implementation so they agree key-for-key. The label is a constant,
+/// so its HMAC key schedule runs once per process, as
+/// [`Domain::prepared`] does for the one-way labels.
+pub(crate) fn chain_head(seed: &[u8]) -> Key {
+    static PREPARED: OnceLock<PreparedMacKey> = OnceLock::new();
+    let tag = PREPARED
+        .get_or_init(|| PreparedMacKey::new(CHAIN_HEAD_LABEL))
+        .mac(seed);
+    Key::from_slice(&tag[..Key::LEN]).expect("digest longer than key")
+}
 
 /// An 80-bit symmetric key, the size the paper uses on the wire
 /// (`Ki (80b)` in Fig. 4).
@@ -147,8 +161,7 @@ impl KeyChain {
     #[must_use]
     pub fn generate(seed: &[u8], len: usize, domain: Domain) -> Self {
         assert!(len > 0, "key chain must have at least one usable key");
-        let head = Key::derive(CHAIN_HEAD_LABEL, seed);
-        Self::from_head(head, len, domain)
+        Self::from_head(chain_head(seed), len, domain)
     }
 
     /// Generates a chain whose last key `K_len` is exactly `head`.
@@ -388,6 +401,29 @@ mod tests {
         let c = KeyChain::generate(b"seed-b", 10, Domain::F);
         assert_eq!(a.commitment(), b.commitment());
         assert_ne!(a.commitment(), c.commitment());
+    }
+
+    /// Both chain stores take their head from the cached label schedule;
+    /// it must equal the one-shot derivation for any seed length,
+    /// including seeds longer than one SHA-256 block.
+    #[test]
+    fn generate_is_from_head_of_the_derived_head() {
+        for len in [0usize, 1, 16, 55, 56, 64, 65, 200] {
+            let seed: Vec<u8> = (0..len).map(|b| b as u8 ^ 0xa5).collect();
+            let head = Key::derive(CHAIN_HEAD_LABEL, &seed);
+            let dense = KeyChain::generate(&seed, 12, Domain::F);
+            let reference = KeyChain::from_head(head, 12, Domain::F);
+            assert_eq!(dense.keys, reference.keys, "seed of {len} bytes");
+            let pebbled = crate::PebbledChain::generate(&seed, 12, Domain::F);
+            let pebbled_ref = crate::PebbledChain::from_head(head, 12, Domain::F);
+            for i in 0..=12 {
+                assert_eq!(
+                    ChainStore::key(&pebbled, i),
+                    ChainStore::key(&pebbled_ref, i),
+                    "seed of {len} bytes, key {i}"
+                );
+            }
+        }
     }
 
     #[test]

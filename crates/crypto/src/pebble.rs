@@ -22,7 +22,7 @@
 
 use std::cell::RefCell;
 
-use crate::keychain::{ChainAnchor, ChainStore, Key, CHAIN_HEAD_LABEL};
+use crate::keychain::{chain_head, ChainAnchor, ChainStore, Key};
 use crate::oneway::{one_way, Domain};
 
 /// Pebbles at or below `served_index - LOOKBACK` are pruned. The window
@@ -130,7 +130,7 @@ impl PebbledChain {
     #[must_use]
     pub fn generate(seed: &[u8], len: usize, domain: Domain) -> Self {
         assert!(len > 0, "key chain must have at least one usable key");
-        Self::from_head(Key::derive(CHAIN_HEAD_LABEL, seed), len, domain)
+        Self::from_head(chain_head(seed), len, domain)
     }
 
     /// Generates a pebbled chain whose last key `K_len` is exactly

@@ -20,7 +20,7 @@
 //!   against it;
 //! * verify — DAP and TESLA++ announce and reveal verify on the bare
 //!   receivers (the shard layer is recvbench's to measure), the
-//!   stationary flood announce and the codec round trip;
+//!   announces of recvbench's flood mix and the codec round trip;
 //! * overload — the adversary class × defender posture survival matrix;
 //! * Algorithm 3 — the control plane's re-solve at five attack levels;
 //! * sweep — the 12×8×4 parameter sweep, parallel against sequential.
@@ -31,7 +31,9 @@ use dap_bench::json::JsonObject;
 use dap_bench::sweep::{run_sweep_sequential, run_sweep_with_stats, to_csv, SweepConfig};
 use dap_bench::timer::{self, calibrated, paired, record, repeat, versus};
 use dap_core::codec::{self, TaggedFrame};
-use dap_core::{DapMessage, DapParams, DapReceiver, DapSender};
+use dap_core::{
+    Announce, DapBootstrap, DapMessage, DapParams, DapReceiver, DapSender, DapStats, Reveal,
+};
 use dap_crypto::mac::{micro_mac_prepared, prepare_receiver_key, Mac80};
 use dap_crypto::oneway::one_way_iter;
 use dap_crypto::sha256::{self, sha_ni, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE};
@@ -294,23 +296,96 @@ impl VerifyRun {
     }
 }
 
-/// DAP verify on bare `DapReceiver`s: the stationary flood announce,
-/// then announce and reveal verify.
+/// Intervals one pass of the flood lane plays.
+const FLOOD_INTERVALS: u64 = 1024;
+
+/// One interval of the flood lane's wire: its announces in arrival
+/// order, then its reveal, which arrives in the next interval.
+struct FloodInterval {
+    index: u64,
+    announces: Vec<Announce>,
+    reveal: Reveal,
+}
+
+/// recvbench's flood mix on one sender: per interval, 36 forged and 4
+/// genuine announces uniformly interleaved (p = 0.9), with m = 4.
+fn flood_wire() -> (DapBootstrap, Vec<FloodInterval>) {
+    let params = DapParams::new(SimDuration(100), 1, 0, 4);
+    let chain = usize::try_from(FLOOD_INTERVALS).expect("fits") + 2;
+    let mut sender = DapSender::new(b"perf/dap-flood", chain, params);
+    let (mut mac_rng, mut shuffle_rng) = (SimRng::new(1), SimRng::new(2));
+    let wire = (1..=FLOOD_INTERVALS)
+        .map(|index| {
+            let genuine = sender.announce(index, b"flood reading").expect("chain");
+            let (mut genuine_left, forged) = (4u64, 36u64);
+            let announces = (1..=genuine_left + forged)
+                .rev()
+                .map(|slots_left| {
+                    if genuine_left > 0 && shuffle_rng.below(slots_left) < genuine_left {
+                        genuine_left -= 1;
+                        genuine
+                    } else {
+                        let mut mac = [0u8; Mac80::LEN];
+                        mac_rng.fill_bytes(&mut mac);
+                        let mac = Mac80::from_slice(&mac).expect("fixed length");
+                        Announce { index, mac }
+                    }
+                })
+                .collect();
+            let reveal = sender.reveal(index).expect("announced");
+            FloodInterval {
+                index,
+                announces,
+                reveal,
+            }
+        })
+        .collect();
+    (sender.bootstrap(), wire)
+}
+
+/// Plays the flood wire into a fresh receiver and returns its counters.
+/// The announce calls alone add their wall time to `announce_ns`. The
+/// receiver's RNG seed is fixed, so every pass decides the same.
+fn flood_pass(bootstrap: DapBootstrap, wire: &[FloodInterval], announce_ns: &mut u128) -> DapStats {
+    let mut receiver = DapReceiver::new(bootstrap, b"perf");
+    let mut rng = SimRng::new(7);
+    for interval in wire {
+        let at = during(interval.index);
+        let t0 = Instant::now();
+        for announce in &interval.announces {
+            std::hint::black_box(receiver.on_announce(announce, at, &mut rng));
+        }
+        *announce_ns += t0.elapsed().as_nanos();
+        receiver.on_reveal(&interval.reveal, during(interval.index + 1));
+    }
+    *receiver.stats()
+}
+
+/// DAP verify on bare `DapReceiver`s: the flood announce at the paper's
+/// share, then announce and reveal verify.
 fn dap_verify_lanes(out: &mut Report) {
-    // The flood lane hammers one announce: the reservoir bounds state
-    // at `m`, so that is a stationary measurement of the attack's
-    // per-frame cost.
+    // The flood lane times the announces of recvbench's flood mix, the
+    // reveals untimed between intervals. Its `stored_permille` comes
+    // from one untimed pass, so the seed alone fixes it.
     {
-        let mut sender = DapSender::new(b"perf/dap-flood", 4, bench_params());
-        let mut receiver = DapReceiver::new(sender.bootstrap(), b"perf");
-        let mut rng = SimRng::new(7);
-        let flood = sender
-            .announce(1, b"hot-path reading")
-            .expect("fresh chain");
-        let samples = repeat(calibrated(|| {
-            receiver.on_announce(&flood, during(1), &mut rng)
-        }));
-        out.push(record("dap_flood_announce", "ns/frame", &samples));
+        let (bootstrap, wire) = flood_wire();
+        let fixed = flood_pass(bootstrap, &wire, &mut 0);
+        assert!(
+            fixed.authenticated > 0 && fixed.announces_unsafe == 0,
+            "the flood pass must authenticate for the timing to mean anything"
+        );
+        let samples = repeat(|| {
+            let mut announce_ns = 0;
+            let stats = flood_pass(bootstrap, &wire, &mut announce_ns);
+            assert_eq!(stats, fixed, "a flood pass decided differently");
+            announce_ns as f64 / stats.announces_offered as f64
+        });
+        let stored_permille =
+            (fixed.announces_stored * 1000 + fixed.announces_offered / 2) / fixed.announces_offered;
+        out.push(
+            record("dap_flood_announce", "ns/frame", &samples)
+                .u64("stored_permille", stored_permille),
+        );
     }
 
     let mut run = VerifyRun::default();
@@ -342,10 +417,9 @@ fn dap_verify_lanes(out: &mut Report) {
 }
 
 /// TESLA++ over the same workload, as the comparison baseline. No
-/// stationary flood lane: TESLA++ stores *every* safe announcement
-/// until its reveal window expires, so hammering one index only
-/// measures that list growing — TESLA++'s flood weakness, not a
-/// per-frame cost.
+/// flood lane: TESLA++ stores *every* safe announcement until its
+/// reveal window expires, so a flood only measures that list growing —
+/// TESLA++'s flood weakness, not a per-frame cost.
 fn teslapp_verify_lanes(out: &mut Report) {
     let params = TeslaParams::new(SimDuration(100), 1, 0);
     let mut run = VerifyRun::default();

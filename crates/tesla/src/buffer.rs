@@ -80,27 +80,30 @@ impl<T> ReservoirBuffer<T> {
 
     /// Offers one copy; see the module docs for the keep probability.
     pub fn offer(&mut self, item: T, rng: &mut SimRng) -> OfferOutcome {
+        self.offer_with(|| item, rng)
+    }
+
+    /// Offers one copy that is built only if the pool keeps it.
+    ///
+    /// The coin is flipped first, and its draws depend only on the offer
+    /// count and `m`, never on the copy. So `make` runs exactly once per
+    /// stored outcome and never for a [`OfferOutcome::Dropped`] one, and
+    /// the outcome, the entries and the RNG's draws are those of
+    /// `offer(make(), rng)`. A receiver whose copy costs a MAC to build
+    /// spends nothing on the copies the flood gets sampled out.
+    pub fn offer_with(&mut self, make: impl FnOnce() -> T, rng: &mut SimRng) -> OfferOutcome {
         self.offered += 1;
         if self.entries.len() < self.capacity {
-            self.entries.push(item);
+            self.entries.push(make());
             return OfferOutcome::StoredEmpty;
         }
         // k-th copy survives with probability m/k.
-        let keep = rng.below(self.offered) < self.capacity as u64;
-        if keep {
-            let victim = rng.below(self.capacity as u64) as usize;
-            self.entries[victim] = item;
-            OfferOutcome::StoredReplaced
-        } else {
-            OfferOutcome::Dropped
+        if rng.below(self.offered) >= self.capacity as u64 {
+            return OfferOutcome::Dropped;
         }
-    }
-
-    /// Empties the pool and resets the offer counter (start of a new
-    /// interval / scope). Returns the evicted entries.
-    pub fn reset(&mut self) -> Vec<T> {
-        self.offered = 0;
-        std::mem::take(&mut self.entries)
+        let victim = rng.below(self.capacity as u64) as usize;
+        self.entries[victim] = make();
+        OfferOutcome::StoredReplaced
     }
 
     /// Number of buffers (`m`).
@@ -137,38 +140,6 @@ impl<T> ReservoirBuffer<T> {
     #[must_use]
     pub fn any(&self, pred: impl FnMut(&T) -> bool) -> bool {
         self.entries.iter().any(pred)
-    }
-
-    /// Removes and returns every entry matching `pred`, freeing its
-    /// buffer (DAP consumes an interval's candidates when the reveal
-    /// arrives).
-    pub fn extract(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut taken = Vec::new();
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for entry in self.entries.drain(..) {
-            if pred(&entry) {
-                taken.push(entry);
-            } else {
-                kept.push(entry);
-            }
-        }
-        self.entries = kept;
-        taken
-    }
-
-    /// Drops every entry matching `pred` (garbage collection of stale
-    /// candidates). Returns how many were dropped.
-    pub fn purge(&mut self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !pred(e));
-        before - self.entries.len()
-    }
-
-    /// Restarts the per-scope offer counter without touching stored
-    /// entries — Algorithm 2 counts "the k-th copy received in `I_x`",
-    /// i.e. per receiving interval.
-    pub fn reset_counter(&mut self) {
-        self.offered = 0;
     }
 
     /// Changes the buffer count, truncating stored entries if shrinking.
@@ -232,12 +203,6 @@ impl<T> FirstComeBuffer<T> {
         } else {
             OfferOutcome::Dropped
         }
-    }
-
-    /// Empties the pool and resets the offer counter.
-    pub fn reset(&mut self) -> Vec<T> {
-        self.offered = 0;
-        std::mem::take(&mut self.entries)
     }
 
     /// Occupied buffers.
@@ -373,18 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_and_returns_entries() {
-        let mut rng = SimRng::new(5);
-        let mut pool = ReservoirBuffer::new(2);
-        pool.offer(1, &mut rng);
-        pool.offer(2, &mut rng);
-        let evicted = pool.reset();
-        assert_eq!(evicted.len(), 2);
-        assert!(pool.is_empty());
-        assert_eq!(pool.offered(), 0);
-    }
-
-    #[test]
     fn iteration_sees_stored_entries() {
         let mut rng = SimRng::new(6);
         let mut pool = ReservoirBuffer::new(3);
@@ -400,43 +353,6 @@ mod tests {
     #[should_panic(expected = "at least one buffer")]
     fn zero_capacity_panics() {
         let _: ReservoirBuffer<u8> = ReservoirBuffer::new(0);
-    }
-
-    #[test]
-    fn extract_removes_matching_and_frees_space() {
-        let mut rng = SimRng::new(7);
-        let mut pool = ReservoirBuffer::new(2);
-        pool.offer(1, &mut rng);
-        pool.offer(2, &mut rng);
-        let taken = pool.extract(|&x| x == 1);
-        assert_eq!(taken, vec![1]);
-        assert_eq!(pool.len(), 1);
-        // Freed buffer is filled directly by the next offer.
-        assert_eq!(pool.offer(3, &mut rng), OfferOutcome::StoredEmpty);
-    }
-
-    #[test]
-    fn purge_drops_matching() {
-        let mut rng = SimRng::new(8);
-        let mut pool = ReservoirBuffer::new(4);
-        for i in 0..4 {
-            pool.offer(i, &mut rng);
-        }
-        assert_eq!(pool.purge(|&x| x % 2 == 0), 2);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn reset_counter_keeps_entries() {
-        let mut rng = SimRng::new(9);
-        let mut pool = ReservoirBuffer::new(2);
-        pool.offer(1, &mut rng);
-        pool.offer(2, &mut rng);
-        pool.offer(3, &mut rng);
-        assert_eq!(pool.offered(), 3);
-        pool.reset_counter();
-        assert_eq!(pool.offered(), 0);
-        assert_eq!(pool.len(), 2);
     }
 
     #[test]
@@ -471,9 +387,6 @@ mod tests {
         assert_eq!(pool.offered(), 3);
         assert!(pool.any(|&x| x == 1));
         assert!(!pool.any(|&x| x == 3));
-        let evicted = pool.reset();
-        assert_eq!(evicted, vec![1, 2]);
-        assert!(pool.is_empty());
     }
 
     /// The ablation headline: an early-burst flood starves first-come

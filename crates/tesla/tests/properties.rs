@@ -100,6 +100,42 @@ fn reservoir_order_independence() {
     });
 }
 
+/// `offer_with` is `offer` with the copy built only when kept: over
+/// seeded `m`, offer counts and RNG seeds, `make` runs exactly once per
+/// stored outcome and never on `Dropped`, and the outcomes, entries,
+/// `offered()` and the RNG's next draw equal `offer` with every item
+/// built up front.
+#[test]
+fn lazy_offer_matches_eager_offer() {
+    check("lazy_offer_matches_eager_offer", |g| {
+        let m = g.usize_in(1..9);
+        let offers = g.u64_in(0..200);
+        let seed = g.any_u64();
+        let (mut eager_rng, mut lazy_rng) = (SimRng::new(seed), SimRng::new(seed));
+        let (mut eager, mut lazy) = (ReservoirBuffer::new(m), ReservoirBuffer::new(m));
+        for k in 0..offers {
+            let expect = eager.offer(k, &mut eager_rng);
+            let mut built = 0u32;
+            let outcome = lazy.offer_with(
+                || {
+                    built += 1;
+                    k
+                },
+                &mut lazy_rng,
+            );
+            assert_eq!(outcome, expect, "offer {k} of m = {m}");
+            assert_eq!(
+                built,
+                u32::from(outcome.is_stored()),
+                "offer {k} ({outcome:?}) built its copy {built} times"
+            );
+        }
+        assert_eq!(lazy.offered(), eager.offered());
+        assert!(lazy.iter().eq(eager.iter()), "entries diverged");
+        assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64(), "RNG diverged");
+    });
+}
+
 /// Multi-level index arithmetic round-trips for any geometry.
 #[test]
 fn multilevel_index_roundtrip() {

@@ -8,6 +8,8 @@ use crowdsense_dap::crypto::{Domain, KeyChain};
 use crowdsense_dap::dap::sim::{run_campaign, CampaignSpec};
 use crowdsense_dap::game::ess::predict_ess;
 use crowdsense_dap::game::DosGameParams;
+use crowdsense_dap::net::fleet::{run_fleet, FleetSpec};
+use crowdsense_dap::simnet::keys;
 
 #[test]
 fn golden_key_chain_commitment() {
@@ -110,4 +112,27 @@ fn golden_interior_ess() {
         out.point
     );
     assert_eq!(out.steps, Some(764));
+}
+
+/// The pooled wire path's reservoir decisions: what the shard
+/// receivers stored and sampled out, and how the reveals resolved, on
+/// the seeded loopback flood and the default fleet. The coin draws only
+/// on the offer count and `m`, so any change to its draw order on the
+/// deployed path moves these counts.
+#[test]
+fn golden_pooled_reservoir_decisions() {
+    for (spec, expect) in [
+        (FleetSpec::untagged(), [5192, 10808, 147, 253]),
+        (FleetSpec::default(), [5160, 5080, 301, 211]),
+    ] {
+        let metrics = run_fleet(&spec).metrics;
+        let read = [
+            keys::NET_ANNOUNCE_STORED,
+            keys::NET_ANNOUNCE_SAMPLED_OUT,
+            keys::NET_REVEAL_AUTH,
+            keys::NET_REVEAL_STRONG_REJECTED,
+        ]
+        .map(|key| metrics.get(key));
+        assert_eq!(read, expect, "untagged: {}", spec.untagged);
+    }
 }
