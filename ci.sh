@@ -35,13 +35,17 @@ done
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
-echo "== Algorithm 3 oracle (closed form vs integrated, every estimate) =="
-# The control plane prices each m's ESS in closed form. In release, this
-# leg checks all 1001 permille estimates at cap 50 against the sweep it
-# replaced (each game settled for up to 100k Euler steps, then snapped):
-# the same m*, ESS kind and paper-literal m, the same point and cost bit
-# for bit from 1 permille up, and every landscape cell within 1e-4. The
-# tests above run every 25th estimate in debug.
+echo "== ESS oracles (decided closed form vs integrated runs) =="
+# The control plane prices each m's ESS as ess::decide names it in
+# closed form. In release, this leg checks it against two integrated
+# oracles. Algorithm 3: all 1001 permille estimates at cap 50 against
+# the sweep it replaced (each game settled for up to 100k Euler steps,
+# then snapped): the same m*, ESS kind and paper-literal m, the same
+# point and cost bit for bit from 1 permille up, and every landscape
+# cell within 1e-4. RK4 at t = 0.01 from (0.5, 0.5) on 200,000 seeded
+# random economies: each run ends nearest the decided ESS among the
+# closed forms. The tests above run every 25th estimate and 2,000
+# economies in debug.
 cargo test --release --offline -q -p dap-game --lib -- --ignored
 
 echo "== clippy (offline, deny warnings) =="

@@ -5,13 +5,14 @@
 //!    `m` copies;
 //! 2. **μMAC width** — why 24 bits suffice (and what 8 bits would cost);
 //! 3. **integrator step size** — the paper's Euler `t = 0.01` vs finer
-//!    steps and RK4: same ESS, different step counts.
+//!    steps and RK4: each run's distance to the decided ESS, and its step
+//!    count.
 
 use dap_crypto::hmac::hmac_sha256;
 use dap_crypto::Key;
-use dap_game::dynamics::{evolve_with, EulerIntegrator, Rk4Integrator};
-use dap_game::ess::{classify_coordinates, EssKind};
-use dap_game::{DosGameParams, PopulationState};
+use dap_game::dynamics::{evolve_with, EulerIntegrator, Integrator, Rk4Integrator};
+use dap_game::ess::decide;
+use dap_game::{DosGame, DosGameParams, PopulationState};
 use dap_simnet::SimRng;
 use dap_tesla::{FirstComeBuffer, ReservoirBuffer};
 
@@ -138,57 +139,42 @@ pub struct IntegratorPoint {
     pub dt: f64,
     /// Where the dynamics settled.
     pub settle: (f64, f64),
-    /// ESS classification of the settle point.
-    pub kind: EssKind,
+    /// Chebyshev distance from the settle point to the decided ESS.
+    pub distance: f64,
     /// Steps to convergence (displacement < 1e-9), if reached.
     pub steps: Option<usize>,
 }
 
 /// Runs the paper's game (`p = 0.8`) at buffer count `m` under Euler with
-/// several step sizes and RK4 as the reference.
+/// several step sizes and RK4 as the reference, each measured against
+/// the decided ESS.
 #[must_use]
 pub fn integrator_ablation(m: u32) -> Vec<IntegratorPoint> {
     let game = DosGameParams::paper_defaults(0.8, m).into_game();
-    let mut out = Vec::new();
-    for dt in [0.1, 0.01, 0.001] {
-        let t = evolve_with(
-            &game,
-            PopulationState::CENTER,
-            4_000_000,
-            EulerIntegrator { dt },
-            1e-9,
-        );
-        let s = t.last();
-        out.push(IntegratorPoint {
-            label: format!("euler dt={dt}"),
-            dt,
-            settle: (s.x(), s.y()),
-            kind: classify_coordinates(s),
-            steps: t.converged_at(),
-        });
-    }
-    // RK4 reference at the paper's dt.
-    let rk4 = Rk4Integrator { dt: 0.01 };
-    let mut s = PopulationState::CENTER;
-    let mut steps = None;
-    for step in 1..=4_000_000usize {
-        let next = rk4.step(&game, s);
-        let moved = next.distance(&s);
-        s = next;
-        if moved < 1e-9 {
-            steps = Some(step);
-            break;
-        }
-    }
-    out.push(IntegratorPoint {
-        label: "rk4 dt=0.01".to_owned(),
-        dt: 0.01,
-        settle: (s.x(), s.y()),
-        kind: classify_coordinates(s),
-        steps,
-    });
-    let _ = game.attack_success(); // keep the game alive for clarity
+    let mut out: Vec<IntegratorPoint> = [0.1, 0.01, 0.001]
+        .into_iter()
+        .map(|dt| run(&game, format!("euler dt={dt}"), dt, EulerIntegrator { dt }))
+        .collect();
+    out.push(run(
+        &game,
+        "rk4 dt=0.01".to_owned(),
+        0.01,
+        Rk4Integrator { dt: 0.01 },
+    ));
     out
+}
+
+/// One ablation run from `(0.5, 0.5)`, for at most 4M steps.
+fn run(game: &DosGame, label: String, dt: f64, integrator: impl Integrator) -> IntegratorPoint {
+    let t = evolve_with(game, PopulationState::CENTER, 4_000_000, integrator, 1e-9);
+    let s = t.last();
+    IntegratorPoint {
+        label,
+        dt,
+        settle: (s.x(), s.y()),
+        distance: s.distance(&decide(game).0),
+        steps: t.converged_at(),
+    }
 }
 
 #[cfg(test)]
@@ -224,9 +210,9 @@ mod tests {
         assert!(pts[1].false_accept_k64 > pts[2].false_accept_k64);
     }
 
-    /// The paper's dt = 0.01 is fine — it agrees with dt = 0.001 and the
-    /// RK4 reference on both the regime and the settle point. dt = 0.1,
-    /// however, is *too coarse for the interior spiral*: at m = 30 the
+    /// The paper's dt = 0.01 is fine — it ends within 2e-2 of the decided
+    /// ESS, as dt = 0.001 and the RK4 reference do. dt = 0.1, however,
+    /// is *too coarse for the interior spiral*: at m = 30 the
     /// explicit-Euler overshoot pumps energy into the spiral and the
     /// trajectory escapes to the (1,1) corner. This is the ablation's
     /// finding, asserted here so it stays true.
@@ -234,22 +220,13 @@ mod tests {
     fn paper_step_size_agrees_with_rk4_but_coarser_does_not() {
         for m in [14u32, 30] {
             let pts = integrator_ablation(m);
-            let reference = pts.last().unwrap().clone(); // rk4
             for p in pts.iter().filter(|p| p.dt <= 0.01 + 1e-12) {
-                assert_eq!(p.kind, reference.kind, "m={m}: {p:?}");
-                assert!(
-                    (p.settle.0 - reference.settle.0).abs() < 2e-2
-                        && (p.settle.1 - reference.settle.1).abs() < 2e-2,
-                    "m={m}: {p:?} vs rk4 {reference:?}"
-                );
+                assert!(p.distance < 2e-2, "m={m}: {p:?}");
             }
-            // The coarse step diverges from the reference in the spiral
-            // regime (m = 30) — the instability the paper's t = 0.01
-            // avoids.
             if m == 30 {
                 let coarse = &pts[0];
                 assert!(coarse.dt > 0.05);
-                assert_ne!(coarse.kind, reference.kind, "{coarse:?}");
+                assert!(coarse.distance >= 2e-2, "{coarse:?}");
             }
         }
     }

@@ -56,7 +56,7 @@ fn main() {
             ("integrator", 16),
             ("X", 10),
             ("Y", 10),
-            ("ESS", 10),
+            ("to ESS", 10),
             ("steps", 10),
         ]);
         for pt in integrator_ablation(m) {
@@ -65,7 +65,7 @@ fn main() {
                 pt.label,
                 table::num(pt.settle.0),
                 table::num(pt.settle.1),
-                pt.kind.to_string(),
+                table::num(pt.distance),
                 pt.steps.map_or("(limit)".into(), |s| s.to_string()),
             );
         }

@@ -25,7 +25,7 @@ enum Row {
 fn emit_json() {
     let mut rows = Vec::new();
     for panel in paper_panels() {
-        let ess = panel.outcome.kind.to_string();
+        let ess = panel.kind.to_string();
         for s in &panel.samples {
             rows.push(Row::Trajectory {
                 m: panel.m,
@@ -74,12 +74,9 @@ fn main() {
         table::section(&format!(
             "m = {}  →  ESS {}  at {}  ({} steps to convergence)",
             panel.m,
-            panel.outcome.kind,
-            panel.outcome.point,
-            panel
-                .outcome
-                .steps
-                .map_or("??".to_owned(), |s| s.to_string()),
+            panel.kind,
+            panel.point,
+            panel.steps.map_or("??".to_owned(), |s| s.to_string()),
         ));
         table::header(&[("step", 8), ("X", 10), ("Y", 10)]);
         for s in &panel.samples {

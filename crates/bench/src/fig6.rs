@@ -10,9 +10,14 @@
 //! | 12–17  | `(1, Y′)`  | X fast, Y slow (~100 steps) |
 //! | 18–54  | `(X*, Y*)` | spiral (~200 steps) |
 //! | 55–100 | `(X′, 1)`  | fast |
+//!
+//! The labels and the regime map here are [`decide`]'s; the trajectories
+//! and step counts come from the paper's Euler run. The middle bands
+//! land at 12–16 and 17–54, one `m` below the paper's, which is one past
+//! its own printed formulas (EXPERIMENTS.md).
 
 use dap_game::dynamics::evolve;
-use dap_game::ess::{predict_ess, EssKind, EssOutcome};
+use dap_game::ess::{decide, EssKind};
 use dap_game::{DosGameParams, PopulationState};
 
 /// The paper's attack level for this figure.
@@ -36,8 +41,13 @@ pub struct Panel {
     pub m: u32,
     /// Downsampled trajectory from `(0.5, 0.5)`.
     pub samples: Vec<Sample>,
-    /// Where it settled.
-    pub outcome: EssOutcome,
+    /// The decided ESS.
+    pub point: PopulationState,
+    /// Its shape.
+    pub kind: EssKind,
+    /// Euler steps until the per-step displacement fell below the
+    /// convergence tolerance, or `None` when the run hit its step limit.
+    pub steps: Option<usize>,
 }
 
 /// Computes one panel, keeping at most `max_samples` trajectory points.
@@ -65,10 +75,13 @@ pub fn panel(m: u32, max_samples: usize) -> Panel {
             y: states[last].y(),
         });
     }
+    let (point, kind) = decide(&game);
     Panel {
         m,
         samples,
-        outcome: predict_ess(&game),
+        point,
+        kind,
+        steps: trajectory.converged_at(),
     }
 }
 
@@ -78,13 +91,13 @@ pub fn paper_panels() -> Vec<Panel> {
     [5, 14, 30, 70].into_iter().map(|m| panel(m, 40)).collect()
 }
 
-/// The regime map: the predicted ESS kind for every `m` in `1..=max_m`.
+/// The regime map: the decided ESS kind for every `m` in `1..=max_m`.
 #[must_use]
 pub fn regime_map(max_m: u32) -> Vec<(u32, EssKind)> {
     (1..=max_m)
         .map(|m| {
             let game = DosGameParams::paper_defaults(P, m).into_game();
-            (m, predict_ess(&game).kind)
+            (m, decide(&game).1)
         })
         .collect()
 }
@@ -108,7 +121,7 @@ mod tests {
 
     #[test]
     fn panels_cover_all_four_regimes() {
-        let kinds: Vec<EssKind> = paper_panels().iter().map(|p| p.outcome.kind).collect();
+        let kinds: Vec<EssKind> = paper_panels().iter().map(|p| p.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -134,35 +147,30 @@ mod tests {
         for p in paper_panels() {
             let last = p.samples.last().unwrap();
             assert!(
-                (last.x - p.outcome.point.x()).abs() < 2e-2
-                    && (last.y - p.outcome.point.y()).abs() < 2e-2,
+                (last.x - p.point.x()).abs() < 2e-2 && (last.y - p.point.y()).abs() < 2e-2,
                 "m={}: trajectory end ({}, {}) vs ESS {}",
                 p.m,
                 last.x,
                 last.y,
-                p.outcome.point
+                p.point
             );
         }
     }
 
+    /// The paper prints 12–17 and 18–54 for the middle bands, one `m`
+    /// past its own formulas: at m = 17, `R_a·Y′·(1−p^m) = 55.0` is below
+    /// `k2·m = 68`, so `(1, Y′)` repels and the interior takes over.
     #[test]
     fn regime_map_matches_paper_bands() {
-        let ranges = collapse_ranges(&regime_map(100));
-        // First band: (1,1) through m = 11 exactly as the paper states.
-        assert_eq!(ranges[0].2, EssKind::FullDefenseFullAttack);
-        assert_eq!((ranges[0].0, ranges[0].1), (1, 11));
-        // Then (1, Y′); the paper says 12..17, our boundary may differ by
-        // one (17 is borderline — see EXPERIMENTS.md).
-        assert_eq!(ranges[1].2, EssKind::FullDefensePartialAttack);
-        assert_eq!(ranges[1].0, 12);
-        assert!((16..=18).contains(&ranges[1].1), "{ranges:?}");
-        // Then the interior band up to ~54.
-        assert_eq!(ranges[2].2, EssKind::Interior);
-        assert!((53..=55).contains(&ranges[2].1), "{ranges:?}");
-        // Finally (X′, 1) to 100.
-        assert_eq!(ranges[3].2, EssKind::PartialDefenseFullAttack);
-        assert_eq!(ranges[3].1, 100);
-        assert_eq!(ranges.len(), 4, "{ranges:?}");
+        assert_eq!(
+            collapse_ranges(&regime_map(100)),
+            vec![
+                (1, 11, EssKind::FullDefenseFullAttack),
+                (12, 16, EssKind::FullDefensePartialAttack),
+                (17, 54, EssKind::Interior),
+                (55, 100, EssKind::PartialDefenseFullAttack),
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use dap_core::sim::{run_campaign, CampaignSpec};
 use dap_game::cost::defense_cost_closed_form;
-use dap_game::ess::predict_ess;
+use dap_game::ess::decide;
 use dap_game::DosGameParams;
 
 /// One fleet validation point.
@@ -36,8 +36,9 @@ pub struct FleetPoint {
     pub fail_defended: f64,
     /// The paper's analytic failure probability `p^m`.
     pub fail_analytic: f64,
-    /// The exact reservoir value `max(0, 1 − m/n)` for the realised
-    /// copies-per-interval `n`.
+    /// The exact reservoir value: the hypergeometric probability that all
+    /// `m` kept slots hold forged copies, `Π_{k<m} (f−k)/(n−k)`, for the
+    /// realised `f` forged of `n` copies per interval (5 authentic).
     pub fail_exact: f64,
     /// Analytic `E` at the ESS.
     pub e_model: f64,
@@ -51,8 +52,8 @@ pub struct FleetPoint {
 pub fn validate(p: f64, m: u32, intervals: u64, seed: u64) -> FleetPoint {
     let params = DosGameParams::paper_defaults(p, m);
     let game = params.into_game();
-    let ess = predict_ess(&game);
-    let (x, y) = (ess.point.x(), ess.point.y());
+    let (ess, _) = decide(&game);
+    let (x, y) = (ess.x(), ess.y());
 
     // Several authentic copies per interval put the reservoir in the
     // regime the paper's p^m approximates (hypergeometric with
@@ -79,7 +80,7 @@ pub fn validate(p: f64, m: u32, intervals: u64, seed: u64) -> FleetPoint {
             .product()
     };
 
-    let e_model = defense_cost_closed_form(&game, ess.point);
+    let e_model = defense_cost_closed_form(&game, ess);
     let k2 = params.k2;
     let ra = params.ra;
     let e_hybrid = k2 * f64::from(m) * x * x + ra * y * (x * fail_defended + (1.0 - x));

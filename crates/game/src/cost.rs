@@ -76,7 +76,7 @@ pub fn naive_defense_cost_paper_literal(params: DosGameParams, cap: u32) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ess::predict_ess;
+    use crate::ess::decide;
 
     #[test]
     fn closed_form_equals_negated_mean_payoff() {
@@ -139,8 +139,7 @@ mod tests {
             let best = (1..=50)
                 .map(|m| {
                     let game = DosGameParams::paper_defaults(p, m).into_game();
-                    let out = predict_ess(&game);
-                    defense_cost(&game, out.point)
+                    defense_cost(&game, decide(&game).0)
                 })
                 .fold(f64::INFINITY, f64::min);
             assert!(

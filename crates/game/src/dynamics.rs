@@ -66,33 +66,6 @@ impl<'g, G: TwoPopulationGame> ReplicatorField<'g, G> {
             state.y() * (1.0 - state.y()) * adv_a,
         )
     }
-
-    /// Numeric Jacobian of the field at `state` (central differences,
-    /// clamped to the unit square so boundary points work).
-    #[must_use]
-    pub fn jacobian(&self, state: PopulationState) -> [[f64; 2]; 2] {
-        // One-sided differences near the boundary keep the evaluation
-        // points inside the domain where payoffs are defined.
-        let h = 1e-6;
-        let eval = |x: f64, y: f64| self.derivative(PopulationState::new(x, y));
-        let partial = |coord: usize| {
-            let (lo, hi, width) = {
-                let v = if coord == 0 { state.x() } else { state.y() };
-                let lo = (v - h).max(0.0);
-                let hi = (v + h).min(1.0);
-                (lo, hi, hi - lo)
-            };
-            let (f_lo, f_hi) = if coord == 0 {
-                (eval(lo, state.y()), eval(hi, state.y()))
-            } else {
-                (eval(state.x(), lo), eval(state.x(), hi))
-            };
-            ((f_hi.0 - f_lo.0) / width, (f_hi.1 - f_lo.1) / width)
-        };
-        let (dfdx, dgdx) = partial(0);
-        let (dfdy, dgdy) = partial(1);
-        [[dfdx, dfdy], [dgdx, dgdy]]
-    }
 }
 
 /// How far inside the unit square interior trajectories are kept.
@@ -117,6 +90,15 @@ fn guarded(previous: f64, next: f64) -> f64 {
     }
 }
 
+/// A replicator integrator: the paper's [`EulerIntegrator`] or
+/// [`Rk4Integrator`]. Both keep interior states inside the
+/// [`BOUNDARY_GUARD`].
+pub trait Integrator {
+    /// One update step.
+    #[must_use]
+    fn step<G: TwoPopulationGame>(&self, game: &G, state: PopulationState) -> PopulationState;
+}
+
 /// The paper's integrator: explicit Euler with the update
 /// `X ← X + (dX/dt)·t`, `t = 0.01`, guarded at the boundary (see
 /// [`BOUNDARY_GUARD`]).
@@ -135,10 +117,10 @@ impl EulerIntegrator {
     pub fn paper() -> Self {
         Self { dt: Self::PAPER_DT }
     }
+}
 
-    /// One update step.
-    #[must_use]
-    pub fn step<G: TwoPopulationGame>(&self, game: &G, state: PopulationState) -> PopulationState {
+impl Integrator for EulerIntegrator {
+    fn step<G: TwoPopulationGame>(&self, game: &G, state: PopulationState) -> PopulationState {
         let (dx, dy) = ReplicatorField::new(game).derivative(state);
         PopulationState::clamped(
             guarded(state.x(), state.x() + dx * self.dt),
@@ -161,10 +143,8 @@ pub struct Rk4Integrator {
     pub dt: f64,
 }
 
-impl Rk4Integrator {
-    /// One update step.
-    #[must_use]
-    pub fn step<G: TwoPopulationGame>(&self, game: &G, state: PopulationState) -> PopulationState {
+impl Integrator for Rk4Integrator {
+    fn step<G: TwoPopulationGame>(&self, game: &G, state: PopulationState) -> PopulationState {
         let field = ReplicatorField::new(game);
         let f = |s: PopulationState| field.derivative(s);
         let at = |s: PopulationState, k: (f64, f64), scale: f64| {
@@ -248,7 +228,7 @@ pub fn evolve_with<G: TwoPopulationGame>(
     game: &G,
     initial: PopulationState,
     max_steps: usize,
-    integrator: EulerIntegrator,
+    integrator: impl Integrator,
     tol: f64,
 ) -> Trajectory {
     let mut states = Vec::with_capacity(max_steps.min(4096) + 1);
@@ -271,32 +251,11 @@ pub fn evolve_with<G: TwoPopulationGame>(
     }
 }
 
-/// [`evolve`] without the recording: the state the run ends in and the
-/// step it converged at (`None` when it hit `max_steps`), in constant
-/// memory. Every ESS prediction runs this loop.
-#[must_use]
-pub(crate) fn settle<G: TwoPopulationGame>(
-    game: &G,
-    initial: PopulationState,
-    max_steps: usize,
-) -> (PopulationState, Option<usize>) {
-    let integrator = EulerIntegrator::paper();
-    let mut current = initial;
-    for step in 1..=max_steps {
-        let next = integrator.step(game, current);
-        let moved = next.distance(&current);
-        current = next;
-        if moved < CONVERGENCE_TOL {
-            return (current, Some(step));
-        }
-    }
-    (current, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bimatrix::Bimatrix;
+    use crate::oracle::{exact_jacobian, settle};
     use crate::payoff::DosGameParams;
 
     /// Both sides strictly prefer the first strategy: dynamics must reach
@@ -400,26 +359,33 @@ mod tests {
         assert!(a.distance(&b) < 1e-2, "euler {a} vs rk4 {b}");
     }
 
+    /// The exact Jacobian the decision is checked against agrees with
+    /// central differences of the field at interior points.
     #[test]
     fn jacobian_matches_analytic_form() {
-        let game = DosGameParams::paper_defaults(0.8, 20).into_game();
-        let field = ReplicatorField::new(&game);
-        let pm = 0.8f64.powi(20);
-        let (x, y) = (0.4, 0.6);
-        let jac = field.jacobian(PopulationState::new(x, y));
-        // f = x(1−x)(a·y − b·x), a = R_a(1−p^m), b = k2·m
-        let a = 200.0 * (1.0 - pm);
-        let b = 4.0 * 20.0;
-        let dfdx = (1.0 - 2.0 * x) * (a * y - b * x) + x * (1.0 - x) * (-b);
-        let dfdy = x * (1.0 - x) * a;
-        assert!((jac[0][0] - dfdx).abs() < 1e-4, "{} vs {dfdx}", jac[0][0]);
-        assert!((jac[0][1] - dfdy).abs() < 1e-4, "{} vs {dfdy}", jac[0][1]);
-        // g = y(1−y)(c − a·x − e·y), c = R_a, e = k1·x_a
-        let e = 20.0 * 0.8;
-        let dgdx = y * (1.0 - y) * (-a);
-        let dgdy = (1.0 - 2.0 * y) * (200.0 - a * x - e * y) + y * (1.0 - y) * (-e);
-        assert!((jac[1][0] - dgdx).abs() < 1e-4, "{} vs {dgdx}", jac[1][0]);
-        assert!((jac[1][1] - dgdy).abs() < 1e-4, "{} vs {dgdy}", jac[1][1]);
+        let h = 1e-6;
+        for (p, m) in [(0.8, 20), (0.3, 3), (0.95, 45)] {
+            let game = DosGameParams::paper_defaults(p, m).into_game();
+            let field = ReplicatorField::new(&game);
+            for &(x, y) in &[(0.4, 0.6), (0.1, 0.9), (0.7, 0.2)] {
+                let jac = exact_jacobian(&game, PopulationState::new(x, y));
+                let at = |x, y| field.derivative(PopulationState::new(x, y));
+                let (xp, xm) = (at(x + h, y), at(x - h, y));
+                let (yp, ym) = (at(x, y + h), at(x, y - h));
+                let numeric = [
+                    [(xp.0 - xm.0) / (2.0 * h), (yp.0 - ym.0) / (2.0 * h)],
+                    [(xp.1 - xm.1) / (2.0 * h), (yp.1 - ym.1) / (2.0 * h)],
+                ];
+                for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    assert!(
+                        (jac[i][j].0 - numeric[i][j]).abs() < 1e-5,
+                        "p={p} m={m} ({x}, {y}) [{i}][{j}]: {} vs {}",
+                        jac[i][j].0,
+                        numeric[i][j]
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -447,7 +413,13 @@ mod tests {
         for (p, m, bounded) in cases {
             let game = DosGameParams::paper_defaults(p, m).into_game();
             let recorded = evolve(&game, PopulationState::CENTER, MAX_STEPS);
-            let (state, converged) = settle(&game, PopulationState::CENTER, MAX_STEPS);
+            let (state, converged) = settle(
+                &game,
+                PopulationState::CENTER,
+                MAX_STEPS,
+                EulerIntegrator::paper(),
+                CONVERGENCE_TOL,
+            );
             assert_eq!(state, recorded.last(), "p={p} m={m}");
             assert_eq!(converged, recorded.converged_at(), "p={p} m={m}");
             assert_eq!(converged.is_none(), bounded, "p={p} m={m}");

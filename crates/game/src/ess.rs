@@ -1,4 +1,4 @@
-//! Fixed points, stability and the paper's five ESS candidates.
+//! The paper's five ESS candidates, and the one that is stable.
 //!
 //! Setting `dX/dt = dY/dt = 0` gives nine candidate rest points; §V-E
 //! shows that only five can be evolutionarily stable:
@@ -11,17 +11,48 @@
 //! | [`EssKind::FullDefenseFullAttack`]  | `(1, 1)` |
 //! | [`EssKind::Interior`]               | `(X*, Y*)` from §V-E case 5 |
 //!
-//! Two complementary tools are provided:
+//! [`decide`] names the stable one in closed form, without integrating
+//! the game; [`ess_candidates`] lists all five with that verdict.
 //!
-//! * [`ess_candidates`] — the closed-form candidates with a local
-//!   stability verdict from the numeric Jacobian. Algorithm 3's sweep
-//!   prices the one candidate the Jacobian certifies;
-//! * [`predict_ess`] — the paper's empirical method: run the replicator
-//!   dynamics from `(0.5, 0.5)` and report where they settle and how many
-//!   steps it took (this is what Fig. 6 plots, and what the tests check
-//!   the certified candidate against).
+//! # Why the decision is exact
+//!
+//! With `a = (1−p^m)·R_a`, `b = k2·m`, `c = R_a` and `e = k1·x_a` the
+//! replicator field is
+//!
+//! ```text
+//! dX/dt = X(1−X)·(a·Y − b·X)        X′ = a/b
+//! dY/dt = Y(1−Y)·(c − a·X − e·Y)    Y′ = (c − a)/e
+//! ```
+//!
+//! At the four boundary candidates its exact Jacobian is triangular (the
+//! factor `X(1−X)` or `Y(1−Y)` kills one off-diagonal entry), so the
+//! eigenvalues are the diagonal:
+//!
+//! | candidate | eigenvalues | stable iff |
+//! |---|---|---|
+//! | `(0, 1)` | `a`, `e − c` | never (`a > 0`) |
+//! | `(1, 1)` | `b − a`, `e − (c − a)` | `X′ > 1` and `Y′ > 1` |
+//! | `(X′, 1)` | `−b·X′(1−X′)`, `(a² + b·e)(1 − Y*)/b` | `X′ < 1` and `Y* > 1` |
+//! | `(1, Y′)` | `(a² + b·e)(1 − X*)/e`, `−e·Y′(1−Y′)` | `Y′ < 1` and `X* > 1` |
+//!
+//! At the interior point the trace `−b·X*(1−X*) − e·Y*(1−Y*)` is
+//! negative and the determinant `X*(1−X*)·Y*(1−Y*)·(a² + b·e)` positive,
+//! so it is stable whenever it lies inside the square. Since
+//! `X* < 1 ⇔ a·Y′ < b` and `Y* = X*/X′`, exactly one candidate meets its
+//! condition, and it is the first match of [`decide`]'s four tests.
+//! Dulac's function `1/(XY(1−X)(1−Y))` turns the field's divergence into
+//! `−b/(Y(1−Y)) − e/(X(1−X)) < 0`, so no cycle lives inside the square
+//! and the local verdict is where runs end.
+//!
+//! A closed form within 10⁻¹² of an edge it is not named for merges into
+//! that edge's candidate, named by the precedence corner, then edge, then
+//! interior. Where a merge leaves a zero eigenvalue, the field along that
+//! edge points into the merged point, so it still attracts.
+//!
+//! At `p = 0`, `Y′ = 0` by convention and `X* = 1`: the edge `X = 1` is
+//! a line of rest points, and the same four tests take `(X′, 1)` once
+//! `X′ < 1` and `(1, 0)`, costing `k2·m`, before that.
 
-use crate::dynamics::{settle, ReplicatorField, TwoPopulationGame};
 use crate::payoff::DosGame;
 use crate::state::PopulationState;
 
@@ -63,22 +94,8 @@ pub struct EssCandidate {
     pub point: PopulationState,
     /// Its shape.
     pub kind: EssKind,
-    /// `true` when the numeric Jacobian certifies local asymptotic
-    /// stability (both eigenvalues have negative real part).
+    /// `true` for the one candidate [`decide`] names.
     pub stable: bool,
-}
-
-/// The result of evolving the game from the paper's `(0.5, 0.5)` start.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EssOutcome {
-    /// Where the dynamics settled.
-    pub point: PopulationState,
-    /// The matching ESS shape.
-    pub kind: EssKind,
-    /// Euler steps (`t = 0.01`) until the per-step displacement fell
-    /// below the convergence tolerance, or `None` when the run hit the
-    /// step limit (orbiting) — the final state is still reported.
-    pub steps: Option<usize>,
 }
 
 /// `X′ = (1−p^m)·R_a / (k2·m)` — the partial-defense fraction on the
@@ -116,149 +133,107 @@ pub fn interior_point(game: &DosGame) -> (f64, f64) {
     ((q * p.ra * p.ra) / d, (p.k2 * m * p.ra) / d)
 }
 
-/// Local asymptotic stability of a rest point via the numeric Jacobian:
-/// trace < 0 and determinant > 0.
-#[must_use]
-pub fn is_locally_stable<G: TwoPopulationGame>(game: &G, point: PopulationState) -> bool {
-    let jac = ReplicatorField::new(game).jacobian(point);
-    let trace = jac[0][0] + jac[1][1];
-    let det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0];
-    trace < 0.0 && det > 0.0
-}
-
 /// How far inside the unit square's edge a closed form must fall to be
 /// a rest point of its own: the formulas' rounding error, with room to
 /// spare. On a knife edge (`Y′ = 1`, say) the edge candidate can round
-/// to an ulp inside the corner `(1, 1)`, and the Jacobian would then
-/// certify that one point twice, under two names.
-const ROUNDING: f64 = 1e-12;
+/// to an ulp inside the corner `(1, 1)`; it is that corner.
+pub(crate) const ROUNDING: f64 = 1e-12;
 
-/// The paper's five closed-form rest points for `game`, in a fixed
-/// order, without those that fall outside the unit square (they are
-/// not population states) or within [`ROUNDING`] of an edge they are
-/// not named for. [`ess_candidates`], [`certified_ess`] and [`snap`]
-/// all walk this one enumeration, so they see the same set in the same
-/// order.
-fn closed_forms(game: &DosGame) -> impl Iterator<Item = (PopulationState, EssKind)> {
+/// `v` lies more than [`ROUNDING`] below 1.
+fn below_one(v: f64) -> bool {
+    v < 1.0 - ROUNDING
+}
+
+/// `v` lies more than [`ROUNDING`] inside `(0, 1)`.
+fn inside(v: f64) -> bool {
+    v > ROUNDING && below_one(v)
+}
+
+/// The ESS of `game`, decided in closed form (see the module doc for why
+/// this is exact):
+///
+/// * `(1, 1)` when `X′ ≥ 1` and `Y′ ≥ 1`;
+/// * else `(X*, Y*)` when it lies inside the square;
+/// * else `(X′, 1)` when `X′ < 1`;
+/// * else `(1, Y′)`.
+///
+/// Each comparison with an edge allows 10⁻¹² of rounding, so a closed form
+/// that lands on an edge it is not named for takes that edge's name.
+///
+/// ```
+/// use dap_game::{DosGameParams, ess::{decide, EssKind}};
+///
+/// let game = DosGameParams::paper_defaults(0.8, 30).into_game();
+/// let (point, kind) = decide(&game);
+/// assert_eq!(kind, EssKind::Interior);
+/// assert!((point.x() - 0.9553).abs() < 1e-4);
+/// ```
+#[must_use]
+pub fn decide(game: &DosGame) -> (PopulationState, EssKind) {
     let xp = x_prime(game);
     let yp = y_prime(game);
     let (xi, yi) = interior_point(game);
-    let below_one = |v: f64| v < 1.0 - ROUNDING;
-    let interior = xi > ROUNDING && yi > ROUNDING && below_one(xi) && below_one(yi);
+    if !below_one(xp) && !below_one(yp) {
+        (
+            PopulationState::new(1.0, 1.0),
+            EssKind::FullDefenseFullAttack,
+        )
+    } else if inside(xi) && inside(yi) {
+        (PopulationState::new(xi, yi), EssKind::Interior)
+    } else if below_one(xp) {
+        (
+            PopulationState::new(xp, 1.0),
+            EssKind::PartialDefenseFullAttack,
+        )
+    } else {
+        (
+            PopulationState::new(1.0, yp),
+            EssKind::FullDefensePartialAttack,
+        )
+    }
+}
+
+/// The paper's five closed-form rest points for `game`, in a fixed
+/// order, without those within [`ROUNDING`] of an edge they are not
+/// named for (so outside the square too: there they are not population
+/// states).
+pub(crate) fn closed_forms(game: &DosGame) -> impl Iterator<Item = (PopulationState, EssKind)> {
+    let xp = x_prime(game);
+    let yp = y_prime(game);
+    let (xi, yi) = interior_point(game);
     [
         Some((0.0, 1.0, EssKind::GiveUpDefense)),
         Some((1.0, 1.0, EssKind::FullDefenseFullAttack)),
         below_one(xp).then_some((xp, 1.0, EssKind::PartialDefenseFullAttack)),
         below_one(yp).then_some((1.0, yp, EssKind::FullDefensePartialAttack)),
-        interior.then_some((xi, yi, EssKind::Interior)),
+        (inside(xi) && inside(yi)).then_some((xi, yi, EssKind::Interior)),
     ]
     .into_iter()
     .flatten()
-    .filter(|(x, y, _)| (0.0..=1.0).contains(x) && (0.0..=1.0).contains(y))
     .map(|(x, y, kind)| (PopulationState::new(x, y), kind))
 }
 
-/// The ESS Algorithm 3 prices: the closed-form candidate the Jacobian
-/// certifies, the first in [`ess_candidates`] order. Whenever `p > 0`
-/// one candidate is certified, and only one except where two knife
-/// edges meet (`Y′ = 1` with `k2·m = R_a`, so `X′` is within the
-/// Jacobian's step of the corner `(1, 1)`).
-///
-/// `p = 0` is degenerate: attacking costs nothing (`C_a = k1·x_a·Y`
-/// with `x_a = p`) and never succeeds against a defender, so every
-/// `(1, Y)` is a rest point costing `k2·m`, none of them strictly
-/// stable. Unless `(X′, 1)` is certified (`m > R_a/k2`), the ESS is
-/// that edge's `(1, Y′)` end, `Y′ = 0`.
-///
-/// # Panics
-///
-/// Panics if `p > 0` and no candidate is certified.
-#[must_use]
-pub(crate) fn certified_ess(game: &DosGame) -> (PopulationState, EssKind) {
-    match closed_forms(game).find(|&(point, _)| is_locally_stable(game, point)) {
-        Some(ess) => ess,
-        None if game.params().p == 0.0 => (
-            PopulationState::new(1.0, 0.0),
-            EssKind::FullDefensePartialAttack,
-        ),
-        None => panic!("no closed-form ESS is certified at {:?}", game.params()),
-    }
-}
-
-/// The paper's five ESS candidates for `game`, each with a stability
-/// verdict. Candidates whose closed form falls outside the unit square
-/// are omitted (they are not population states), and so are those
-/// within rounding of an edge they are not named for.
+/// The paper's five ESS candidates for `game`, the [`decide`]d one
+/// marked stable. Candidates whose closed form falls outside the unit
+/// square are omitted (they are not population states), and so are
+/// those within rounding of an edge they are not named for.
 #[must_use]
 pub fn ess_candidates(game: &DosGame) -> Vec<EssCandidate> {
+    let (_, decided) = decide(game);
     closed_forms(game)
         .map(|(point, kind)| EssCandidate {
             point,
             kind,
-            stable: is_locally_stable(game, point),
+            stable: kind == decided,
         })
         .collect()
-}
-
-/// Step budget for [`predict_ess`]; the paper's slowest regime converges
-/// in a few hundred steps, so this is generous.
-pub const PREDICT_MAX_STEPS: usize = 2_000_000;
-
-/// How close the settled state must come to a closed-form candidate to be
-/// labelled with its [`EssKind`].
-pub const MATCH_TOL: f64 = 1e-2;
-
-/// Runs the paper's evolution (Euler, `t = 0.01`, from `(0.5, 0.5)`) and
-/// classifies the outcome against the closed-form candidates.
-///
-/// Falls back to classifying the raw coordinates when no candidate is
-/// within [`MATCH_TOL`] (this happens when the dynamics are still
-/// spiralling at the step limit).
-#[must_use]
-pub fn predict_ess(game: &DosGame) -> EssOutcome {
-    predict_ess_from(game, PopulationState::CENTER)
-}
-
-/// [`predict_ess`] from an arbitrary interior start.
-#[must_use]
-pub fn predict_ess_from(game: &DosGame, initial: PopulationState) -> EssOutcome {
-    let (settled, steps) = settle(game, initial, PREDICT_MAX_STEPS);
-    let (point, kind) = snap(game, settled);
-    EssOutcome { point, kind, steps }
-}
-
-/// The nearest closed-form candidate to a settled state (the first of
-/// equals, in [`ess_candidates`] order), or the state itself, labelled
-/// by [`classify_coordinates`], when none is within [`MATCH_TOL`].
-#[must_use]
-pub(crate) fn snap(game: &DosGame, settled: PopulationState) -> (PopulationState, EssKind) {
-    let nearest = closed_forms(game)
-        .map(|(point, kind)| (settled.distance(&point), point, kind))
-        .min_by(|a, b| a.0.total_cmp(&b.0));
-    match nearest {
-        Some((d, point, kind)) if d <= MATCH_TOL => (point, kind),
-        _ => (settled, classify_coordinates(settled)),
-    }
-}
-
-/// Labels raw coordinates with the nearest ESS shape.
-#[must_use]
-pub fn classify_coordinates(point: PopulationState) -> EssKind {
-    let edge = |v: f64| v <= MATCH_TOL || v >= 1.0 - MATCH_TOL;
-    let hi = |v: f64| v >= 1.0 - MATCH_TOL;
-    let lo = |v: f64| v <= MATCH_TOL;
-    match (edge(point.x()), edge(point.y())) {
-        (true, true) if lo(point.x()) && hi(point.y()) => EssKind::GiveUpDefense,
-        (true, true) if hi(point.x()) && hi(point.y()) => EssKind::FullDefenseFullAttack,
-        (true, _) if hi(point.x()) => EssKind::FullDefensePartialAttack,
-        (_, true) if hi(point.y()) => EssKind::PartialDefenseFullAttack,
-        _ => EssKind::Interior,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamics::{evolve, EulerIntegrator, CONVERGENCE_TOL};
+    use crate::oracle::{exact_jacobian, settle, snap};
     use crate::payoff::DosGameParams;
 
     fn paper_game(m: u32) -> DosGame {
@@ -290,60 +265,50 @@ mod tests {
         assert!(((pm - 1.0) * x * 200.0 + 200.0 - 20.0 * 0.8 * y).abs() < 1e-9);
     }
 
-    /// The paper's Fig. 6 regime map (§VI-B-2) with R_a=200, k1=20,
-    /// k2=4, p=0.8 from (0.5, 0.5):
+    /// The Fig. 6 regime map (§VI-B-2) with R_a=200, k1=20, k2=4, p=0.8:
     ///   1 ≤ m ≤ 11  → (1, 1)
-    ///   12 ≤ m ≤ ~17 → (1, Y′)
-    ///   ~18 ≤ m ≤ 54 → interior (X*, Y*)
+    ///   12 ≤ m ≤ 16 → (1, Y′)
+    ///   17 ≤ m ≤ 54 → interior (X*, Y*)
     ///   55 ≤ m      → (X′, 1)
+    /// The paper prints 12–17 and 18–54, one m past its own formulas: at
+    /// m = 17, `R_a·Y′·(1−p^m) = 55.0 < k2·m = 68`, so `(1, Y′)` repels.
     #[test]
     fn regime_small_m_full_full() {
-        for m in [1, 5, 11] {
-            let out = predict_ess(&paper_game(m));
-            assert_eq!(out.kind, EssKind::FullDefenseFullAttack, "m={m}: {out:?}");
+        for m in 1..=11 {
+            let (point, kind) = decide(&paper_game(m));
+            assert_eq!(kind, EssKind::FullDefenseFullAttack, "m={m}");
+            assert_eq!(point, PopulationState::new(1.0, 1.0), "m={m}");
         }
     }
 
     #[test]
     fn regime_medium_m_full_defense_partial_attack() {
-        for m in [12, 14, 16] {
-            let out = predict_ess(&paper_game(m));
-            assert_eq!(
-                out.kind,
-                EssKind::FullDefensePartialAttack,
-                "m={m}: {out:?}"
-            );
-            let y = y_prime(&paper_game(m));
-            assert!(
-                (out.point.y() - y).abs() < 2e-2,
-                "m={m}: Y={} vs Y'={y}",
-                out.point.y()
-            );
+        for m in 12..=16 {
+            let game = paper_game(m);
+            let (point, kind) = decide(&game);
+            assert_eq!(kind, EssKind::FullDefensePartialAttack, "m={m}");
+            assert_eq!(point, PopulationState::new(1.0, y_prime(&game)), "m={m}");
         }
     }
 
     #[test]
     fn regime_large_m_interior() {
-        for m in [20, 30, 45, 54] {
-            let out = predict_ess(&paper_game(m));
-            assert_eq!(out.kind, EssKind::Interior, "m={m}: {out:?}");
-            let (xi, yi) = interior_point(&paper_game(m));
-            assert!((out.point.x() - xi).abs() < 2e-2, "m={m}");
-            assert!((out.point.y() - yi).abs() < 2e-2, "m={m}");
+        for m in 17..=54 {
+            let game = paper_game(m);
+            let (point, kind) = decide(&game);
+            assert_eq!(kind, EssKind::Interior, "m={m}");
+            let (xi, yi) = interior_point(&game);
+            assert_eq!(point, PopulationState::new(xi, yi), "m={m}");
         }
     }
 
     #[test]
     fn regime_huge_m_partial_defense() {
-        for m in [60, 80, 100] {
-            let out = predict_ess(&paper_game(m));
-            assert_eq!(
-                out.kind,
-                EssKind::PartialDefenseFullAttack,
-                "m={m}: {out:?}"
-            );
-            let x = x_prime(&paper_game(m));
-            assert!((out.point.x() - x).abs() < 2e-2, "m={m}");
+        for m in 55..=100 {
+            let game = paper_game(m);
+            let (point, kind) = decide(&game);
+            assert_eq!(kind, EssKind::PartialDefenseFullAttack, "m={m}");
+            assert_eq!(point, PopulationState::new(x_prime(&game), 1.0), "m={m}");
         }
     }
 
@@ -351,9 +316,12 @@ mod tests {
     /// on the order of 100–200 steps (slow). Check the ordering.
     #[test]
     fn convergence_speed_ordering_matches_paper() {
-        let fast = predict_ess(&paper_game(5)).steps.expect("converges");
-        let slow = predict_ess(&paper_game(14)).steps.expect("converges");
-        let spiral = predict_ess(&paper_game(30)).steps.expect("converges");
+        let steps = |m| {
+            evolve(&paper_game(m), PopulationState::CENTER, 2_000_000)
+                .converged_at()
+                .expect("converges")
+        };
+        let (fast, slow, spiral) = (steps(5), steps(14), steps(30));
         assert!(fast < slow, "fast={fast} slow={slow}");
         assert!(fast < spiral, "fast={fast} spiral={spiral}");
     }
@@ -362,67 +330,51 @@ mod tests {
     fn zero_one_never_stable_under_paper_economy() {
         // §V-E case 1: since R_a > C_a, (0,0) cannot be ESS and (0,1) is
         // only reachable when defense is pointless; with the paper's
-        // economy and moderate m, (0,1) is unstable.
+        // economy and moderate m, each of these corners has an exact
+        // eigenvalue above zero.
         let g = paper_game(10);
-        assert!(!is_locally_stable(&g, PopulationState::new(0.0, 1.0)));
-        assert!(!is_locally_stable(&g, PopulationState::new(0.0, 0.0)));
-        assert!(!is_locally_stable(&g, PopulationState::new(1.0, 0.0)));
+        for (x, y) in [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)] {
+            let jac = exact_jacobian(&g, PopulationState::new(x, y));
+            assert!(jac[0][0].0 > 0.0 || jac[1][1].0 > 0.0, "({x}, {y})");
+        }
     }
 
     #[test]
     fn candidate_list_contains_predicted_ess() {
         for m in [5, 14, 30, 70] {
             let g = paper_game(m);
-            let predicted = predict_ess(&g);
+            let (point, kind) = decide(&g);
             let cands = ess_candidates(&g);
             let found = cands
                 .iter()
-                .any(|c| c.kind == predicted.kind && c.point.distance(&predicted.point) < 1e-6);
-            assert!(
-                found,
-                "m={m}: predicted {predicted:?} not in candidates {cands:?}"
-            );
+                .any(|c| c.stable && (c.point, c.kind) == (point, kind));
+            assert!(found, "m={m}: {kind} at {point} not in {cands:?}");
         }
     }
 
+    /// The paper's run from `(0.5, 0.5)` settles at the candidate marked
+    /// stable, and at no other.
     #[test]
     fn stability_verdict_agrees_with_dynamics() {
         for m in [5, 14, 30, 70] {
             let g = paper_game(m);
-            let predicted = predict_ess(&g);
+            let (settled, steps) = settle(
+                &g,
+                PopulationState::CENTER,
+                2_000_000,
+                EulerIntegrator::paper(),
+                CONVERGENCE_TOL,
+            );
+            assert!(steps.is_some(), "m={m}");
+            let snapped = snap(&g, settled);
             for cand in ess_candidates(&g) {
-                if cand.point.distance(&predicted.point) < 1e-6 {
-                    assert!(
-                        cand.stable,
-                        "m={m}: dynamics settle at {cand:?} but Jacobian disagrees"
-                    );
-                }
+                assert_eq!(
+                    (cand.point, cand.kind) == snapped,
+                    cand.stable,
+                    "m={m}: dynamics settle at {settled}, {cand:?}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn classify_coordinates_covers_all_shapes() {
-        assert_eq!(
-            classify_coordinates(PopulationState::new(0.0, 1.0)),
-            EssKind::GiveUpDefense
-        );
-        assert_eq!(
-            classify_coordinates(PopulationState::new(1.0, 1.0)),
-            EssKind::FullDefenseFullAttack
-        );
-        assert_eq!(
-            classify_coordinates(PopulationState::new(1.0, 0.4)),
-            EssKind::FullDefensePartialAttack
-        );
-        assert_eq!(
-            classify_coordinates(PopulationState::new(0.4, 1.0)),
-            EssKind::PartialDefenseFullAttack
-        );
-        assert_eq!(
-            classify_coordinates(PopulationState::new(0.4, 0.6)),
-            EssKind::Interior
-        );
     }
 
     #[test]
@@ -433,7 +385,7 @@ mod tests {
 
     /// On the knife edges `Y′ = 1` (`k1 = p^m·R_a/p`) and `X′ = 1`
     /// (`k2 = (1−p^m)·R_a/m`) an edge candidate meets the corner
-    /// `(1, 1)`. One candidate is still certified, and it is where the
+    /// `(1, 1)`. One candidate is still decided, and it is where the
     /// paper's run from `(0.5, 0.5)` ends. At (0.3, 3) `Y′` rounds to an
     /// ulp below 1.
     #[test]
@@ -451,28 +403,29 @@ mod tests {
             };
             for params in [y_edge, x_edge] {
                 let game = params.into_game();
-                let certified = ess_candidates(&game).iter().filter(|c| c.stable).count();
-                assert_eq!(certified, 1, "{params:?}");
-                let settled = predict_ess(&game);
-                assert!(settled.steps.is_some(), "{params:?}");
-                assert_eq!(
-                    certified_ess(&game),
-                    (settled.point, settled.kind),
-                    "{params:?}"
+                let decided = ess_candidates(&game).iter().filter(|c| c.stable).count();
+                assert_eq!(decided, 1, "{params:?}");
+                let (settled, steps) = settle(
+                    &game,
+                    PopulationState::CENTER,
+                    2_000_000,
+                    EulerIntegrator::paper(),
+                    CONVERGENCE_TOL,
                 );
+                assert!(steps.is_some(), "{params:?}");
+                assert_eq!(decide(&game), snap(&game, settled), "{params:?}");
             }
         }
     }
 
-    /// At `p = 0` the edge `X = 1` is a line of rest points, so no
-    /// candidate is certified until `(X′, 1)` appears at `m > R_a/k2`;
-    /// until then the ESS is `(1, Y′) = (1, 0)`, costing `k2·m`.
+    /// At `p = 0` the edge `X = 1` is a line of rest points, and the
+    /// decision takes its `(1, Y′) = (1, 0)` end until `(X′, 1)` appears
+    /// at `m > R_a/k2`; until then the ESS costs `k2·m`.
     #[test]
     fn no_attack_rule_takes_full_defense_until_partial_defense_is_certified() {
         for m in 1..=50 {
             let game = DosGameParams::paper_defaults(0.0, m).into_game();
-            assert!(ess_candidates(&game).iter().all(|c| !c.stable), "m={m}");
-            let (point, kind) = certified_ess(&game);
+            let (point, kind) = decide(&game);
             assert_eq!(point, PopulationState::new(1.0, 0.0), "m={m}");
             assert_eq!(kind, EssKind::FullDefensePartialAttack, "m={m}");
             let cost = crate::cost::defense_cost(&game, point);
@@ -480,22 +433,9 @@ mod tests {
         }
         for m in [51, 60, 100] {
             let game = DosGameParams::paper_defaults(0.0, m).into_game();
-            let (point, kind) = certified_ess(&game);
+            let (point, kind) = decide(&game);
             assert_eq!(kind, EssKind::PartialDefenseFullAttack, "m={m}");
             assert_eq!(point, PopulationState::new(x_prime(&game), 1.0), "m={m}");
         }
-    }
-
-    #[test]
-    fn no_attack_game_settles_defenseless() {
-        // p = 0: attacks never succeed against any buffering, attacking
-        // still costs; defenders also have no reason to pay for buffers.
-        let g = DosGameParams::paper_defaults(0.0, 5).into_game();
-        let out = predict_ess(&g);
-        // Defenders drift to X = 0 because C_d > 0 and attacks are harmless
-        // only if... actually with p=0 attacks always fail against
-        // defenders but still hit non-defenders; the dynamics decide.
-        assert!((0.0..=1.0).contains(&out.point.x()));
-        assert!((0.0..=1.0).contains(&out.point.y()));
     }
 }

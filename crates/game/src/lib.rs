@@ -21,26 +21,27 @@
 //! * [`state`] — the population state `(X, Y) ∈ [0,1]²`;
 //! * [`payoff`] — Table II and the closed-form expected utilities;
 //! * [`dynamics`] — the [`TwoPopulationGame`] trait, replicator field,
-//!   Euler (the paper's integrator) and RK4, trajectories, convergence;
-//! * [`ess`] — fixed points, Jacobian stability, the paper's five ESS
-//!   candidates, and empirical ESS prediction from the paper's
-//!   `(0.5, 0.5)` start;
+//!   the [`Integrator`]s Euler (the paper's) and RK4, trajectories,
+//!   convergence;
+//! * [`ess`] — the paper's five ESS candidates and [`ess::decide`], which
+//!   names the stable one in closed form, exactly;
 //! * [`cost`] — the defender cost `E` and the naive-defense cost `N`;
 //! * [`optimize`] — Algorithm 3 (optimal `m`) as one allocation-free
-//!   sweep over each `m`'s closed-form ESS: the exact argmin and its
-//!   cost landscape, the paper-literal transcription, and the
-//!   control-loop step the live `dap-net` control plane re-runs.
+//!   sweep over each `m`'s decided ESS: the exact argmin and its cost
+//!   landscape, the paper-literal transcription, and the control-loop
+//!   step the live `dap-net` control plane re-runs.
 //!
 //! # Example — reproduce a Fig. 6 regime
 //!
 //! ```
-//! use dap_game::{DosGameParams, ess::{predict_ess, EssKind}};
+//! use dap_game::{DosGameParams, PopulationState, ess::{decide, EssKind}};
 //!
 //! // m = 5 with the paper's economy lands in the (1,1) regime:
 //! // everyone defends, everyone attacks.
 //! let game = DosGameParams::paper_defaults(0.8, 5).into_game();
-//! let outcome = predict_ess(&game);
-//! assert_eq!(outcome.kind, EssKind::FullDefenseFullAttack);
+//! let (point, kind) = decide(&game);
+//! assert_eq!(kind, EssKind::FullDefenseFullAttack);
+//! assert_eq!(point, PopulationState::new(1.0, 1.0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,13 +53,15 @@ pub mod cost;
 pub mod dynamics;
 pub mod ess;
 pub mod optimize;
+#[cfg(test)]
+mod oracle;
 pub mod payoff;
 pub mod state;
 
 pub use dynamics::{
-    EulerIntegrator, ReplicatorField, Rk4Integrator, Trajectory, TwoPopulationGame,
+    EulerIntegrator, Integrator, ReplicatorField, Rk4Integrator, Trajectory, TwoPopulationGame,
 };
-pub use ess::{EssKind, EssOutcome};
+pub use ess::EssKind;
 pub use optimize::{optimal_buffer_count, solve_posture_permille, OptimalBuffer};
 pub use payoff::{DosGame, DosGameParams, PayoffMatrix};
 pub use state::PopulationState;

@@ -2,11 +2,10 @@
 //! defenders' average cost at the ESS.
 //!
 //! One allocation-free sweep serves every caller: for each
-//! `m ∈ 1..=cap` it takes the ESS in closed form (the §V-E candidate
-//! the Jacobian certifies, [`crate::ess::ess_candidates`]), costs it and
-//! keeps the argmin, ties going to the smaller `m`. No game is
-//! integrated, so a solve costs the same at every attack level. On top
-//! of it:
+//! `m ∈ 1..=cap` it takes the ESS in closed form ([`crate::ess::decide`]),
+//! costs it and keeps the argmin, ties going to the smaller `m`. No game
+//! is integrated, so a solve costs the same at every attack level. On
+//! top of it:
 //!
 //! * [`optimal_buffer_count`] — the exact argmin, which is what the
 //!   algorithm's *intent* ("find the optimal m") and Fig. 7 require;
@@ -25,7 +24,7 @@
 //! paying for them.
 
 use crate::cost::defense_cost;
-use crate::ess::{certified_ess, EssKind};
+use crate::ess::{decide, EssKind};
 use crate::payoff::DosGameParams;
 use crate::state::PopulationState;
 
@@ -54,7 +53,7 @@ impl OptimalBuffer {
     }
 }
 
-/// The one Algorithm 3 sweep: for each `m ∈ 1..=cap`, the certified ESS
+/// The one Algorithm 3 sweep: for each `m ∈ 1..=cap`, the decided ESS
 /// and its defender cost, each `(m, cost)` shown to `visit` in order.
 /// Returns the strict cost argmin, so ties break toward the smaller `m`,
 /// which also minimises memory.
@@ -63,7 +62,7 @@ fn sweep(params: DosGameParams, cap: u32, mut visit: impl FnMut(u32, f64)) -> Op
     let mut best: Option<OptimalBuffer> = None;
     for m in 1..=cap {
         let game = DosGameParams { m, ..params }.into_game();
-        let (point, kind) = certified_ess(&game);
+        let (point, kind) = decide(&game);
         let cost = defense_cost(&game, point);
         visit(m, cost);
         if best.is_none_or(|b| cost < b.cost) {
@@ -158,8 +157,8 @@ pub fn solve_posture_permille(p_permille: u32, cap: u32) -> OptimalBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::settle;
-    use crate::ess::{predict_ess, snap};
+    use crate::dynamics::{EulerIntegrator, CONVERGENCE_TOL};
+    use crate::oracle::{settle, snap};
 
     /// The Euler-step bound each game got when Algorithm 3 integrated.
     const ORACLE_MAX_STEPS: usize = 100_000;
@@ -168,7 +167,13 @@ mod tests {
     /// [`ORACLE_MAX_STEPS`] and snapped to the nearest closed form.
     fn integrated_ess(params: DosGameParams) -> (PopulationState, EssKind, f64) {
         let game = params.into_game();
-        let (settled, _) = settle(&game, PopulationState::CENTER, ORACLE_MAX_STEPS);
+        let (settled, _) = settle(
+            &game,
+            PopulationState::CENTER,
+            ORACLE_MAX_STEPS,
+            EulerIntegrator::paper(),
+            CONVERGENCE_TOL,
+        );
         let (point, kind) = snap(&game, settled);
         (point, kind, defense_cost(&game, point))
     }
@@ -290,13 +295,9 @@ mod tests {
         // At the cap itself the ESS is the partial-defense edge the paper
         // reports for p > 0.94.
         let at_cap = DosGameParams::paper_defaults(0.99, 50).into_game();
-        let ess_at_cap = predict_ess(&at_cap);
-        assert_eq!(
-            ess_at_cap.kind,
-            EssKind::PartialDefenseFullAttack,
-            "{ess_at_cap:?}"
-        );
-        let cost_at_cap = defense_cost(&at_cap, ess_at_cap.point);
+        let (point, kind) = decide(&at_cap);
+        assert_eq!(kind, EssKind::PartialDefenseFullAttack, "{point}");
+        let cost_at_cap = defense_cost(&at_cap, point);
         assert!(
             (cost_at_cap - 200.0).abs() < 1.0,
             "cost at cap {cost_at_cap}"
@@ -366,18 +367,13 @@ mod tests {
         let _ = optimal_buffer_count(DosGameParams::paper_defaults(0.5, 1), 0);
     }
 
-    /// The certified closed form is where the paper's run from
-    /// `(0.5, 0.5)` ends, and where the integrated sweep's bounded
-    /// settle ends, at one `m` of each Fig. 6 regime.
+    /// The decided closed form is where the integrated sweep's bounded
+    /// run from `(0.5, 0.5)` ends, at one `m` of each Fig. 6 regime.
     #[test]
-    fn settle_matches_predict_ess_endpoint() {
+    fn settle_matches_the_decided_ess() {
         for m in [5, 14, 30, 70] {
             let params = DosGameParams::paper_defaults(0.8, m);
-            let game = params.into_game();
-            let offline = predict_ess(&game);
-            let (point, kind) = certified_ess(&game);
-            assert_eq!(kind, offline.kind, "m={m}");
-            assert!(point.distance(&offline.point) < 1e-9, "m={m}");
+            let (point, kind) = decide(&params.into_game());
             let (settled, settled_kind, _) = integrated_ess(params);
             assert_eq!((settled, settled_kind), (point, kind), "m={m}");
         }
@@ -421,6 +417,18 @@ mod tests {
         let a = solve_posture_permille(800, 50);
         let b = solve_posture_permille(800, 50);
         assert_eq!(a, b);
+    }
+
+    /// The decision is total: every estimate the control plane can feed
+    /// it solves at every cap.
+    #[test]
+    fn every_estimate_solves_at_every_cap() {
+        for cap in 1..=100 {
+            for p_permille in 0..=1000 {
+                let best = solve_posture_permille(p_permille, cap);
+                assert!((1..=cap).contains(&best.m), "{p_permille}‰ cap {cap}");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! in-tree `dap-testkit` harness (deterministic, seeded, shrinking).
 
 use dap_game::cost::{defense_cost, defense_cost_closed_form, naive_defense_cost};
-use dap_game::dynamics::{evolve, EulerIntegrator, ReplicatorField};
-use dap_game::ess::{ess_candidates, interior_point, predict_ess, x_prime, y_prime};
+use dap_game::dynamics::{evolve, EulerIntegrator, Integrator, ReplicatorField};
+use dap_game::ess::{decide, ess_candidates, interior_point, x_prime, y_prime};
 use dap_game::{DosGameParams, PopulationState};
 use dap_testkit::{assume, check, Gen};
 
@@ -46,16 +46,18 @@ fn candidates_are_rest_points() {
     });
 }
 
-/// The closed form's premise: whenever `p > 0` the Jacobian certifies
-/// exactly one of the paper's candidates, so Algorithm 3 has one ESS to
-/// price per `m`.
+/// Algorithm 3 prices one ESS per `m`: exactly one of the paper's
+/// candidates is marked stable, and it is the decided one. (The exact
+/// Jacobian's verdict on it is checked in the crate's own tests.)
 #[test]
 fn exactly_one_candidate_is_certified() {
     check("exactly_one_candidate_is_certified", |g| {
         let params = arb_params(g);
-        let candidates = ess_candidates(&params.into_game());
-        let certified = candidates.iter().filter(|c| c.stable).count();
-        assert_eq!(certified, 1, "{params:?}: {candidates:?}");
+        let game = params.into_game();
+        let candidates = ess_candidates(&game);
+        let stable: Vec<_> = candidates.iter().filter(|c| c.stable).collect();
+        assert_eq!(stable.len(), 1, "{params:?}: {candidates:?}");
+        assert_eq!((stable[0].point, stable[0].kind), decide(&game));
     });
 }
 
@@ -96,22 +98,19 @@ fn edge_formulas_zero_their_brackets() {
     });
 }
 
-/// Wherever the dynamics settle (from the paper's start), the field
-/// there is negligible — we never report a non-equilibrium as ESS.
+/// The decided ESS is a rest point: the field there is negligible, so
+/// we never report a non-equilibrium as ESS.
 #[test]
 fn predicted_ess_is_stationary() {
     check("predicted_ess_is_stationary", |g| {
         let p = g.f64_in(0.05, 0.95);
         let m = g.u32_in(1..60);
         let game = DosGameParams::paper_defaults(p, m).into_game();
-        let out = predict_ess(&game);
-        assume(out.steps.is_some());
-        let field = ReplicatorField::new(&game);
-        let (dx, dy) = field.derivative(out.point);
+        let (point, _) = decide(&game);
+        let (dx, dy) = ReplicatorField::new(&game).derivative(point);
         assert!(
-            dx.abs() < 1e-3 && dy.abs() < 1e-3,
-            "settled at {} with field ({dx}, {dy})",
-            out.point
+            dx.abs() < 1e-9 && dy.abs() < 1e-9,
+            "decided {point} with field ({dx}, {dy})"
         );
     });
 }

@@ -522,9 +522,8 @@ fn overload_lanes(out: &mut Report) {
 }
 
 /// Algorithm 3 as the control plane re-solves it: 50 buffer counts, each
-/// game's ESS taken in closed form and certified by its Jacobian, at
-/// five estimated attack levels. No game is integrated, so the five cost
-/// about the same.
+/// game's ESS decided in closed form, at five estimated attack levels.
+/// No game is integrated, so the five cost about the same.
 fn algorithm3_lanes(out: &mut Report) {
     for p in [1, 10, 100, 300, 900] {
         let samples: Vec<f64> = repeat(calibrated(|| solve_posture_permille(p, 50)))

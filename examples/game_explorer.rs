@@ -1,14 +1,15 @@
-//! Explore the attacker/defender evolutionary game: fixed points, ESS
-//! candidates with stability verdicts, the predicted outcome from the
-//! paper's (0.5, 0.5) start, and the cost landscape over m.
+//! Explore the attacker/defender evolutionary game: the ESS candidates
+//! with the one decided stable, where the paper's Euler run from
+//! (0.5, 0.5) ends, and the cost landscape over m.
 //!
 //! Run with: `cargo run --example game_explorer -- [p] [m]`
 //! (defaults: p = 0.8, m = 30)
 
 use crowdsense_dap::game::cost::{defense_cost, naive_defense_cost};
-use crowdsense_dap::game::ess::{ess_candidates, predict_ess};
+use crowdsense_dap::game::dynamics::evolve;
+use crowdsense_dap::game::ess::{decide, ess_candidates};
 use crowdsense_dap::game::optimize::{cost_landscape, optimal_buffer_count};
-use crowdsense_dap::game::{DosGameParams, ReplicatorField};
+use crowdsense_dap::game::{DosGameParams, PopulationState};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -26,7 +27,7 @@ fn main() {
     );
     println!();
 
-    println!("ESS candidates (Jacobian stability at each):");
+    println!("ESS candidates (the decided one is stable):");
     for c in ess_candidates(&game) {
         println!(
             "  {:<10} at {}  {}",
@@ -36,26 +37,22 @@ fn main() {
         );
     }
 
-    let outcome = predict_ess(&game);
+    let (point, kind) = decide(&game);
     println!();
-    println!(
-        "replicator dynamics from (0.5, 0.5): settle at {} — ESS {}{}",
-        outcome.point,
-        outcome.kind,
-        outcome
-            .steps
-            .map_or(String::from(" (step limit hit)"), |s| format!(
-                " after {s} Euler steps"
-            )),
-    );
+    println!("decided ESS: {kind} at {point}");
     println!(
         "defender cost at the ESS: E = {:.3}",
-        defense_cost(&game, outcome.point)
+        defense_cost(&game, point)
     );
-
-    let field = ReplicatorField::new(&game);
-    let (dx, dy) = field.derivative(outcome.point);
-    println!("field at the settle point: (dX/dt, dY/dt) = ({dx:.2e}, {dy:.2e})");
+    let run = evolve(&game, PopulationState::CENTER, 2_000_000);
+    println!(
+        "the paper's Euler run from (0.5, 0.5) ends at {}{}",
+        run.last(),
+        run.converged_at()
+            .map_or(String::from(" (step limit hit)"), |s| format!(
+                " after {s} steps"
+            )),
+    );
 
     println!();
     println!("Algorithm 3 over m = 1..=50 at this attack level:");

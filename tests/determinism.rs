@@ -6,8 +6,10 @@
 
 use crowdsense_dap::crypto::{Domain, KeyChain};
 use crowdsense_dap::dap::sim::{run_campaign, CampaignSpec};
-use crowdsense_dap::game::ess::predict_ess;
-use crowdsense_dap::game::DosGameParams;
+use crowdsense_dap::game::dynamics::evolve;
+use crowdsense_dap::game::ess::decide;
+use crowdsense_dap::game::optimize::cost_landscape;
+use crowdsense_dap::game::{solve_posture_permille, DosGameParams, PopulationState};
 use crowdsense_dap::net::fleet::{run_fleet, FleetSpec};
 use crowdsense_dap::simnet::keys;
 
@@ -100,18 +102,45 @@ fn same_seed_campaigns_are_identical() {
 #[test]
 fn golden_interior_ess() {
     let game = DosGameParams::paper_defaults(0.8, 30).into_game();
-    let out = predict_ess(&game);
-    assert!(
-        (out.point.x() - 0.955_272_649_362).abs() < 1e-9,
-        "{}",
-        out.point
-    );
-    assert!(
-        (out.point.y() - 0.573_874_011_233).abs() < 1e-9,
-        "{}",
-        out.point
-    );
-    assert_eq!(out.steps, Some(764));
+    let (point, _) = decide(&game);
+    assert!((point.x() - 0.955_272_649_362).abs() < 1e-9, "{point}");
+    assert!((point.y() - 0.573_874_011_233).abs() < 1e-9, "{point}");
+    let run = evolve(&game, PopulationState::CENTER, 2_000_000);
+    assert_eq!(run.converged_at(), Some(764));
+}
+
+/// Algorithm 3 over the paper's economy at every estimate the control
+/// plane can feed it: `solve_posture_permille`'s `m*`, ESS kind, point
+/// and cost for every permille 0..=1000 at caps 50 and 100, and the cost
+/// of every `cost_landscape` cell on the same grid, folded bit for bit
+/// into one FNV-1a hash. Any change to a decided ESS moves it.
+#[test]
+fn golden_paper_grid_solves() {
+    const PRIME: u64 = 0x100_0000_01b3;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
+        }
+    };
+    for cap in [50, 100] {
+        for permille in 0..=1000 {
+            let best = solve_posture_permille(permille, cap);
+            fold(u64::from(best.m));
+            for byte in best.kind.to_string().bytes() {
+                fold(u64::from(byte));
+            }
+            fold(best.point.x().to_bits());
+            fold(best.point.y().to_bits());
+            fold(best.cost.to_bits());
+            let p = f64::from(permille.min(999)) / 1000.0;
+            for (m, cost) in cost_landscape(DosGameParams::paper_defaults(p, 1), cap) {
+                fold(u64::from(m));
+                fold(cost.to_bits());
+            }
+        }
+    }
+    assert_eq!(hash, 0xf95b_7606_0ae7_a942, "{hash:#018x}");
 }
 
 /// The pooled wire path's reservoir decisions: what the shard

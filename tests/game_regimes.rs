@@ -3,7 +3,7 @@
 
 use crowdsense_dap::game::cost::{defense_cost, naive_defense_cost};
 use crowdsense_dap::game::dynamics::evolve;
-use crowdsense_dap::game::ess::{predict_ess, EssKind};
+use crowdsense_dap::game::ess::{decide, EssKind};
 use crowdsense_dap::game::optimize::optimal_buffer_count;
 use crowdsense_dap::game::{DosGameParams, PopulationState};
 
@@ -11,54 +11,35 @@ fn game(p: f64, m: u32) -> crowdsense_dap::game::DosGame {
     DosGameParams::paper_defaults(p, m).into_game()
 }
 
-/// Fig. 6's regime boundaries at p = 0.8 (paper: 1-11 / 12-17 / 18-54 /
-/// 55-100; our m = 17/18 boundary differs by one — a knife-edge case
-/// documented in EXPERIMENTS.md).
+/// Fig. 6's regime boundaries at p = 0.8: 1-11 / 12-16 / 17-54 /
+/// 55-100. The paper prints 12-17 / 18-54, one m past its own formulas:
+/// at m = 17, R_a·Y′·(1−p^m) = 55.0 < k2·m = 68, so (1, Y′) repels
+/// (EXPERIMENTS.md).
 #[test]
 fn regime_boundaries_at_paper_settings() {
-    assert_eq!(
-        predict_ess(&game(0.8, 1)).kind,
-        EssKind::FullDefenseFullAttack
-    );
-    assert_eq!(
-        predict_ess(&game(0.8, 11)).kind,
-        EssKind::FullDefenseFullAttack
-    );
-    assert_eq!(
-        predict_ess(&game(0.8, 12)).kind,
-        EssKind::FullDefensePartialAttack
-    );
-    assert_eq!(
-        predict_ess(&game(0.8, 16)).kind,
-        EssKind::FullDefensePartialAttack
-    );
-    assert_eq!(predict_ess(&game(0.8, 19)).kind, EssKind::Interior);
-    assert_eq!(predict_ess(&game(0.8, 54)).kind, EssKind::Interior);
-    assert_eq!(
-        predict_ess(&game(0.8, 55)).kind,
-        EssKind::PartialDefenseFullAttack
-    );
-    assert_eq!(
-        predict_ess(&game(0.8, 100)).kind,
-        EssKind::PartialDefenseFullAttack
-    );
+    assert_eq!(decide(&game(0.8, 1)).1, EssKind::FullDefenseFullAttack);
+    assert_eq!(decide(&game(0.8, 11)).1, EssKind::FullDefenseFullAttack);
+    assert_eq!(decide(&game(0.8, 12)).1, EssKind::FullDefensePartialAttack);
+    assert_eq!(decide(&game(0.8, 16)).1, EssKind::FullDefensePartialAttack);
+    assert_eq!(decide(&game(0.8, 17)).1, EssKind::Interior);
+    assert_eq!(decide(&game(0.8, 54)).1, EssKind::Interior);
+    assert_eq!(decide(&game(0.8, 55)).1, EssKind::PartialDefenseFullAttack);
+    assert_eq!(decide(&game(0.8, 100)).1, EssKind::PartialDefenseFullAttack);
 }
 
 /// The ESS is independent of the interior starting point (the paper's
-/// replicator-dynamics stability claim).
+/// replicator-dynamics stability claim): the paper's Euler run from each
+/// start ends at the decided ESS.
 #[test]
 fn ess_independent_of_interior_start() {
     for m in [5u32, 14, 30, 70] {
         let g = game(0.8, m);
-        let reference = predict_ess(&g);
+        let (point, _) = decide(&g);
         for &(x0, y0) in &[(0.2, 0.9), (0.9, 0.2), (0.6, 0.6), (0.15, 0.15)] {
-            let out = crowdsense_dap::game::ess::predict_ess_from(&g, PopulationState::new(x0, y0));
-            assert_eq!(out.kind, reference.kind, "m={m} from ({x0},{y0})");
+            let end = evolve(&g, PopulationState::new(x0, y0), 2_000_000).last();
             assert!(
-                out.point.distance(&reference.point) < 3e-2,
-                "m={m} from ({x0},{y0}): {} vs {}",
-                out.point,
-                reference.point
+                end.distance(&point) < 3e-2,
+                "m={m} from ({x0},{y0}): {end} vs {point}"
             );
         }
     }
@@ -100,11 +81,11 @@ fn optimizer_and_cost_sweep() {
 fn cost_identities_hold_at_predicted_ess() {
     for (p, m) in [(0.8, 30u32), (0.99, 10), (0.99, 50)] {
         let g = game(p, m);
-        let out = predict_ess(&g);
-        let e = defense_cost(&g, out.point);
-        let closed = crowdsense_dap::game::cost::defense_cost_closed_form(&g, out.point);
+        let (point, kind) = decide(&g);
+        let e = defense_cost(&g, point);
+        let closed = crowdsense_dap::game::cost::defense_cost_closed_form(&g, point);
         assert!((e - closed).abs() < 1e-9, "p={p} m={m}");
-        if out.kind == EssKind::PartialDefenseFullAttack {
+        if kind == EssKind::PartialDefenseFullAttack {
             assert!((e - 200.0).abs() < 0.5, "p={p} m={m}: E={e}");
         }
     }
@@ -114,7 +95,11 @@ fn cost_identities_hold_at_predicted_ess() {
 /// than the slow ones (the paper's "4 steps vs ~100 vs ~200").
 #[test]
 fn convergence_speed_ordering() {
-    let steps = |m: u32| predict_ess(&game(0.8, m)).steps.expect("must converge");
+    let steps = |m: u32| {
+        evolve(&game(0.8, m), PopulationState::CENTER, 2_000_000)
+            .converged_at()
+            .expect("must converge")
+    };
     let fast_11 = steps(5);
     let slow_1y = steps(14);
     let spiral = steps(30);
