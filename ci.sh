@@ -61,6 +61,17 @@ cargo fmt --check
 echo "== sweep determinism (parallel vs sequential, default grid) =="
 cargo run --release --offline -p dap-bench --bin sweep -- 400 --check > /dev/null
 
+echo "== figure binaries (each run twice, byte-identical stdout) =="
+# Every figure is seeded or closed-form, so two runs must print the
+# same bytes; a panicking figure fails here too.
+for fig in fig5 fig6 fig7 fig8 memory_table recovery ablation fleet; do
+    for run in a b; do
+        cargo run --release --offline -q -p dap-bench --bin "$fig" \
+            > "target/fig_${fig}_$run.txt"
+    done
+    cmp "target/fig_${fig}_a.txt" "target/fig_${fig}_b.txt"
+done
+
 echo "== net soak (seeded loopback flood, sharded pool) =="
 # Flood at p = 0.9: --assert-soak checks no shed frames, no weak
 # rejects, balanced counters, and auth rate within tolerance of 1 - p^m.

@@ -10,7 +10,7 @@
 
 use dap_crypto::hmac::hmac_sha256;
 use dap_crypto::Key;
-use dap_game::dynamics::{evolve_with, EulerIntegrator, Integrator, Rk4Integrator};
+use dap_game::dynamics::{settle, EulerIntegrator, Integrator, Rk4Integrator};
 use dap_game::ess::decide;
 use dap_game::{DosGame, DosGameParams, PopulationState};
 use dap_simnet::SimRng;
@@ -166,14 +166,20 @@ pub fn integrator_ablation(m: u32) -> Vec<IntegratorPoint> {
 
 /// One ablation run from `(0.5, 0.5)`, for at most 4M steps.
 fn run(game: &DosGame, label: String, dt: f64, integrator: impl Integrator) -> IntegratorPoint {
-    let t = evolve_with(game, PopulationState::CENTER, 4_000_000, integrator, 1e-9);
-    let s = t.last();
+    let (s, steps) = settle(
+        game,
+        PopulationState::CENTER,
+        4_000_000,
+        integrator,
+        1e-9,
+        |_| (),
+    );
     IntegratorPoint {
         label,
         dt,
         settle: (s.x(), s.y()),
         distance: s.distance(&decide(game).0),
-        steps: t.converged_at(),
+        steps,
     }
 }
 

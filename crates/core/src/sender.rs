@@ -8,7 +8,7 @@
 
 use dap_crypto::mac::mac80;
 use dap_crypto::oneway::Domain;
-use dap_crypto::{ChainExhausted, ChainStore, Key, KeyChain, PebbledChain};
+use dap_crypto::{ChainExhausted, Key, KeyChain};
 use dap_simnet::SimTime;
 
 use crate::wire::{Announce, DapParams, Reveal};
@@ -22,12 +22,8 @@ pub struct DapBootstrap {
     pub params: DapParams,
 }
 
-/// The broadcasting side of DAP, generic over how the key chain is
-/// stored.
-///
-/// The default store is the fully materialised [`KeyChain`]; campaigns
-/// with very long chains construct the sender over a [`PebbledChain`]
-/// via [`DapSender::new_pebbled`] — same wire behavior, O(log n) memory.
+/// The broadcasting side of DAP: one [`KeyChain`] and the messages
+/// announced but not yet revealed.
 ///
 /// ```
 /// use dap_core::{DapParams, DapSender};
@@ -38,8 +34,8 @@ pub struct DapBootstrap {
 /// assert_eq!(announce.index, reveal.index);
 /// ```
 #[derive(Debug, Clone)]
-pub struct DapSender<C: ChainStore = KeyChain> {
-    chain: C,
+pub struct DapSender {
+    chain: KeyChain,
     params: DapParams,
     pending: std::collections::BTreeMap<u64, Vec<u8>>,
 }
@@ -54,25 +50,10 @@ impl DapSender {
     pub fn new(seed: &[u8], chain_len: usize, params: DapParams) -> Self {
         Self::with_chain(KeyChain::generate(seed, chain_len, Domain::F), params)
     }
-}
 
-impl DapSender<PebbledChain> {
-    /// Like [`DapSender::new`], but holding the chain as O(log n)
-    /// pebbles — same keys, announces and reveals for the same `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain_len == 0`.
+    /// Creates a sender over an existing chain.
     #[must_use]
-    pub fn new_pebbled(seed: &[u8], chain_len: usize, params: DapParams) -> Self {
-        Self::with_chain(PebbledChain::generate(seed, chain_len, Domain::F), params)
-    }
-}
-
-impl<C: ChainStore> DapSender<C> {
-    /// Creates a sender over an existing chain store.
-    #[must_use]
-    pub fn with_chain(chain: C, params: DapParams) -> Self {
+    pub fn with_chain(chain: KeyChain, params: DapParams) -> Self {
         Self {
             chain,
             params,
@@ -84,7 +65,7 @@ impl<C: ChainStore> DapSender<C> {
     #[must_use]
     pub fn bootstrap(&self) -> DapBootstrap {
         DapBootstrap {
-            commitment: self.chain.commitment(),
+            commitment: *self.chain.commitment(),
             params: self.params,
         }
     }
@@ -120,7 +101,7 @@ impl<C: ChainStore> DapSender<C> {
             .chain
             .key(index as usize)
             .ok_or(ChainExhausted { index, horizon })?;
-        let mac = mac80(&key, message);
+        let mac = mac80(key, message);
         self.pending.insert(index, message.to_vec());
         Ok(Announce { index, mac })
     }
@@ -130,7 +111,7 @@ impl<C: ChainStore> DapSender<C> {
     /// `index` (or it was already revealed).
     pub fn reveal(&mut self, index: u64) -> Option<Reveal> {
         let message = self.pending.remove(&index)?;
-        let key = self.chain.key(index as usize)?;
+        let key = *self.chain.key(index as usize)?;
         Some(Reveal {
             index,
             message,
@@ -194,21 +175,6 @@ mod tests {
         assert_eq!(sender.interval_at(SimTime(0)), 1);
         assert_eq!(sender.interval_at(SimTime(250)), 3);
         assert_eq!(sender.horizon(), 16);
-    }
-
-    #[test]
-    fn pebbled_sender_is_wire_identical() {
-        // Same seed → same bootstrap, announces and reveals, whichever
-        // store backs the chain.
-        let mut dense = DapSender::new(b"s", 32, DapParams::default());
-        let mut pebbled = DapSender::new_pebbled(b"s", 32, DapParams::default());
-        assert_eq!(dense.bootstrap(), pebbled.bootstrap());
-        assert_eq!(dense.horizon(), pebbled.horizon());
-        for i in 1..=32u64 {
-            let msg = i.to_le_bytes();
-            assert_eq!(dense.announce(i, &msg), pebbled.announce(i, &msg));
-            assert_eq!(dense.reveal(i), pebbled.reveal(i));
-        }
     }
 
     #[test]

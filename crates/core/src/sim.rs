@@ -7,8 +7,6 @@
 //! the current interval. Forged *reveals* are pointless (they fail weak
 //! authentication), so the rational attacker floods announcements.
 
-use std::any::Any;
-
 use dap_crypto::Mac80;
 use dap_simnet::{Context, FloodIntensity, Frame, Node, SimDuration, TimerToken};
 
@@ -83,13 +81,6 @@ impl Node<DapMessage> for DapSenderNode {
             ctx.set_timer(step, TICK);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A receiver node wrapping [`DapReceiver`]. It logs every message the
@@ -163,13 +154,6 @@ impl Node<DapMessage> for DapReceiverNode {
         }
         self.peak_memory_bits = self.peak_memory_bits.max(self.receiver.memory_bits());
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Floods forged announcements for the current interval at a bandwidth
@@ -240,13 +224,6 @@ impl Node<DapMessage> for DapFloodAttacker {
             ctx.broadcast(DapMessage::Announce(announce), announce.size_bits());
         }
         ctx.set_timer(self.bootstrap.params.interval, TICK);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

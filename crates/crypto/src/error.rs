@@ -13,12 +13,13 @@ pub enum ChainVerifyError {
         /// Index claimed by the disclosure.
         claimed_index: u64,
     },
-    /// The gap between anchor and claimed index exceeds the configured
-    /// recovery bound (guards against CPU-exhaustion via huge indices).
+    /// The gap between anchor and claimed index exceeds the recovery
+    /// bound [`crate::ChainAnchor::MAX_STEPS`] (guards against
+    /// CPU-exhaustion via huge indices).
     TooFarAhead {
         /// How many one-way applications would be required.
         steps: u64,
-        /// The configured maximum.
+        /// The bound, [`crate::ChainAnchor::MAX_STEPS`].
         max_steps: u64,
     },
     /// Iterating the one-way function from the candidate did not reach the

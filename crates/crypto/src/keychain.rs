@@ -7,6 +7,11 @@
 //! index order and *disclosed* `d` intervals later. A receiver who trusts
 //! `K_j` verifies any later disclosure `K_i` (`i > j`) by checking
 //! `F^{i-j}(K_i) == K_j`, which also recovers from lost disclosures.
+//!
+//! The sender holds the whole chain as a [`KeyChain`], every key
+//! materialised (10 bytes a key, O(1) lookup); a receiver holds only a
+//! [`ChainAnchor`], its latest trusted key and index, and walks at most
+//! [`ChainAnchor::MAX_STEPS`] one-way steps per disclosure.
 
 use std::sync::OnceLock;
 
@@ -18,11 +23,10 @@ use crate::oneway::{one_way, one_way_iter, one_way_trace, Domain};
 const CHAIN_HEAD_LABEL: &[u8] = b"crowdsense-dap/chain-head";
 
 /// `Key::derive(CHAIN_HEAD_LABEL, seed)`, the head `K_len` of the chain
-/// generated from `seed` — shared by every [`ChainStore`]
-/// implementation so they agree key-for-key. The label is a constant,
+/// [`KeyChain::generate`] builds from `seed`. The label is a constant,
 /// so its HMAC key schedule runs once per process, as
 /// [`Domain::prepared`] does for the one-way labels.
-pub(crate) fn chain_head(seed: &[u8]) -> Key {
+fn chain_head(seed: &[u8]) -> Key {
     static PREPARED: OnceLock<PreparedMacKey> = OnceLock::new();
     let tag = PREPARED
         .get_or_init(|| PreparedMacKey::new(CHAIN_HEAD_LABEL))
@@ -91,39 +95,6 @@ impl std::fmt::Display for Key {
 impl AsRef<[u8]> for Key {
     fn as_ref(&self) -> &[u8] {
         &self.0
-    }
-}
-
-/// Sender-side storage for a one-way key chain.
-///
-/// Abstracts over *how* the keys `K_0 ..= K_len` are held: the fully
-/// materialised [`KeyChain`] (O(n) memory, O(1) lookup) and the
-/// Jakobsson-pebbled [`crate::PebbledChain`] (O(log n) memory, amortized
-/// O(log n) one-way applications per sequential lookup) both implement
-/// it, so senders pick their memory/latency trade-off without touching
-/// protocol code. Implementations must agree key-for-key for the same
-/// `(seed, len, domain)` — pinned by the `dap-testkit` property suite.
-// No `is_empty`: zero-length chains are unconstructible (generation
-// panics), so every store holds at least one usable key.
-#[allow(clippy::len_without_is_empty)]
-pub trait ChainStore: std::fmt::Debug + Clone {
-    /// `K_i` by value, or `None` when `i` is past the end of the chain.
-    /// May amortise internal recomputation, hence `&self` with interior
-    /// mutability in pebbled implementations.
-    fn key(&self, i: usize) -> Option<Key>;
-
-    /// The commitment `K_0`.
-    fn commitment(&self) -> Key;
-
-    /// Number of usable keys (`K_1 ..= K_len`).
-    fn len(&self) -> usize;
-
-    /// The one-way function domain of this chain.
-    fn domain(&self) -> Domain;
-
-    /// A receiver-side anchor bootstrapped from the commitment.
-    fn anchor(&self) -> ChainAnchor {
-        ChainAnchor::new(self.commitment(), 0, self.domain())
     }
 }
 
@@ -205,34 +176,10 @@ impl KeyChain {
         self.keys.len() - 1
     }
 
-    /// The one-way function domain this chain uses.
-    #[must_use]
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
     /// A receiver-side anchor bootstrapped from the commitment.
     #[must_use]
     pub fn anchor(&self) -> ChainAnchor {
         ChainAnchor::new(*self.commitment(), 0, self.domain)
-    }
-}
-
-impl ChainStore for KeyChain {
-    fn key(&self, i: usize) -> Option<Key> {
-        KeyChain::key(self, i).copied()
-    }
-
-    fn commitment(&self) -> Key {
-        *KeyChain::commitment(self)
-    }
-
-    fn len(&self) -> usize {
-        KeyChain::len(self)
-    }
-
-    fn domain(&self) -> Domain {
-        KeyChain::domain(self)
     }
 }
 
@@ -248,30 +195,17 @@ pub struct ChainAnchor {
     key: Key,
     index: u64,
     domain: Domain,
-    max_steps: u64,
 }
 
 impl ChainAnchor {
-    /// Default bound on recovery steps per verification. Bounds the CPU an
+    /// Bound on recovery steps per verification. Bounds the CPU an
     /// attacker can burn by claiming an enormous index.
-    pub const DEFAULT_MAX_STEPS: u64 = 4096;
+    pub const MAX_STEPS: u64 = 4096;
 
     /// Creates an anchor trusting `key` at `index`.
     #[must_use]
     pub fn new(key: Key, index: u64, domain: Domain) -> Self {
-        Self {
-            key,
-            index,
-            domain,
-            max_steps: Self::DEFAULT_MAX_STEPS,
-        }
-    }
-
-    /// Replaces the recovery-step bound (see [`ChainVerifyError::TooFarAhead`]).
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
+        Self { key, index, domain }
     }
 
     /// The currently trusted key.
@@ -286,16 +220,9 @@ impl ChainAnchor {
         self.index
     }
 
-    /// Checks that `candidate` is the chain key for `claimed_index`
-    /// without mutating the anchor. Returns the number of one-way steps
-    /// used.
-    ///
-    /// # Errors
-    ///
-    /// * [`ChainVerifyError::NotAhead`] — `claimed_index <=` anchor index.
-    /// * [`ChainVerifyError::TooFarAhead`] — gap exceeds the step bound.
-    /// * [`ChainVerifyError::Mismatch`] — the candidate is not on the chain.
-    pub fn verify(&self, candidate: &Key, claimed_index: u64) -> Result<u64, ChainVerifyError> {
+    /// One-way steps from `claimed_index` back to the anchor, within
+    /// [`MAX_STEPS`](Self::MAX_STEPS).
+    fn steps_to(&self, claimed_index: u64) -> Result<u64, ChainVerifyError> {
         if claimed_index <= self.index {
             return Err(ChainVerifyError::NotAhead {
                 anchor_index: self.index,
@@ -303,12 +230,27 @@ impl ChainAnchor {
             });
         }
         let steps = claimed_index - self.index;
-        if steps > self.max_steps {
+        if steps > Self::MAX_STEPS {
             return Err(ChainVerifyError::TooFarAhead {
                 steps,
-                max_steps: self.max_steps,
+                max_steps: Self::MAX_STEPS,
             });
         }
+        Ok(steps)
+    }
+
+    /// Checks that `candidate` is the chain key for `claimed_index`
+    /// without mutating the anchor. Returns the number of one-way steps
+    /// used.
+    ///
+    /// # Errors
+    ///
+    /// * [`ChainVerifyError::NotAhead`] — `claimed_index <=` anchor index.
+    /// * [`ChainVerifyError::TooFarAhead`] — gap exceeds
+    ///   [`MAX_STEPS`](Self::MAX_STEPS).
+    /// * [`ChainVerifyError::Mismatch`] — the candidate is not on the chain.
+    pub fn verify(&self, candidate: &Key, claimed_index: u64) -> Result<u64, ChainVerifyError> {
+        let steps = self.steps_to(claimed_index)?;
         let image = one_way_iter(self.domain, candidate, steps as usize);
         if crate::ct_eq(image.as_bytes(), self.key.as_bytes()) {
             Ok(steps)
@@ -348,19 +290,7 @@ impl ChainAnchor {
         candidate: &Key,
         claimed_index: u64,
     ) -> Result<Vec<Key>, ChainVerifyError> {
-        if claimed_index <= self.index {
-            return Err(ChainVerifyError::NotAhead {
-                anchor_index: self.index,
-                claimed_index,
-            });
-        }
-        let steps = claimed_index - self.index;
-        if steps > self.max_steps {
-            return Err(ChainVerifyError::TooFarAhead {
-                steps,
-                max_steps: self.max_steps,
-            });
-        }
+        let steps = self.steps_to(claimed_index)?;
         // trace[t] = F^{t+1}(candidate) = key for claimed_index - 1 - t.
         let mut trace = one_way_trace(self.domain, candidate, steps as usize);
         let image = trace.last().expect("steps >= 1");
@@ -403,9 +333,9 @@ mod tests {
         assert_ne!(a.commitment(), c.commitment());
     }
 
-    /// Both chain stores take their head from the cached label schedule;
-    /// it must equal the one-shot derivation for any seed length,
-    /// including seeds longer than one SHA-256 block.
+    /// `generate` takes its head from the cached label schedule; it must
+    /// equal the one-shot derivation for any seed length, including
+    /// seeds longer than one SHA-256 block.
     #[test]
     fn generate_is_from_head_of_the_derived_head() {
         for len in [0usize, 1, 16, 55, 56, 64, 65, 200] {
@@ -414,15 +344,6 @@ mod tests {
             let dense = KeyChain::generate(&seed, 12, Domain::F);
             let reference = KeyChain::from_head(head, 12, Domain::F);
             assert_eq!(dense.keys, reference.keys, "seed of {len} bytes");
-            let pebbled = crate::PebbledChain::generate(&seed, 12, Domain::F);
-            let pebbled_ref = crate::PebbledChain::from_head(head, 12, Domain::F);
-            for i in 0..=12 {
-                assert_eq!(
-                    ChainStore::key(&pebbled, i),
-                    ChainStore::key(&pebbled_ref, i),
-                    "seed of {len} bytes, key {i}"
-                );
-            }
         }
     }
 
@@ -463,23 +384,16 @@ mod tests {
             anchor.accept_recovering(chain.key(4).unwrap(), 4),
             Err(ChainVerifyError::NotAhead { .. })
         ));
-        let bounded = anchor.clone().with_max_steps(2);
-        assert!(matches!(
-            bounded.clone().accept_recovering(chain.key(8).unwrap(), 8),
-            Err(ChainVerifyError::TooFarAhead { .. })
-        ));
-    }
-
-    #[test]
-    fn chain_store_trait_matches_inherent_api() {
-        let chain = KeyChain::generate(b"s", 8, Domain::F);
-        let store: &dyn Fn(&KeyChain) -> usize = &|c| ChainStore::len(c);
-        assert_eq!(store(&chain), 8);
-        assert_eq!(ChainStore::commitment(&chain), *chain.commitment());
-        assert_eq!(ChainStore::key(&chain, 3), chain.key(3).copied());
-        assert_eq!(ChainStore::key(&chain, 9), None);
-        assert_eq!(ChainStore::domain(&chain), Domain::F);
-        assert_eq!(ChainStore::anchor(&chain), chain.anchor());
+        // One past the bound is refused before any walk, key unseen.
+        let too_far = 4 + ChainAnchor::MAX_STEPS + 1;
+        assert_eq!(
+            anchor.accept_recovering(&Key::random(&mut rng), too_far),
+            Err(ChainVerifyError::TooFarAhead {
+                steps: 4097,
+                max_steps: 4096
+            })
+        );
+        assert_eq!(anchor.index(), 4);
     }
 
     #[test]
@@ -561,13 +475,16 @@ mod tests {
 
     #[test]
     fn anchor_enforces_step_bound() {
-        let chain = KeyChain::generate(b"s", 16, Domain::F);
-        let anchor = chain.anchor().with_max_steps(4);
+        let chain = KeyChain::generate(b"s", 4097, Domain::F);
+        let anchor = chain.anchor();
+        // A gap of exactly the bound still recovers ...
+        assert_eq!(anchor.verify(chain.key(4096).unwrap(), 4096), Ok(4096));
+        // ... one more step is refused, even for the genuine key.
         assert_eq!(
-            anchor.verify(chain.key(10).unwrap(), 10),
+            anchor.verify(chain.key(4097).unwrap(), 4097),
             Err(ChainVerifyError::TooFarAhead {
-                steps: 10,
-                max_steps: 4
+                steps: 4097,
+                max_steps: 4096
             })
         );
     }

@@ -9,7 +9,8 @@
 //!   sizes the paper uses ([`mac`]: 80-bit [`Mac80`], 24-bit [`MicroMac`]),
 //! * **one-way key chains** with delayed disclosure — [`keychain`], built
 //!   from the domain-separated one-way functions of [`oneway`]
-//!   (`F`, `F'`, `F0`, `F1`, `F01`, `H` in the paper's notation).
+//!   (`F`, `F'`, `F0`, `F1`, `F01`, `H` in the paper's notation): a
+//!   sender holds the whole [`KeyChain`], a receiver one [`ChainAnchor`].
 //!
 //! # Example
 //!
@@ -41,7 +42,6 @@ pub mod hmac;
 pub mod keychain;
 pub mod mac;
 pub mod oneway;
-pub mod pebble;
 pub mod rng;
 pub mod sha256;
 pub mod sizes;
@@ -50,10 +50,9 @@ mod error;
 
 pub use error::{ChainExhausted, ChainVerifyError};
 pub use hmac::PreparedMacKey;
-pub use keychain::{ChainAnchor, ChainStore, Key, KeyChain};
+pub use keychain::{ChainAnchor, Key, KeyChain};
 pub use mac::{Mac80, MicroMac};
 pub use oneway::Domain;
-pub use pebble::PebbledChain;
 pub use rng::{FillBytes, UniformF64};
 
 /// Constant-time equality over byte slices of equal length.

@@ -29,7 +29,10 @@ pub trait UniformF64 {
 ///
 /// Public because it doubles as the workspace's standard way to derive
 /// seeds: `dap-simnet` seeds its xoshiro256++ state from four successive
-/// SplitMix64 outputs, as the xoshiro authors recommend.
+/// SplitMix64 outputs, as the xoshiro authors recommend, and `dap-net`'s
+/// pool routes every ingested datagram to a shard with it, so it is
+/// `#[inline]` across crates.
+#[inline]
 #[must_use]
 pub const fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -3,7 +3,7 @@
 
 use dap_crypto::oneway::{one_way_iter, one_way_trace};
 use dap_crypto::sha256::Sha256;
-use dap_crypto::{ct_eq, ChainStore, Domain, Key, KeyChain, PebbledChain, PreparedMacKey};
+use dap_crypto::{ct_eq, Domain, Key, KeyChain, PreparedMacKey};
 use dap_testkit::{check, Gen, Strategy};
 
 fn arb_key() -> Strategy<Key> {
@@ -87,26 +87,6 @@ fn chain_anchor_rejects_random_keys() {
         dap_testkit::assume(&forged != chain.key(index as usize).unwrap());
         let anchor = chain.anchor();
         assert!(anchor.verify(&forged, index).is_err());
-    });
-}
-
-#[test]
-fn pebbled_chain_equals_dense_chain() {
-    // The pebbled store must be a pure memory/work trade-off: same seed,
-    // length and domain produce the same keys, commitment and anchor as
-    // the dense KeyChain, in any access order.
-    check("pebbled_chain_equals_dense_chain", |g| {
-        let seed = g.any_u64().to_le_bytes();
-        let len = g.usize_in(1..96);
-        let domain = arb_domain(g);
-        let dense = KeyChain::generate(&seed, len, domain);
-        let pebbled = PebbledChain::generate(&seed, len, domain);
-        assert_eq!(pebbled.commitment(), *dense.commitment());
-        assert_eq!(ChainStore::anchor(&pebbled), dense.anchor());
-        for _ in 0..12 {
-            let i = g.usize_in(0..len + 2);
-            assert_eq!(pebbled.key(i), dense.key(i).copied(), "index {i}");
-        }
     });
 }
 

@@ -206,56 +206,61 @@ pub const CONVERGENCE_TOL: f64 = 1e-9;
 
 /// Evolves `game` from `initial` with the paper's Euler scheme for at
 /// most `max_steps` steps, stopping early once the per-step displacement
-/// drops below [`CONVERGENCE_TOL`].
+/// drops below [`CONVERGENCE_TOL`], and records every state.
 #[must_use]
 pub fn evolve<G: TwoPopulationGame>(
     game: &G,
     initial: PopulationState,
     max_steps: usize,
 ) -> Trajectory {
-    evolve_with(
+    let mut states = Vec::with_capacity(max_steps.min(4096) + 1);
+    states.push(initial);
+    let (_, converged_at) = settle(
         game,
         initial,
         max_steps,
         EulerIntegrator::paper(),
         CONVERGENCE_TOL,
-    )
-}
-
-/// [`evolve`] with an explicit integrator and tolerance.
-#[must_use]
-pub fn evolve_with<G: TwoPopulationGame>(
-    game: &G,
-    initial: PopulationState,
-    max_steps: usize,
-    integrator: impl Integrator,
-    tol: f64,
-) -> Trajectory {
-    let mut states = Vec::with_capacity(max_steps.min(4096) + 1);
-    states.push(initial);
-    let mut converged_at = None;
-    let mut current = initial;
-    for step in 1..=max_steps {
-        let next = integrator.step(game, current);
-        let moved = next.distance(&current);
-        states.push(next);
-        current = next;
-        if moved < tol {
-            converged_at = Some(step);
-            break;
-        }
-    }
+        |state| states.push(state),
+    );
     Trajectory {
         states,
         converged_at,
     }
 }
 
+/// Integrates `game` from `initial` for at most `max_steps` steps of
+/// `integrator`, stopping once a step moves less than `tol`, and hands
+/// each new state to `visit`. Returns the state the run ends in and the
+/// step it converged at (`None` when it hit `max_steps`). It keeps no
+/// state itself, so a run whose `visit` keeps none either (`|_| ()`)
+/// takes constant memory.
+pub fn settle<G: TwoPopulationGame>(
+    game: &G,
+    initial: PopulationState,
+    max_steps: usize,
+    integrator: impl Integrator,
+    tol: f64,
+    mut visit: impl FnMut(PopulationState),
+) -> (PopulationState, Option<usize>) {
+    let mut current = initial;
+    for step in 1..=max_steps {
+        let next = integrator.step(game, current);
+        let moved = next.distance(&current);
+        visit(next);
+        current = next;
+        if moved < tol {
+            return (current, Some(step));
+        }
+    }
+    (current, None)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bimatrix::Bimatrix;
-    use crate::oracle::{exact_jacobian, settle};
+    use crate::oracle::exact_jacobian;
     use crate::payoff::DosGameParams;
 
     /// Both sides strictly prefer the first strategy: dynamics must reach
@@ -419,6 +424,7 @@ mod tests {
                 MAX_STEPS,
                 EulerIntegrator::paper(),
                 CONVERGENCE_TOL,
+                |_| (),
             );
             assert_eq!(state, recorded.last(), "p={p} m={m}");
             assert_eq!(converged, recorded.converged_at(), "p={p} m={m}");

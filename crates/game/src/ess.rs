@@ -232,8 +232,8 @@ pub fn ess_candidates(game: &DosGame) -> Vec<EssCandidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{evolve, EulerIntegrator, CONVERGENCE_TOL};
-    use crate::oracle::{exact_jacobian, settle, snap};
+    use crate::dynamics::{evolve, settle, EulerIntegrator, CONVERGENCE_TOL};
+    use crate::oracle::{exact_jacobian, snap};
     use crate::payoff::DosGameParams;
 
     fn paper_game(m: u32) -> DosGame {
@@ -364,6 +364,7 @@ mod tests {
                 2_000_000,
                 EulerIntegrator::paper(),
                 CONVERGENCE_TOL,
+                |_| (),
             );
             assert!(steps.is_some(), "m={m}");
             let snapped = snap(&g, settled);
@@ -411,6 +412,7 @@ mod tests {
                     2_000_000,
                     EulerIntegrator::paper(),
                     CONVERGENCE_TOL,
+                    |_| (),
                 );
                 assert!(steps.is_some(), "{params:?}");
                 assert_eq!(decide(&game), snap(&game, settled), "{params:?}");

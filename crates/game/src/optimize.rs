@@ -157,8 +157,8 @@ pub fn solve_posture_permille(p_permille: u32, cap: u32) -> OptimalBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{EulerIntegrator, CONVERGENCE_TOL};
-    use crate::oracle::{settle, snap};
+    use crate::dynamics::{settle, EulerIntegrator, CONVERGENCE_TOL};
+    use crate::oracle::snap;
 
     /// The Euler-step bound each game got when Algorithm 3 integrated.
     const ORACLE_MAX_STEPS: usize = 100_000;
@@ -173,6 +173,7 @@ mod tests {
             ORACLE_MAX_STEPS,
             EulerIntegrator::paper(),
             CONVERGENCE_TOL,
+            |_| (),
         );
         let (point, kind) = snap(&game, settled);
         (point, kind, defense_cost(&game, point))

@@ -1,38 +1,17 @@
 //! Test-only oracles for [`crate::ess::decide`]: the integrated run
-//! ([`settle`], snapped to the nearest closed form by [`snap`]), the
+//! ([`crate::dynamics::settle`], snapped to the nearest closed form by
+//! [`snap`]), the
 //! replicator field's exact Jacobian, and the economies the decision is
 //! checked over.
 
 use dap_testkit::Gen;
 
-use crate::dynamics::{Integrator, ReplicatorField, TwoPopulationGame};
+use crate::dynamics::{ReplicatorField, TwoPopulationGame};
 use crate::ess::{
     closed_forms, decide, ess_candidates, interior_point, x_prime, y_prime, EssKind, ROUNDING,
 };
 use crate::payoff::{DosGame, DosGameParams};
 use crate::state::PopulationState;
-
-/// [`crate::dynamics::evolve_with`] without the recording: the state the
-/// run ends in and the step it converged at (`None` when it hit
-/// `max_steps`), in constant memory.
-pub(crate) fn settle<G: TwoPopulationGame>(
-    game: &G,
-    initial: PopulationState,
-    max_steps: usize,
-    integrator: impl Integrator,
-    tol: f64,
-) -> (PopulationState, Option<usize>) {
-    let mut current = initial;
-    for step in 1..=max_steps {
-        let next = integrator.step(game, current);
-        let moved = next.distance(&current);
-        current = next;
-        if moved < tol {
-            return (current, Some(step));
-        }
-    }
-    (current, None)
-}
 
 /// How close a settled state must come to a closed form to be replaced
 /// by it.
@@ -225,7 +204,7 @@ fn merged(game: &DosGame, (point, kind): (PopulationState, EssKind)) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::Rk4Integrator;
+    use crate::dynamics::{settle, Rk4Integrator};
 
     /// The decision against the exact Jacobian over random economies.
     #[test]
@@ -293,12 +272,12 @@ mod tests {
             let params = arb_params(&mut g);
             let game = params.into_game();
             let (_, decided) = decide(&game);
-            let (end, _) = settle(&game, PopulationState::CENTER, 2_000_000, rk4, 1e-9);
+            let (end, _) = settle(&game, PopulationState::CENTER, 2_000_000, rk4, 1e-9, |_| ());
             if nearest(&game, end).2 == decided {
                 continue;
             }
             continued += 1;
-            let (end, _) = settle(&game, end, 20_000_000, rk4, 1e-15);
+            let (end, _) = settle(&game, end, 20_000_000, rk4, 1e-15, |_| ());
             assert_eq!(
                 nearest(&game, end).2,
                 decided,

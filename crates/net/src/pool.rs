@@ -45,6 +45,7 @@ use dap_core::{
     codec, AnnounceOutcome, DapBootstrap, DapMessage, DapReceiver, PostureDirective, RevealOutcome,
     SenderId,
 };
+use dap_crypto::rng::splitmix64;
 use dap_obs::{
     frame_span, span_id, Histogram, SpanStage, TimeSource, TraceEvent, TraceRecord, TraceRing,
 };
@@ -630,6 +631,8 @@ impl PoolHandle {
     /// per [`RoutePolicy`]) lands on.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
+        // SplitMix64 mixes consecutive interval indices across shards
+        // while staying a pure function of the key.
         (splitmix64(key) % self.queues.len() as u64) as usize
     }
 
@@ -1509,15 +1512,6 @@ impl Worker<'_> {
 /// A nanosecond stamp as the `u32` a span stores, saturating.
 fn saturate_u32(ns: u64) -> u32 {
     u32::try_from(ns).unwrap_or(u32::MAX)
-}
-
-/// SplitMix64's finalizer — mixes consecutive interval indices across
-/// shards while staying a pure function of the index.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use std::io;
 
 use dap_core::{codec, DapMessage, DapSender, SenderId};
-use dap_crypto::{ChainStore, Mac80};
+use dap_crypto::Mac80;
 use dap_simnet::{FloodIntensity, SimRng};
 
 use crate::clock::NetClock;
@@ -31,8 +31,8 @@ pub struct PumpStats {
 }
 
 /// Paces a [`DapSender`] onto a transport in real time.
-pub struct SenderPump<T: Transport, C: ChainStore, K: NetClock> {
-    sender: DapSender<C>,
+pub struct SenderPump<T: Transport, K: NetClock> {
+    sender: DapSender,
     transport: T,
     clock: K,
     /// Announce copies per interval (`a` in the flood arithmetic).
@@ -42,13 +42,13 @@ pub struct SenderPump<T: Transport, C: ChainStore, K: NetClock> {
     tag: Option<SenderId>,
 }
 
-impl<T: Transport, C: ChainStore, K: NetClock> SenderPump<T, C, K> {
+impl<T: Transport, K: NetClock> SenderPump<T, K> {
     /// A pump sending `copies` announce copies per interval.
     ///
     /// # Panics
     ///
     /// Panics if `copies` is zero.
-    pub fn new(sender: DapSender<C>, transport: T, clock: K, copies: u32) -> Self {
+    pub fn new(sender: DapSender, transport: T, clock: K, copies: u32) -> Self {
         assert!(copies >= 1, "need at least one announce copy");
         Self {
             sender,

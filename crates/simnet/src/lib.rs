@@ -35,8 +35,6 @@
 //!     fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
 //!         ctx.broadcast(Ping(7), 32);
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! #[derive(Default)]
@@ -45,8 +43,6 @@
 //!     fn on_frame(&mut self, _ctx: &mut Context<'_, Ping>, frame: &Frame<Ping>) {
 //!         self.0 += frame.message.0;
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut net = Network::new(42);

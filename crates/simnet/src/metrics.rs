@@ -121,11 +121,6 @@ impl Registry {
         &self.counters
     }
 
-    /// Mutable access to the counter bag.
-    pub fn counters_mut(&mut self) -> &mut Metrics {
-        &mut self.counters
-    }
-
     /// Consumes the registry, keeping only the counters (the legacy
     /// [`Metrics`]-shaped reports use this).
     #[must_use]

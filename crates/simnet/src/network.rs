@@ -46,10 +46,9 @@ pub struct Frame<M> {
 /// Behaviour of one node. Implemented by protocol senders, receivers and
 /// attackers.
 ///
-/// The `as_any` methods let experiments downcast a node back to its
-/// concrete type after a run to read its final state; implement them as
-/// `fn as_any(&self) -> &dyn Any { self }` (and likewise `_mut`).
-pub trait Node<M>: 'static {
+/// `Any` is a supertrait, so after a run experiments read a node's final
+/// state back as its concrete type through [`Network::node_as`].
+pub trait Node<M>: Any {
     /// Called once when the simulation starts, before any event fires.
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         let _ = ctx;
@@ -64,12 +63,6 @@ pub trait Node<M>: 'static {
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: TimerToken) {
         let _ = (ctx, timer);
     }
-
-    /// Upcast for state extraction after a run.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for state extraction after a run.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// What a node may do during a callback.
@@ -94,7 +87,6 @@ enum Action<M> {
 #[derive(Debug)]
 pub struct Context<'a, M> {
     now: SimTime,
-    node: NodeId,
     clock_offset: i64,
     rng: &'a mut SimRng,
     metrics: &'a mut Metrics,
@@ -115,12 +107,6 @@ impl<'a, M> Context<'a, M> {
     #[must_use]
     pub fn local_time(&self) -> SimTime {
         self.now.offset_by(self.clock_offset)
-    }
-
-    /// The node being called.
-    #[must_use]
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Deterministic randomness scoped to this run.
@@ -288,12 +274,6 @@ impl<M: Clone + 'static> Network<M> {
         id
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Current global time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -309,23 +289,15 @@ impl<M: Clone + 'static> Network<M> {
     /// Borrows a node's concrete state back, if `T` matches.
     #[must_use]
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.nodes
-            .get(id.0)?
-            .behavior
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        let node: &dyn Any = self.nodes.get(id.0)?.behavior.as_deref()?;
+        node.downcast_ref::<T>()
     }
 
     /// Mutably borrows a node's concrete state, if `T` matches.
     #[must_use]
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.nodes
-            .get_mut(id.0)?
-            .behavior
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let node: &mut dyn Any = self.nodes.get_mut(id.0)?.behavior.as_deref_mut()?;
+        node.downcast_mut::<T>()
     }
 
     /// Runs until the event queue drains.
@@ -385,7 +357,6 @@ impl<M: Clone + 'static> Network<M> {
         };
         let mut ctx = Context {
             now: self.now,
-            node: id,
             clock_offset,
             rng: &mut self.rng,
             metrics: &mut self.metrics,
@@ -556,12 +527,6 @@ mod tests {
                 }
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Ponger;
@@ -570,12 +535,6 @@ mod tests {
             if let Msg::Ping(n) = frame.message {
                 ctx.send_to(frame.src, Msg::Pong(n), 64);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -601,23 +560,11 @@ mod tests {
             fn on_frame(&mut self, _ctx: &mut Context<'_, Msg>, _frame: &Frame<Msg>) {
                 self.0 += 1;
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct Once;
         impl Node<Msg> for Once {
             fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
                 ctx.broadcast(Msg::Ping(1), 8);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -643,23 +590,11 @@ mod tests {
                     ctx.broadcast(Msg::Ping(i), 8);
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct Sink(u32);
         impl Node<Msg> for Sink {
             fn on_frame(&mut self, _ctx: &mut Context<'_, Msg>, _f: &Frame<Msg>) {
                 self.0 += 1;
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -690,12 +625,6 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: TimerToken) {
                 self.fired.push((timer.0, ctx.now().ticks()));
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
 
         let mut net = Network::new(4);
@@ -717,12 +646,6 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _t: TimerToken) {
                 self.0 += 1;
                 ctx.set_timer(SimDuration(10), TimerToken(0));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -748,12 +671,6 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _t: TimerToken) {
                 self.local = ctx.local_time().ticks();
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
 
         let mut net = Network::new(6);
@@ -775,23 +692,11 @@ mod tests {
                         ctx.broadcast(Msg::Ping(i), 8);
                     }
                 }
-                fn as_any(&self) -> &dyn Any {
-                    self
-                }
-                fn as_any_mut(&mut self) -> &mut dyn Any {
-                    self
-                }
             }
             struct Sink(u32);
             impl Node<Msg> for Sink {
                 fn on_frame(&mut self, _c: &mut Context<'_, Msg>, _f: &Frame<Msg>) {
                     self.0 += 1;
-                }
-                fn as_any(&self) -> &dyn Any {
-                    self
-                }
-                fn as_any_mut(&mut self) -> &mut dyn Any {
-                    self
                 }
             }
             net.add_node(Spam, ChannelModel::perfect());
@@ -832,12 +737,6 @@ mod tests {
             self.0 += 1;
             ctx.set_timer(SimDuration(10), TimerToken(0));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Collect(Vec<u32>);
@@ -846,12 +745,6 @@ mod tests {
             if let Msg::Ping(n) = f.message {
                 self.0.push(n);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -978,12 +871,6 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _t: TimerToken) {
                 self.0.push(ctx.local_time().ticks());
                 ctx.set_timer(SimDuration(10), TimerToken(0));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut net = Network::new(17);

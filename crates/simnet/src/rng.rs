@@ -48,12 +48,6 @@ impl SimRng {
         result
     }
 
-    /// The next 32 bits (upper half of a 64-bit draw).
-    #[must_use = "discarding a draw still advances the stream"]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills `dest` with uniform bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

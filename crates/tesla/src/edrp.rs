@@ -116,7 +116,7 @@ impl EdrpSender {
         for body in bodies.iter().rev() {
             let key = ml.high_chain_key(body.index).expect("within horizon");
             let mac = mac80(
-                &key,
+                key,
                 &EdrpCdm::mac_input(body.index, &body.low_commitment, &next_hash),
             );
             let cdm = EdrpCdm {

@@ -20,10 +20,11 @@
 //!   a long-lived high-level chain distributing the commitments of
 //!   short low-level chains through CDM messages, defended against CDM
 //!   flooding by multi-buffer random selection ([`buffer`]);
-//! * [`eftp`] — the authors' Efficient Fault-Tolerant Protocol
-//!   (IPCCC 2014): re-links low-level chains to the *current* high-level
-//!   key (`K_{i,n} = F01(K_i)`), shortening loss recovery by one
-//!   high-level interval;
+//! * EFTP, the authors' Efficient Fault-Tolerant Protocol (IPCCC 2014):
+//!   [`multilevel`] under [`multilevel::Linkage::Eftp`], which re-links
+//!   low-level chains to the *current* high-level key
+//!   (`K_{i,n} = F01(K_i)`), shortening loss recovery by one high-level
+//!   interval;
 //! * [`edrp`] — the authors' Enhanced DoS-Resistant Protocol: each CDM
 //!   carries `H(CDM_{i+1})`, so the next CDM authenticates instantly and
 //!   DoS resistance survives CDM loss;
@@ -39,7 +40,6 @@
 
 pub mod buffer;
 pub mod edrp;
-pub mod eftp;
 pub mod multilevel;
 pub mod mutesla;
 pub mod params;

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 use dap_crypto::mac::{mac80, verify_mac80, Mac80};
 use dap_crypto::oneway::{one_way, one_way_iter, Domain};
-use dap_crypto::{ChainAnchor, ChainExhausted, ChainStore, Key, KeyChain, PebbledChain};
+use dap_crypto::{ChainAnchor, ChainExhausted, Key, KeyChain};
 use dap_simnet::{IntervalSchedule, SimDuration, SimRng, SimTime};
 
 use crate::buffer::ReservoirBuffer;
@@ -259,11 +259,11 @@ pub struct MlBootstrap {
     pub params: MultiLevelParams,
 }
 
-/// The base-station side, generic over how the high-level chain is
-/// stored ([`KeyChain`] by default, [`PebbledChain`] for long horizons).
+/// The base-station side: the high-level [`KeyChain`], from which every
+/// low-level chain is re-derived on demand through the linkage.
 #[derive(Debug, Clone)]
-pub struct MultiLevelSender<C: ChainStore = KeyChain> {
-    high_chain: C,
+pub struct MultiLevelSender {
+    high_chain: KeyChain,
     params: MultiLevelParams,
 }
 
@@ -277,20 +277,7 @@ impl MultiLevelSender {
         let high_chain = KeyChain::generate(seed, params.high_chain_len + 2, Domain::F0);
         Self { high_chain, params }
     }
-}
 
-impl MultiLevelSender<PebbledChain> {
-    /// Like [`MultiLevelSender::new`], but the high-level chain is held
-    /// as O(log n) pebbles — identical CDMs and packets for the same
-    /// `seed`. Low-level chains are short-lived and stay materialised.
-    #[must_use]
-    pub fn new_pebbled(seed: &[u8], params: MultiLevelParams) -> Self {
-        let high_chain = PebbledChain::generate(seed, params.high_chain_len + 2, Domain::F0);
-        Self { high_chain, params }
-    }
-}
-
-impl<C: ChainStore> MultiLevelSender<C> {
     /// Deployment parameters.
     #[must_use]
     pub fn params(&self) -> &MultiLevelParams {
@@ -299,7 +286,7 @@ impl<C: ChainStore> MultiLevelSender<C> {
 
     /// Crate-internal: the high-level chain key `K_i` (EDRP re-MACs CDMs
     /// with a different input encoding).
-    pub(crate) fn high_chain_key(&self, i: u64) -> Option<Key> {
+    pub(crate) fn high_chain_key(&self, i: u64) -> Option<&Key> {
         self.high_chain.key(i as usize)
     }
 
@@ -309,7 +296,7 @@ impl<C: ChainStore> MultiLevelSender<C> {
     pub fn low_chain(&self, i: u64) -> Option<KeyChain> {
         let link_index = self.params.linkage.recovery_key_index(i);
         let link_key = self.high_chain.key(link_index as usize)?;
-        let head = one_way(Domain::F01, &link_key);
+        let head = one_way(Domain::F01, link_key);
         Some(KeyChain::from_head(
             head,
             self.params.low_per_high as usize,
@@ -324,7 +311,7 @@ impl<C: ChainStore> MultiLevelSender<C> {
             .filter_map(|i| Some((i, *self.low_chain(i)?.commitment())))
             .collect();
         MlBootstrap {
-            high_commitment: self.high_chain.commitment(),
+            high_commitment: *self.high_chain.commitment(),
             preloaded_low_commitments: preloaded,
             params: self.params,
         }
@@ -337,11 +324,11 @@ impl<C: ChainStore> MultiLevelSender<C> {
         let key = self.high_chain.key(i as usize)?;
         let committed_chain = self.low_chain(i + 2)?;
         let low_commitment = *committed_chain.commitment();
-        let mac = mac80(&key, &Cdm::mac_input(i, &low_commitment));
+        let mac = mac80(key, &Cdm::mac_input(i, &low_commitment));
         let disclosed_high = i
             .checked_sub(1)
             .filter(|j| *j >= 1)
-            .and_then(|j| self.high_chain.key(j as usize).map(|k| (j, k)));
+            .and_then(|j| self.high_chain.key(j as usize).map(|k| (j, *k)));
         Some(Cdm {
             index: i,
             low_commitment,
@@ -1202,23 +1189,6 @@ mod tests {
                 horizon: 4
             })
         );
-    }
-
-    #[test]
-    fn pebbled_sender_emits_identical_cdms_and_packets() {
-        let dense = MultiLevelSender::new(b"base", params(Linkage::Eftp));
-        let pebbled = MultiLevelSender::new_pebbled(b"base", params(Linkage::Eftp));
-        assert_eq!(dense.bootstrap(), pebbled.bootstrap());
-        for i in 1..=8u64 {
-            assert_eq!(dense.cdm(i), pebbled.cdm(i), "CDM {i}");
-            for low in 1..=4u32 {
-                assert_eq!(
-                    dense.data_packet(i, low, b"m"),
-                    pebbled.data_packet(i, low, b"m")
-                );
-                assert_eq!(dense.low_disclosure(i, low), pebbled.low_disclosure(i, low));
-            }
-        }
     }
 
     #[test]

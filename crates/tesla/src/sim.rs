@@ -7,8 +7,6 @@
 //! realistic timing, rather than the hand-fed timelines of the unit
 //! tests.
 
-use std::any::Any;
-
 use dap_crypto::Mac80;
 use dap_simnet::{keys, Context, FloodIntensity, Frame, Node, SimDuration, TimerToken};
 
@@ -78,13 +76,6 @@ impl Node<TeslaNet> for TeslaSenderNode {
         }
         ctx.set_timer(self.interval_len(), TimerToken(0));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A receiver node wrapping [`TeslaReceiver`]; exposes the final protocol
@@ -141,13 +132,6 @@ impl Node<TeslaNet> for TeslaReceiverNode {
             }
         }
         self.peak_buffered_bits = self.peak_buffered_bits.max(self.receiver.buffered_bits());
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -217,13 +201,6 @@ impl Node<TeslaNet> for TeslaFloodAttacker {
             ctx.broadcast(TeslaNet::Packet(packet), bits);
         }
         ctx.set_timer(self.bootstrap.params.schedule.interval(), TimerToken(0));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -6,8 +6,6 @@
 //! floods — the conditions under which EFTP's recovery and EDRP's hash
 //! chain earn their keep.
 
-use std::any::Any;
-
 use dap_crypto::{Key, Mac80};
 use dap_simnet::{keys, Context, Frame, Node, SimDuration, TimerToken};
 
@@ -161,13 +159,6 @@ impl Node<MlNet> for MlSenderNode {
         self.emit(ctx, high, low);
         ctx.set_timer(self.params.low_interval, TimerToken(0));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A multi-level μTESLA receiver node.
@@ -220,13 +211,6 @@ impl Node<MlNet> for MlReceiverNode {
         };
         count_events(ctx, &events);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// An EDRP receiver node.
@@ -263,13 +247,6 @@ impl Node<MlNet> for EdrpReceiverNode {
             MlNet::Cdm(_) => Vec::new(),
         };
         count_events(ctx, &events);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -343,13 +320,6 @@ impl Node<MlNet> for CdmFloodAttacker {
             ctx.broadcast(msg, bits);
         }
         ctx.set_timer(self.params.high_interval(), TimerToken(0));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

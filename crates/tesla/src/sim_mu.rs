@@ -4,8 +4,6 @@
 //! TESLA++ nodes exercise the two-phase announce/reveal flow and expose
 //! the *unbounded* self-MAC store that motivates DAP's bounded buffers.
 
-use std::any::Any;
-
 use dap_crypto::Mac80;
 use dap_simnet::{keys, Context, FloodIntensity, Frame, Node, SimDuration, TimerToken};
 
@@ -80,13 +78,6 @@ impl Node<MuTeslaMessage> for MuTeslaSenderNode {
             ctx.set_timer(self.params.schedule.interval(), TimerToken(0));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A μTESLA receiver node.
@@ -124,13 +115,6 @@ impl Node<MuTeslaMessage> for MuTeslaReceiverNode {
             };
             ctx.metrics().incr(name);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -189,13 +173,6 @@ impl Node<TeslaPpMessage> for TeslaPpSenderNode {
             ctx.set_timer(self.params.schedule.interval(), TimerToken(0));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A TESLA++ receiver node; tracks the peak self-MAC store footprint.
@@ -241,13 +218,6 @@ impl Node<TeslaPpMessage> for TeslaPpReceiverNode {
         };
         ctx.metrics().incr(name);
         self.peak_stored_bits = self.peak_stored_bits.max(self.receiver.stored_bits());
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -305,13 +275,6 @@ impl Node<TeslaPpMessage> for TeslaPpFloodAttacker {
             ctx.broadcast(announce, bits);
         }
         ctx.set_timer(self.params.schedule.interval(), TimerToken(0));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -14,7 +14,7 @@
 
 use dap_crypto::mac::{mac80, verify_mac80};
 use dap_crypto::oneway::{one_way_iter, Domain};
-use dap_crypto::{ChainExhausted, ChainStore, Key, KeyChain, Mac80, PebbledChain};
+use dap_crypto::{ChainExhausted, Key, KeyChain, Mac80};
 use dap_simnet::SimTime;
 
 use crate::params::TeslaParams;
@@ -84,8 +84,8 @@ pub struct Bootstrap {
 /// assert_eq!(receiver.authenticated().len(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct TeslaSender<C: ChainStore = KeyChain> {
-    chain: C,
+pub struct TeslaSender {
+    chain: KeyChain,
     params: TeslaParams,
 }
 
@@ -98,36 +98,17 @@ impl TeslaSender {
     /// Panics if `chain_len == 0`.
     #[must_use]
     pub fn new(seed: &[u8], chain_len: usize, params: TeslaParams) -> Self {
-        Self::with_chain(KeyChain::generate(seed, chain_len, Domain::F), params)
-    }
-}
-
-impl TeslaSender<PebbledChain> {
-    /// Like [`TeslaSender::new`], but holding the chain as O(log n)
-    /// pebbles — identical packets for the same `seed`, sized for
-    /// million-interval campaigns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chain_len == 0`.
-    #[must_use]
-    pub fn new_pebbled(seed: &[u8], chain_len: usize, params: TeslaParams) -> Self {
-        Self::with_chain(PebbledChain::generate(seed, chain_len, Domain::F), params)
-    }
-}
-
-impl<C: ChainStore> TeslaSender<C> {
-    /// Creates a sender over an existing chain store.
-    #[must_use]
-    pub fn with_chain(chain: C, params: TeslaParams) -> Self {
-        Self { chain, params }
+        Self {
+            chain: KeyChain::generate(seed, chain_len, Domain::F),
+            params,
+        }
     }
 
     /// The receiver bootstrap record.
     #[must_use]
     pub fn bootstrap(&self) -> Bootstrap {
         Bootstrap {
-            commitment: self.chain.commitment(),
+            commitment: *self.chain.commitment(),
             params: self.params,
         }
     }
@@ -162,12 +143,12 @@ impl<C: ChainStore> TeslaSender<C> {
             .filter(|i| *i >= 1)
             .map(|i| DisclosedKey {
                 index: i,
-                key: self.chain.key(i as usize).expect("earlier key exists"),
+                key: *self.chain.key(i as usize).expect("earlier key exists"),
             });
         Ok(TeslaPacket {
             index,
             message: message.to_vec(),
-            mac: mac80(&key, message),
+            mac: mac80(key, message),
             disclosed,
         })
     }
@@ -477,23 +458,6 @@ mod tests {
                 horizon: 64
             }
         );
-    }
-
-    #[test]
-    fn pebbled_sender_packets_are_identical_and_interoperate() {
-        let dense = TeslaSender::new(b"sender", 64, params());
-        let pebbled = TeslaSender::new_pebbled(b"sender", 64, params());
-        assert_eq!(dense.bootstrap(), pebbled.bootstrap());
-        // A receiver bootstrapped from the dense sender authenticates the
-        // pebbled sender's stream, and every packet matches bit-for-bit.
-        let mut receiver = TeslaReceiver::new(dense.bootstrap());
-        for i in 1..=10u64 {
-            let msg = format!("reading {i}");
-            let p = pebbled.packet(i, msg.as_bytes()).unwrap();
-            assert_eq!(p, dense.packet(i, msg.as_bytes()).unwrap());
-            receiver.on_packet(&p, during(i));
-        }
-        assert_eq!(receiver.authenticated().len(), 8);
     }
 
     #[test]
