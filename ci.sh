@@ -211,6 +211,12 @@ test -s target/report_a.txt
 # a p = 0.9 flood from interval zero registers an onset immediately.
 grep -q 'verify' target/report_a.txt
 grep -q 'attack onset' target/report_a.txt
+# The timeline prints each record's fields under their JSONL names,
+# byte-stably: a span's stages read ingress_ns= through reveal_ns=.
+$daptrace timeline target/net_trace_a.jsonl > target/timeline_a.txt
+$daptrace timeline target/net_trace_b.jsonl > target/timeline_b.txt
+cmp target/timeline_a.txt target/timeline_b.txt
+grep ' frame_span ' target/timeline_a.txt | grep -q 'ingress_ns='
 # The overload capture audits clean under its pinned-floor posture —
 # --pin-first mirrors the soak flags, arming the pin-respected rule.
 $daptrace audit --pin-first 8 target/overload_a.jsonl > /dev/null
@@ -224,6 +230,14 @@ $soak --fleet --seed 2016 --senders 16 --intervals 6 --buffers 4 \
     --trace-out target/collusion.jsonl > /dev/null
 grep -q '"outcome":"unknown_sender"' target/collusion.jsonl
 $daptrace audit target/collusion.jsonl > /dev/null
+# A capture whose rings shed: the adaptive fleet ramp outruns the
+# default ring depth. Its header declares the shed count, and the
+# audit checks each source from its first retained record.
+$soak --fleet --seed 2016 --senders 256 --intervals 60 --buffers 2 \
+    --shards 2 --flood 0.1 --flood-end 0.9 --adaptive \
+    --trace-out target/fleet_shed.jsonl > /dev/null
+head -n 1 target/fleet_shed.jsonl | grep -q '"shed":'
+$daptrace audit target/fleet_shed.jsonl > /dev/null
 # A tampered capture must be rejected with a nonzero exit.
 sed 's/"ev":"verify_end"/"ev":"verify_end_forged"/' \
     target/net_trace_a.jsonl > target/net_trace_tampered.jsonl
@@ -237,6 +251,19 @@ awk '!cut && /"ev":"verify_end"/ { cut = 1; next } { print }' \
     target/net_trace_a.jsonl > target/net_trace_deleted.jsonl
 if $daptrace audit target/net_trace_deleted.jsonl > /dev/null 2>&1; then
     echo "daptrace accepted a trace with a deleted record" >&2
+    exit 1
+fi
+# And so must one whose first verify_end has two fields swapped: the
+# parser reads a line only as its record's canonical rendering.
+n=$(grep -n -m 1 '"ev":"verify_end"' target/net_trace_a.jsonl | cut -d: -f1)
+sed "$n"'s/\("interval":[0-9]*\),\("outcome":"[a-z_]*"\)/\2,\1/' \
+    target/net_trace_a.jsonl > target/net_trace_swapped.jsonl
+if cmp -s target/net_trace_a.jsonl target/net_trace_swapped.jsonl; then
+    echo "the field swap edited nothing" >&2
+    exit 1
+fi
+if $daptrace audit target/net_trace_swapped.jsonl > /dev/null 2>&1; then
+    echo "daptrace accepted a trace with two fields swapped" >&2
     exit 1
 fi
 

@@ -2,8 +2,8 @@
 //! levels of DoS attack, DAP vs TESLA++.
 
 use dap_bench::fig5::{buffer_counts, default_levels, series, sim_check, Fig5Point, X_D};
-use dap_bench::json::{self, JsonObject};
 use dap_bench::table;
+use dap_obs::json::{self, JsonObject};
 
 /// One JSON row: the two sections of the figure share one array, told
 /// apart by a `kind` discriminator.

@@ -2,8 +2,8 @@
 //! (four panels, one per ESS regime) plus the full regime map.
 
 use dap_bench::fig6::{collapse_ranges, paper_panels, regime_map, P};
-use dap_bench::json::{self, JsonObject};
 use dap_bench::table;
+use dap_obs::json::{self, JsonObject};
 
 /// One JSON row: trajectory samples and the regime map share one array,
 /// told apart by a `kind` discriminator.

@@ -2,8 +2,8 @@
 //! levels of DoS attack.
 
 use dap_bench::fig7::{default_sweep, sweep, BUFFER_CAP};
-use dap_bench::json::{self, JsonObject};
 use dap_bench::table;
+use dap_obs::json::{self, JsonObject};
 
 fn main() {
     if json::json_requested() {

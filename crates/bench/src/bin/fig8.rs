@@ -3,8 +3,8 @@
 
 use dap_bench::fig7::default_sweep;
 use dap_bench::fig8::sweep;
-use dap_bench::json::{self, JsonObject};
 use dap_bench::table;
+use dap_obs::json::{self, JsonObject};
 
 fn main() {
     if json::json_requested() {

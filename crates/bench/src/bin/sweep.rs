@@ -11,8 +11,8 @@
 //! nonzero unless the parallel engine's CSV is byte-identical — the
 //! determinism gate `ci.sh` runs on every push.
 
-use dap_bench::json::{self, JsonObject};
 use dap_bench::sweep::{run_sweep, run_sweep_sequential, to_csv, SweepConfig};
+use dap_obs::json::{self, JsonObject};
 use dap_simnet::{FaultPlan, FaultWindow, SimTime};
 
 fn main() {

@@ -21,10 +21,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fleet;
-/// The JSON writer the experiment binaries use. Lives in [`dap_obs`]
-/// now (the trace layer needs it below this crate); re-exported here so
-/// `dap_bench::json::{array, JsonObject}` call sites keep working.
-pub use dap_obs::json;
 pub mod recovery;
 pub mod sweep;
 pub mod table;

@@ -21,7 +21,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use crate::json::JsonObject;
+use dap_obs::json::JsonObject;
 
 /// Repetitions per lane (pairs, for a paired lane). Even, so each side
 /// of a pair runs first equally often.

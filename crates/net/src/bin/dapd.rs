@@ -204,10 +204,11 @@ fn refuse_unread(opts: &Opts) {
 /// The note goes to stderr: stdout is the deterministic snapshot the
 /// ci.sh gates `cmp`, and the note embeds a run-specific path. It says
 /// when full rings shed records (`shed`): such a capture lacks each
-/// ring's oldest records, and `daptrace audit` flags the gap.
+/// ring's oldest records, and its header declares how many, so
+/// `daptrace audit` checks each source from its first retained record.
 fn write_trace(path: &str, records: &[TraceRecord], shed: u64, time: &TimeSource) {
     let file = std::fs::File::create(path).expect("create --trace-out file");
-    dap_obs::write_trace(std::io::BufWriter::new(file), time.now_ns(), records)
+    dap_obs::write_trace(std::io::BufWriter::new(file), time.now_ns(), shed, records)
         .expect("write --trace-out file");
     let note = if shed > 0 {
         format!(" ({shed} shed by full rings; raise --trace-depth)")

@@ -13,7 +13,10 @@
 //!   estimator epochs are monotone, reservoir decisions respect the
 //!   paper's `k <= m` keep rule, and operator-pinned senders (the same
 //!   `--pin` / `--pin-first` roster the run was started with) are never
-//!   evicted. A line that fails to parse is itself evidence of
+//!   evicted. A capture whose full rings shed records declares the
+//!   count in its header; each source is then checked from its first
+//!   retained record, and the verdict names the count. A line that is
+//!   not the canonical rendering of a record is itself evidence of
 //!   corruption and is reported as a violation. Exit code: 0 clean,
 //!   1 violations, 2 usage / I/O errors.
 //! * `report` prints the byte-stable forensic summary: event census,
@@ -21,8 +24,9 @@
 //!   stage) and the attack-onset estimate read off the forged-share
 //!   trajectory. Two same-seed traces render byte-identical reports —
 //!   the ci.sh `daptrace` gate `cmp`s them.
-//! * `timeline` renders the frame lifecycle one line per record,
-//!   optionally filtered to the records naming `--sender ID`.
+//! * `timeline` renders the frame lifecycle one line per record, each
+//!   event's fields as `name=value` under their JSONL names, optionally
+//!   filtered to the records naming `--sender ID`.
 //!
 //! The tool never loads the runtime: it is a pure function of the
 //! trace file, so it can audit an incident capture long after the run
@@ -87,8 +91,9 @@ fn parse_cli(args: &[String]) -> Option<Cli> {
 }
 
 /// Loads and strictly parses the trace. A parse failure is reported in
-/// the same shape as an audit violation — a line that does not
-/// round-trip is corruption evidence, not a formatting nit.
+/// the same shape as an audit violation — a line that is not its
+/// record's canonical rendering is corruption evidence, not a
+/// formatting nit.
 fn load(path: &str) -> Result<ParsedTrace, ExitCode> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -123,8 +128,12 @@ fn main() -> ExitCode {
                 println!("{}", violation.render());
             }
             if violations.is_empty() {
+                let shed = match trace.header.map_or(0, |header| header.shed) {
+                    0 => String::new(),
+                    shed => format!(", {shed} shed by full rings"),
+                };
                 println!(
-                    "audit: OK ({} records, {} pinned senders, 0 violations)",
+                    "audit: OK ({} records{shed}, {} pinned senders, 0 violations)",
                     trace.records.len(),
                     cli.pins.len()
                 );

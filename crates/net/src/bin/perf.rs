@@ -27,7 +27,6 @@
 
 use std::time::Instant;
 
-use dap_bench::json::JsonObject;
 use dap_bench::sweep::{run_sweep_sequential, run_sweep_with_stats, to_csv, SweepConfig};
 use dap_bench::timer::{self, calibrated, paired, record, repeat, versus};
 use dap_core::codec::{self, TaggedFrame};
@@ -41,6 +40,7 @@ use dap_crypto::{Domain, Key};
 use dap_game::solve_posture_permille;
 use dap_net::adversary::AdversaryClass;
 use dap_net::fleet::{run_fleet, FleetReport, FleetSpec};
+use dap_obs::json::JsonObject;
 use dap_obs::Histogram;
 use dap_simnet::{SimDuration, SimRng, SimTime};
 use dap_tesla::teslapp::{TeslaPpOutcome, TeslaPpReceiver, TeslaPpSender};

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use dap_obs::{ParsedTrace, TraceEvent, TraceRecord};
+use dap_obs::{ParsedTrace, SpanStage, TraceEvent, TraceRecord};
 use dap_simnet::Samples;
 
 /// One broken invariant, pointing at the 1-indexed JSONL line of the
@@ -56,8 +56,12 @@ impl Violation {
 #[derive(Debug, Default)]
 struct SourceState {
     /// The seq the source's next record must carry: one past the
-    /// highest seen so far (0 before its first record).
+    /// highest seen so far (its first retained seq before its first
+    /// record).
     next_seq: u64,
+    /// The source's ring shed its oldest records: its first retained
+    /// seq is not 0, so the capture may open mid-frame and mid-stream.
+    ring_shed: bool,
     /// `true` between a `ShedDecision` and the next `FrameRx`: shed
     /// frames were never decoded, so nothing frame-scoped may happen.
     in_shed_tail: bool,
@@ -72,19 +76,15 @@ struct SourceState {
     last_verdict: Option<(&'static str, u64)>,
 }
 
-/// One reconstructed reservoir session stream: the paper's offer
-/// counter `k` runs 1, 2, 3, … per session, so per `(source, interval)`
-/// the decisions decompose into streams whose `k`s are sequential.
-#[derive(Debug)]
-struct ReservoirStream {
-    last_k: u64,
-    kept: u64,
-    m: u64,
-}
-
 /// Audits a parsed trace against the pipeline's causal invariants.
 /// `pinned` is the operator pin roster the run was started with
 /// (`--pin` / `--pin-first`); pinned senders must never be evicted.
+///
+/// A full ring keeps its newest records, so a source's first retained
+/// seq is the number of records its ring shed. Those late starts must
+/// add up to the shed count the header declares (0 without one);
+/// otherwise the audit reports one `seq-continuity` finding at line 1.
+/// Each source is then checked from its first retained seq.
 ///
 /// The returned violations are in file-line order.
 #[must_use]
@@ -92,11 +92,29 @@ pub fn audit(trace: &ParsedTrace, pinned: &BTreeSet<u64>) -> Vec<Violation> {
     let mut violations = Vec::new();
     let offset = usize::from(trace.header.is_some());
     let mut sources: BTreeMap<u32, SourceState> = BTreeMap::new();
-    // Reservoir streams keyed by (source, interval): a `k == 1` opens a
-    // stream, `k > 1` must extend the stream whose last offer was
-    // `k - 1` (fleet shards interleave several senders' sessions on one
-    // source, so this is a multiset, not a scalar).
-    let mut reservoirs: BTreeMap<(u32, u64), Vec<ReservoirStream>> = BTreeMap::new();
+    for record in &trace.records {
+        sources.entry(record.source).or_insert_with(|| SourceState {
+            next_seq: record.seq,
+            ring_shed: record.seq > 0,
+            ..SourceState::default()
+        });
+    }
+    let late = sources
+        .values()
+        .fold(0u64, |late, state| late.saturating_add(state.next_seq));
+    let declared = trace.header.map_or(0, |header| header.shed);
+    if late != declared {
+        violations.push(Violation {
+            line: 1,
+            rule: "seq-continuity",
+            detail: format!(
+                "sources start {late} record(s) late, but the capture declares {declared} shed"
+            ),
+        });
+    }
+    // Reservoir streams keyed by (source, interval), each the last
+    // offer counter `k` of one session stream (see `audit_record`).
+    let mut reservoirs: BTreeMap<(u32, u64), Vec<u64>> = BTreeMap::new();
     for (idx, record) in trace.records.iter().enumerate() {
         let line = idx + 1 + offset;
         let state = sources.entry(record.source).or_default();
@@ -117,15 +135,15 @@ fn audit_record(
     record: &TraceRecord,
     line: usize,
     state: &mut SourceState,
-    reservoirs: &mut BTreeMap<(u32, u64), Vec<ReservoirStream>>,
+    reservoirs: &mut BTreeMap<(u32, u64), Vec<u64>>,
     pinned: &BTreeSet<u64>,
     violations: &mut Vec<Violation>,
 ) {
     // Seq continuity: every source numbers its records 0, 1, 2, … in
     // emission order, so a deleted, duplicated or reordered record
-    // breaks the run at the next record the source emitted. A ring
-    // that shed its oldest records shows the same way at the source's
-    // first record; only a cut at a source's very end goes unnoticed.
+    // breaks the run at the next record the source emitted. A cut at a
+    // source's start shows in the late-start sum `audit` checks; only a
+    // cut at a source's very end goes unnoticed.
     let expected = state.next_seq;
     if record.seq != expected {
         let why = if record.seq > expected {
@@ -189,6 +207,9 @@ fn audit_record(
                      said ({verdict}, interval {verdict_interval})"
                 ),
             }),
+            // A shed ring's first span may close a frame whose verdict
+            // was shed.
+            None if state.ring_shed => {}
             None => violations.push(Violation {
                 line,
                 rule: "span-agreement",
@@ -200,16 +221,42 @@ fn audit_record(
             kept,
             k,
             m,
-        } => audit_reservoir(
-            record.source,
-            line,
-            *interval,
-            *kept,
-            *k,
-            *m,
-            reservoirs,
-            violations,
-        ),
+        } => {
+            let mut broken = |detail| {
+                violations.push(Violation {
+                    line,
+                    rule: "reservoir-bound",
+                    detail,
+                });
+            };
+            // Algorithm 1: the first m offers are always stored; later
+            // offers replace uniformly.
+            if k <= m && !kept {
+                broken(format!(
+                    "offer k={k} <= m={m} was rejected — the first m offers always keep"
+                ));
+            }
+            if *k == 0 {
+                broken("offer counter k=0 — k is 1-indexed".to_string());
+                return;
+            }
+            // The paper's offer counter runs 1, 2, 3, … per session, so
+            // per (source, interval) the offers decompose into streams:
+            // k = 1 opens one, k > 1 extends the stream last at k − 1.
+            // Fleet shards interleave several senders' sessions on one
+            // source, so this is a multiset, not a scalar. On a shed
+            // ring a stream's first offers may be gone, so there an
+            // offer that extends nothing opens a stream.
+            let streams = reservoirs.entry((record.source, *interval)).or_default();
+            match streams.iter_mut().find(|last| **last == k - 1) {
+                Some(last) => *last = *k,
+                None if *k == 1 || state.ring_shed => streams.push(*k),
+                None => broken(format!(
+                    "offer k={k} (interval {interval}) extends no session stream at k={}",
+                    k - 1
+                )),
+            }
+        }
         TraceEvent::PostureChange { epoch, .. } => {
             if state.last_posture_epoch.is_some_and(|last| *epoch <= last) {
                 violations.push(Violation {
@@ -251,111 +298,14 @@ fn audit_record(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn audit_reservoir(
-    source: u32,
-    line: usize,
-    interval: u64,
-    kept: bool,
-    k: u64,
-    m: u64,
-    reservoirs: &mut BTreeMap<(u32, u64), Vec<ReservoirStream>>,
-    violations: &mut Vec<Violation>,
-) {
-    // Algorithm 1: the first m offers are always stored; later offers
-    // replace uniformly. `k <= m` with `kept == false` is impossible.
-    if k <= m && !kept {
-        violations.push(Violation {
-            line,
-            rule: "reservoir-bound",
-            detail: format!("offer k={k} <= m={m} was rejected — the first m offers always keep"),
-        });
-    }
-    if k == 0 {
-        violations.push(Violation {
-            line,
-            rule: "reservoir-bound",
-            detail: "offer counter k=0 — k is 1-indexed".to_string(),
-        });
-        return;
-    }
-    let streams = reservoirs.entry((source, interval)).or_default();
-    if k == 1 {
-        streams.push(ReservoirStream {
-            last_k: 1,
-            kept: u64::from(kept),
-            m,
-        });
-        return;
-    }
-    // Greedy attachment: extend the session stream whose offer counter
-    // sits at k - 1. Per-session ks are strictly sequential, so a miss
-    // means the trace skipped (or duplicated) an offer.
-    match streams.iter_mut().find(|s| s.last_k == k - 1) {
-        Some(stream) => {
-            stream.last_k = k;
-            if kept && k <= stream.m {
-                stream.kept += 1;
-                if stream.kept > stream.m {
-                    violations.push(Violation {
-                        line,
-                        rule: "reservoir-bound",
-                        detail: format!(
-                            "interval {interval} stream kept {} first-offer entries with m={}",
-                            stream.kept, stream.m
-                        ),
-                    });
-                }
-            }
-        }
-        None => violations.push(Violation {
-            line,
-            rule: "reservoir-bound",
-            detail: format!(
-                "offer k={k} (interval {interval}) extends no session stream at k={}",
-                k - 1
-            ),
-        }),
-    }
-}
-
-/// The per-stage sample pools a report aggregates: label → collector.
-fn stage_samples(trace: &ParsedTrace) -> Vec<(&'static str, Samples)> {
-    let mut stages: Vec<(&'static str, Samples)> = [
-        "ingress",
-        "queue_wait",
-        "decode",
-        "prefetch",
-        "verify",
-        "buffer",
-        "reveal_auth",
-    ]
-    .iter()
-    .map(|label| (*label, Samples::new()))
-    .collect();
+/// The per-stage sample pools a report aggregates, in
+/// [`SpanStage::ALL`] order.
+fn stage_samples(trace: &ParsedTrace) -> [Samples; SpanStage::COUNT] {
+    let mut stages = SpanStage::ALL.map(|_| Samples::new());
     for record in &trace.records {
-        if let TraceEvent::FrameSpan {
-            ingress_ns,
-            queue_ns,
-            decode_ns,
-            prefetch_ns,
-            verify_ns,
-            buffer_ns,
-            reveal_ns,
-            ..
-        } = &record.event
-        {
-            let values = [
-                *ingress_ns,
-                *queue_ns,
-                *decode_ns,
-                *prefetch_ns,
-                *verify_ns,
-                *buffer_ns,
-                *reveal_ns,
-            ];
-            for ((_, samples), value) in stages.iter_mut().zip(values) {
-                samples.record(u64::from(value));
+        if let TraceEvent::FrameSpan { stages: spans, .. } = &record.event {
+            for (samples, ns) in stages.iter_mut().zip(spans) {
+                samples.record(u64::from(*ns));
             }
         }
     }
@@ -424,7 +374,8 @@ pub fn render_report(trace: &ParsedTrace) -> String {
     }
     out.push_str("\nstage latency (ns)\n");
     out.push_str("stage        count        p50        p95        p99        max\n");
-    for (label, mut samples) in stage_samples(trace) {
+    for (stage, mut samples) in SpanStage::ALL.into_iter().zip(stage_samples(trace)) {
+        let label = stage.label();
         let q = |samples: &mut Samples, q: f64| samples.quantile(q).unwrap_or(0);
         let count = samples.len();
         let (p50, p95, p99, max) = (
@@ -459,72 +410,21 @@ pub fn render_report(trace: &ParsedTrace) -> String {
     out
 }
 
-/// Renders one record as a timeline line: `source seq at event detail`.
+/// Renders one record as a timeline line: `source seq at event`, then
+/// the event's fields as `name=value`, in record order.
 #[must_use]
 pub fn timeline_line(record: &TraceRecord) -> String {
-    let head = format!(
+    let mut line = format!(
         "src={:<3} seq={:<6} at={:<8} {:<16}",
         record.source,
         record.seq,
         record.at,
         record.event.name()
     );
-    let detail = match &record.event {
-        TraceEvent::FrameRx { bytes } => format!("bytes={bytes}"),
-        TraceEvent::VerifyEnd {
-            interval,
-            outcome,
-            elapsed_ns,
-        } => format!("interval={interval} outcome={outcome} elapsed_ns={elapsed_ns}"),
-        TraceEvent::BufferDecision {
-            interval,
-            kept,
-            k,
-            m,
-        } => format!("interval={interval} kept={kept} k={k} m={m}"),
-        TraceEvent::KeyReveal { interval } => format!("interval={interval}"),
-        TraceEvent::ShardStall { shard, depth } => format!("shard={shard} depth={depth}"),
-        TraceEvent::FaultInjected { kind } => format!("kind={kind}"),
-        TraceEvent::SessionEvicted {
-            sender,
-            shard,
-            occupancy,
-        } => format!("sender={sender} shard={shard} occupancy={occupancy}"),
-        TraceEvent::ShedDecision {
-            sender,
-            class,
-            interval,
-        } => format!("sender={sender} class={class} interval={interval}"),
-        TraceEvent::PostureChange {
-            epoch,
-            from_m,
-            to_m,
-            p_permille,
-            give_up,
-        } => format!("epoch={epoch} m {from_m}->{to_m} p_permille={p_permille} give_up={give_up}"),
-        TraceEvent::FrameSpan {
-            span,
-            interval,
-            outcome,
-            ingress_ns,
-            queue_ns,
-            decode_ns,
-            prefetch_ns,
-            verify_ns,
-            buffer_ns,
-            reveal_ns,
-        } => format!(
-            "span={span} interval={interval} outcome={outcome} stages \
-             ingress={ingress_ns} queue={queue_ns} decode={decode_ns} prefetch={prefetch_ns} \
-             verify={verify_ns} buffer={buffer_ns} reveal={reveal_ns}"
-        ),
-        TraceEvent::ControlEstimate {
-            epoch,
-            sample_ppm,
-            p_hat_ppm,
-        } => format!("epoch={epoch} sample_ppm={sample_ppm} p_hat_ppm={p_hat_ppm}"),
-    };
-    format!("{head} {detail}")
+    for (name, value) in record.event.fields() {
+        let _ = write!(line, " {name}={value}");
+    }
+    line
 }
 
 /// The sender id a record names, when it names one (shed attribution
@@ -566,7 +466,7 @@ pub fn render_timeline(trace: &ParsedTrace, sender: Option<u64>, limit: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dap_obs::parse_trace;
+    use dap_obs::{parse_trace, TraceHeader};
 
     fn rec(source: u32, seq: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -835,13 +735,7 @@ mod tests {
                 span: 256,
                 interval: 7,
                 outcome: "stored",
-                ingress_ns: 10,
-                queue_ns: 20,
-                decode_ns: 5,
-                prefetch_ns: 0,
-                verify_ns: 40,
-                buffer_ns: 3,
-                reveal_ns: 0,
+                stages: [10, 20, 5, 0, 40, 3, 0],
             },
         ));
         let trace = parsed(records);
@@ -855,10 +749,132 @@ mod tests {
     }
 
     #[test]
+    fn a_shed_ring_may_open_mid_frame_and_mid_stream() {
+        // Source 0's ring shed its first 10 records: it opens with the
+        // span of a frame whose verdict was shed, then an offer at k = 5
+        // whose stream began before the cut.
+        let records = vec![
+            rec(
+                0,
+                10,
+                TraceEvent::FrameSpan {
+                    span: 256,
+                    interval: 7,
+                    outcome: "stored",
+                    stages: [0; SpanStage::COUNT],
+                },
+            ),
+            rec(0, 11, TraceEvent::FrameRx { bytes: 32 }),
+            rec(
+                0,
+                12,
+                TraceEvent::VerifyEnd {
+                    interval: 7,
+                    outcome: "stored",
+                    elapsed_ns: 0,
+                },
+            ),
+            rec(
+                0,
+                13,
+                TraceEvent::BufferDecision {
+                    interval: 7,
+                    kept: false,
+                    k: 5,
+                    m: 4,
+                },
+            ),
+        ];
+        let declaring = |shed| ParsedTrace {
+            header: Some(TraceHeader { clock_ns: 0, shed }),
+            records: records.clone(),
+        };
+        let flagged = |trace: &ParsedTrace| -> Vec<(usize, &'static str)> {
+            audit(trace, &BTreeSet::new())
+                .iter()
+                .map(|v| (v.line, v.rule))
+                .collect()
+        };
+        assert_eq!(flagged(&declaring(10)), vec![]);
+        // An undeclared or misdeclared cut is one finding, at line 1.
+        assert_eq!(flagged(&declaring(9)), vec![(1, "seq-continuity")]);
+        assert_eq!(
+            flagged(&parsed(records.clone())),
+            vec![(1, "seq-continuity")]
+        );
+        // A ring that shed nothing opens no stream mid-way.
+        let mut unshed = records;
+        for (seq, record) in unshed.iter_mut().enumerate() {
+            record.seq = seq as u64;
+        }
+        assert_eq!(
+            flagged(&parsed(unshed)),
+            vec![(1, "span-agreement"), (4, "reservoir-bound")]
+        );
+    }
+
+    #[test]
+    fn timeline_prints_each_event_under_its_jsonl_names() {
+        // One record of each kind: its JSONL fields after `ev`, and the
+        // timeline detail that must print them.
+        let kinds = [
+            ("frame_rx", "\"bytes\":9", "bytes=9"),
+            (
+                "verify_end",
+                "\"interval\":2,\"outcome\":\"auth\",\"elapsed_ns\":5",
+                "interval=2 outcome=auth elapsed_ns=5",
+            ),
+            (
+                "buffer_decision",
+                "\"interval\":2,\"kept\":true,\"k\":7,\"m\":4",
+                "interval=2 kept=true k=7 m=4",
+            ),
+            ("key_reveal", "\"interval\":2", "interval=2"),
+            ("shard_stall", "\"shard\":1,\"depth\":64", "shard=1 depth=64"),
+            ("fault_injected", "\"kind\":\"wire.loss\"", "kind=wire.loss"),
+            (
+                "session_evicted",
+                "\"sender\":17,\"shard\":1,\"occupancy\":63",
+                "sender=17 shard=1 occupancy=63",
+            ),
+            (
+                "shed_decision",
+                "\"sender\":17,\"class\":\"low\",\"interval\":2",
+                "sender=17 class=low interval=2",
+            ),
+            (
+                "posture_change",
+                "\"epoch\":1,\"from_m\":4,\"to_m\":13,\"p_permille\":800,\"give_up\":false",
+                "epoch=1 from_m=4 to_m=13 p_permille=800 give_up=false",
+            ),
+            (
+                "frame_span",
+                "\"span\":3073,\"interval\":2,\"outcome\":\"auth\",\"ingress_ns\":1,\"queue_ns\":2,\
+                 \"decode_ns\":3,\"prefetch_ns\":4,\"verify_ns\":0,\"buffer_ns\":5,\"reveal_ns\":6",
+                "span=3073 interval=2 outcome=auth ingress_ns=1 queue_ns=2 decode_ns=3 \
+                 prefetch_ns=4 verify_ns=0 buffer_ns=5 reveal_ns=6",
+            ),
+            (
+                "control_estimate",
+                "\"epoch\":1,\"sample_ppm\":900000,\"p_hat_ppm\":512345",
+                "epoch=1 sample_ppm=900000 p_hat_ppm=512345",
+            ),
+        ];
+        for (name, fields, detail) in kinds {
+            let line = format!("{{\"src\":2,\"seq\":5,\"at\":5,\"ev\":\"{name}\",{fields}}}");
+            let trace = parse_trace(&line).expect("a canonical line");
+            assert_eq!(
+                timeline_line(&trace.records[0]),
+                format!("src=2   seq=5      at=5        {name:<16} {detail}")
+            );
+        }
+    }
+
+    #[test]
     fn line_numbers_offset_past_the_header() {
         let text = format!(
             "{}\n{}\n{}\n",
-            dap_obs::header_line(0),
+            dap_obs::header_line(0, 0),
             rec(0, 0, TraceEvent::KeyReveal { interval: 1 }).to_json(),
             rec(
                 0,

@@ -5,10 +5,6 @@
 //! outputs and trace records are flat objects, which this covers in a
 //! few dozen lines. Strings are escaped per RFC 8259; non-finite floats
 //! (which JSON cannot represent) serialise as `null`.
-//!
-//! Historically this lived in `dap-bench`; it moved here so the JSONL
-//! trace sink could use it without a dependency cycle (`dap-bench`
-//! re-exports it unchanged).
 
 use std::fmt::Write;
 

@@ -22,18 +22,22 @@
 //!   [`TraceRing`] per traced source, each record carrying a
 //!   per-source monotone sequence number so interleavings from a
 //!   sharded pool can be totally ordered and replay-diffed, and
-//!   [`write_trace`], which writes a capture as a JSONL file;
-//! * [`json`] — the minimal JSON writer the bench binaries use (moved
-//!   here from `dap-bench` so the trace layer can sit below it;
-//!   `dap_bench::json` re-exports it unchanged);
+//!   [`write_trace`], which writes a capture as a JSONL file.
+//!   [`TraceEvent::fields`] lists each event's fields once, in record
+//!   order; the writer renders that list and `daptrace timeline`
+//!   prints it;
+//! * [`json`] — the minimal JSON writer the bench binaries and the
+//!   trace writer use;
 //! * [`span`] — the flight recorder's vocabulary: the seven pipeline
-//!   stages ([`SpanStage`]), deterministic ids from [`span_id`], and
-//!   [`frame_span`], which builds a [`TraceEvent::FrameSpan`] from one
-//!   frame's stage readings;
+//!   stages ([`SpanStage`], each naming its JSONL field),
+//!   deterministic ids from [`span_id`], and [`frame_span`], which
+//!   builds a [`TraceEvent::FrameSpan`] from one frame's stage
+//!   readings;
 //! * [`parse`] — the strict inverse of the JSONL writer:
 //!   [`parse_trace`] turns a trace file back into typed
-//!   [`TraceRecord`]s, rejecting any line that would not round-trip
-//!   byte-exactly (the `daptrace` audit engine's corruption detector).
+//!   [`TraceRecord`]s and accepts a line only if it equals the
+//!   canonical rendering of the record it parsed to (the `daptrace`
+//!   audit engine's corruption detector).
 //!
 //! Determinism rule of thumb: anything that feeds a fingerprint must be
 //! derived from protocol state (interval indices, frame ordinals, seeded
@@ -53,10 +57,10 @@ pub mod trace;
 
 pub use gauge::Gauge;
 pub use hist::Histogram;
-pub use parse::{parse_record_line, parse_trace, ParsedTrace, TraceHeader, TraceParseError};
+pub use parse::{parse_trace, ParsedTrace, TraceHeader, TraceParseError};
 pub use span::{frame_span, span_id, SpanStage};
 pub use time::{ManualTime, TimeSource};
 pub use trace::{
-    header_line, render_jsonl, sort_records, write_trace, TraceEvent, TraceRecord, TraceRing,
-    OUTCOMES,
+    header_line, render_jsonl, sort_records, write_trace, FieldValue, TraceEvent, TraceRecord,
+    TraceRing, CLASSES, FAULT_KINDS, OUTCOMES,
 };

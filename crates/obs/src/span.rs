@@ -62,6 +62,20 @@ impl SpanStage {
             SpanStage::RevealAuth => "reveal_auth",
         }
     }
+
+    /// The stage's field in a `frame_span` JSONL record.
+    #[must_use]
+    pub fn field(self) -> &'static str {
+        match self {
+            SpanStage::Ingress => "ingress_ns",
+            SpanStage::QueueWait => "queue_ns",
+            SpanStage::Decode => "decode_ns",
+            SpanStage::Prefetch => "prefetch_ns",
+            SpanStage::Verify => "verify_ns",
+            SpanStage::Buffer => "buffer_ns",
+            SpanStage::RevealAuth => "reveal_ns",
+        }
+    }
 }
 
 /// A deterministic span id: the shard's verified-datagram ordinal in
@@ -76,7 +90,7 @@ pub fn span_id(datagram_ordinal: u64, frame_idx: usize) -> u64 {
 
 /// The [`TraceEvent::FrameSpan`] for one frame. `stages` holds its
 /// seven stage readings in nanoseconds, in [`SpanStage::ALL`] order;
-/// each saturates into the event's `u32` field.
+/// each saturates into the event's `u32` timing.
 #[must_use]
 pub fn frame_span(
     span: u64,
@@ -84,19 +98,11 @@ pub fn frame_span(
     outcome: &'static str,
     stages: [u64; SpanStage::COUNT],
 ) -> TraceEvent {
-    let [ingress_ns, queue_ns, decode_ns, prefetch_ns, verify_ns, buffer_ns, reveal_ns] =
-        stages.map(|ns| u32::try_from(ns).unwrap_or(u32::MAX));
     TraceEvent::FrameSpan {
         span,
         interval,
         outcome,
-        ingress_ns,
-        queue_ns,
-        decode_ns,
-        prefetch_ns,
-        verify_ns,
-        buffer_ns,
-        reveal_ns,
+        stages: stages.map(|ns| u32::try_from(ns).unwrap_or(u32::MAX)),
     }
 }
 
@@ -122,21 +128,15 @@ mod tests {
                 span: 9 << 8,
                 interval: 17,
                 outcome: "auth",
-                ingress_ns: 1,
-                queue_ns: 2,
-                decode_ns: 3,
-                prefetch_ns: 4,
-                verify_ns: 5,
-                buffer_ns: 6,
-                reveal_ns: 7,
+                stages: [1, 2, 3, 4, 5, 6, 7],
             }
         );
-        // A reading past the u32 field saturates instead of wrapping.
-        let TraceEvent::FrameSpan { decode_ns, .. } =
+        // A reading past the u32 timing saturates instead of wrapping.
+        let TraceEvent::FrameSpan { stages, .. } =
             frame_span(0, 1, "stored", [0, 0, u64::MAX, 0, 0, 0, 0])
         else {
             unreachable!("frame_span builds a FrameSpan");
         };
-        assert_eq!(decode_ns, u32::MAX);
+        assert_eq!(stages[SpanStage::Decode as usize], u32::MAX);
     }
 }

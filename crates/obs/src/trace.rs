@@ -15,10 +15,17 @@
 //! line [`write_trace`] writes stamps its timestamp from the run's own
 //! [`TimeSource`](crate::TimeSource), so a deterministic (frozen-clock)
 //! run renders a byte-identical *whole file*, header included.
+//!
+//! [`TraceEvent::fields`] is the format's one listing: each event's
+//! fields as `(name, value)` pairs, in record order. The writer renders
+//! it, the timeline prints it, and the parser accepts a line only if it
+//! is that rendering of the record it read.
 
+use std::fmt;
 use std::io::{self, Write};
 
 use crate::json::JsonObject;
+use crate::span::SpanStage;
 
 /// Every verify-outcome label a verifier may write into
 /// [`TraceEvent::VerifyEnd`] and [`TraceEvent::FrameSpan`]. The trace
@@ -34,6 +41,40 @@ pub const OUTCOMES: [&str; 8] = [
     "no_candidate",
     "unknown_sender",
 ];
+
+/// Every fault label the medium writes into
+/// [`TraceEvent::FaultInjected`].
+pub const FAULT_KINDS: [&str; 2] = ["wire.loss", "wire.corrupt"];
+
+/// Every priority-class label the drain writes into
+/// [`TraceEvent::ShedDecision`].
+pub const CLASSES: [&str; 3] = ["pinned", "high", "low"];
+
+/// One field value of a trace record. Every label comes from its
+/// field's closed vocabulary ([`OUTCOMES`], [`FAULT_KINDS`],
+/// [`CLASSES`]), and every label and field name is a plain identifier
+/// (`[a-z_.-]+`), so rendering a record never escapes a character.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue {
+    /// An unsigned integer.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// A label from the field's vocabulary.
+    Label(&'static str),
+}
+
+/// The bare value, as a timeline prints it: digits, `true`/`false` or
+/// the label.
+impl fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::U64(v) => write!(f, "{v}"),
+            Self::Bool(v) => write!(f, "{v}"),
+            Self::Label(v) => f.write_str(v),
+        }
+    }
+}
 
 /// One typed trace event. Fields are the data a replay-diff needs to
 /// explain a divergence, nothing more.
@@ -79,7 +120,7 @@ pub enum TraceEvent {
     },
     /// The medium injected a fault (loss, corruption, …).
     FaultInjected {
-        /// Fault label (`"wire.loss"`, `"wire.corrupt"`, …).
+        /// Fault label, one of [`FAULT_KINDS`].
         kind: &'static str,
     },
     /// A session table evicted a sender's per-session state to stay
@@ -100,7 +141,8 @@ pub enum TraceEvent {
     ShedDecision {
         /// The claimed sender id of the shed frame.
         sender: u64,
-        /// The claimed sender's priority class label at flush time.
+        /// The claimed sender's priority class label at flush time, one
+        /// of [`CLASSES`].
         class: &'static str,
         /// The interval the shed frame claimed.
         interval: u64,
@@ -141,25 +183,9 @@ pub enum TraceEvent {
         interval: u64,
         /// The frame's verify outcome label, one of [`OUTCOMES`].
         outcome: &'static str,
-        /// Reader-side routing + copy time before the shard queue.
-        ingress_ns: u32,
-        /// Enqueue → worker-pop wait.
-        queue_ns: u32,
-        /// Datagram decode/reassembly time (shared by packed frames).
-        decode_ns: u32,
-        /// Always 0: no step runs between queue wait and decode. The
-        /// field keeps the version-3 record shape.
-        prefetch_ns: u32,
-        /// Verifier time for announce-path frames (0 for reveals).
-        verify_ns: u32,
-        /// Time to emit the frame's verdict records (`verify_end`, its
-        /// `buffer_decision` and any eviction) on frames that reached
-        /// a reservoir; 0 on the rest. The reservoir decision itself
-        /// runs inside the verifier and is charged to `verify_ns`.
-        buffer_ns: u32,
-        /// Verifier time for reveal-authenticate frames (0 for
-        /// announces).
-        reveal_ns: u32,
+        /// One timing per stage, in [`SpanStage::ALL`] order; the JSONL
+        /// names each by [`SpanStage::field`].
+        stages: [u32; SpanStage::COUNT],
     },
     /// A control-plane estimator sample: the per-interval forged-share
     /// measurement (ppm) and the EWMA estimate `p̂` it produced, stamped
@@ -193,6 +219,100 @@ impl TraceEvent {
             Self::ControlEstimate { .. } => "control_estimate",
         }
     }
+
+    /// The event's fields as `(name, value)` pairs, in record order:
+    /// the one listing of the trace format.
+    /// [`TraceRecord::to_json`] renders it, `daptrace timeline` prints
+    /// it, and the parser accepts a line only as its rendering.
+    #[must_use]
+    pub fn fields(&self) -> Vec<(&'static str, FieldValue)> {
+        use FieldValue::{Bool, Label, U64};
+        match *self {
+            Self::FrameRx { bytes } => vec![("bytes", U64(bytes))],
+            Self::VerifyEnd {
+                interval,
+                outcome,
+                elapsed_ns,
+            } => vec![
+                ("interval", U64(interval)),
+                ("outcome", Label(outcome)),
+                ("elapsed_ns", U64(elapsed_ns)),
+            ],
+            Self::BufferDecision {
+                interval,
+                kept,
+                k,
+                m,
+            } => vec![
+                ("interval", U64(interval)),
+                ("kept", Bool(kept)),
+                ("k", U64(k)),
+                ("m", U64(m)),
+            ],
+            Self::KeyReveal { interval } => vec![("interval", U64(interval))],
+            Self::ShardStall { shard, depth } => {
+                vec![("shard", U64(shard.into())), ("depth", U64(depth))]
+            }
+            Self::FaultInjected { kind } => vec![("kind", Label(kind))],
+            Self::SessionEvicted {
+                sender,
+                shard,
+                occupancy,
+            } => vec![
+                ("sender", U64(sender)),
+                ("shard", U64(shard.into())),
+                ("occupancy", U64(occupancy)),
+            ],
+            Self::ShedDecision {
+                sender,
+                class,
+                interval,
+            } => vec![
+                ("sender", U64(sender)),
+                ("class", Label(class)),
+                ("interval", U64(interval)),
+            ],
+            Self::PostureChange {
+                epoch,
+                from_m,
+                to_m,
+                p_permille,
+                give_up,
+            } => vec![
+                ("epoch", U64(epoch)),
+                ("from_m", U64(from_m)),
+                ("to_m", U64(to_m)),
+                ("p_permille", U64(p_permille)),
+                ("give_up", Bool(give_up)),
+            ],
+            Self::FrameSpan {
+                span,
+                interval,
+                outcome,
+                stages,
+            } => {
+                let head = [
+                    ("span", U64(span)),
+                    ("interval", U64(interval)),
+                    ("outcome", Label(outcome)),
+                ];
+                let timings = SpanStage::ALL
+                    .iter()
+                    .zip(stages)
+                    .map(|(stage, ns)| (stage.field(), U64(ns.into())));
+                head.into_iter().chain(timings).collect()
+            }
+            Self::ControlEstimate {
+                epoch,
+                sample_ppm,
+                p_hat_ppm,
+            } => vec![
+                ("epoch", U64(epoch)),
+                ("sample_ppm", U64(sample_ppm)),
+                ("p_hat_ppm", U64(p_hat_ppm)),
+            ],
+        }
+    }
 }
 
 /// One emitted record: who, when (protocol time), in what order, what.
@@ -210,7 +330,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// One JSONL line (no trailing newline): fixed field order
-    /// `src, seq, at, ev`, then the event's own fields.
+    /// `src, seq, at, ev`, then the event's own [`TraceEvent::fields`].
     #[must_use]
     pub fn to_json(&self) -> String {
         let base = JsonObject::new()
@@ -218,91 +338,15 @@ impl TraceRecord {
             .u64("seq", self.seq)
             .u64("at", self.at)
             .str("ev", self.event.name());
-        match &self.event {
-            TraceEvent::FrameRx { bytes } => base.u64("bytes", *bytes),
-            TraceEvent::VerifyEnd {
-                interval,
-                outcome,
-                elapsed_ns,
-            } => base
-                .u64("interval", *interval)
-                .str("outcome", outcome)
-                .u64("elapsed_ns", *elapsed_ns),
-            TraceEvent::BufferDecision {
-                interval,
-                kept,
-                k,
-                m,
-            } => base
-                .u64("interval", *interval)
-                .bool("kept", *kept)
-                .u64("k", *k)
-                .u64("m", *m),
-            TraceEvent::KeyReveal { interval } => base.u64("interval", *interval),
-            TraceEvent::ShardStall { shard, depth } => {
-                base.u64("shard", u64::from(*shard)).u64("depth", *depth)
-            }
-            TraceEvent::FaultInjected { kind } => base.str("kind", kind),
-            TraceEvent::SessionEvicted {
-                sender,
-                shard,
-                occupancy,
-            } => base
-                .u64("sender", *sender)
-                .u64("shard", u64::from(*shard))
-                .u64("occupancy", *occupancy),
-            TraceEvent::ShedDecision {
-                sender,
-                class,
-                interval,
-            } => base
-                .u64("sender", *sender)
-                .str("class", class)
-                .u64("interval", *interval),
-            TraceEvent::PostureChange {
-                epoch,
-                from_m,
-                to_m,
-                p_permille,
-                give_up,
-            } => base
-                .u64("epoch", *epoch)
-                .u64("from_m", *from_m)
-                .u64("to_m", *to_m)
-                .u64("p_permille", *p_permille)
-                .bool("give_up", *give_up),
-            TraceEvent::FrameSpan {
-                span,
-                interval,
-                outcome,
-                ingress_ns,
-                queue_ns,
-                decode_ns,
-                prefetch_ns,
-                verify_ns,
-                buffer_ns,
-                reveal_ns,
-            } => base
-                .u64("span", *span)
-                .u64("interval", *interval)
-                .str("outcome", outcome)
-                .u64("ingress_ns", u64::from(*ingress_ns))
-                .u64("queue_ns", u64::from(*queue_ns))
-                .u64("decode_ns", u64::from(*decode_ns))
-                .u64("prefetch_ns", u64::from(*prefetch_ns))
-                .u64("verify_ns", u64::from(*verify_ns))
-                .u64("buffer_ns", u64::from(*buffer_ns))
-                .u64("reveal_ns", u64::from(*reveal_ns)),
-            TraceEvent::ControlEstimate {
-                epoch,
-                sample_ppm,
-                p_hat_ppm,
-            } => base
-                .u64("epoch", *epoch)
-                .u64("sample_ppm", *sample_ppm)
-                .u64("p_hat_ppm", *p_hat_ppm),
-        }
-        .finish()
+        self.event
+            .fields()
+            .into_iter()
+            .fold(base, |object, (name, value)| match value {
+                FieldValue::U64(v) => object.u64(name, v),
+                FieldValue::Bool(v) => object.bool(name, v),
+                FieldValue::Label(v) => object.str(name, v),
+            })
+            .finish()
     }
 }
 
@@ -397,23 +441,33 @@ impl TraceRing {
 }
 
 /// The JSONL header line (no trailing newline) for a trace whose clock
-/// read `clock_ns` at creation.
+/// read `clock_ns` at creation and whose full rings shed `shed`
+/// records. The `shed` field appears only when a ring shed, so a
+/// capture that lost nothing has the same header as before the field
+/// existed.
 #[must_use]
-pub fn header_line(clock_ns: u64) -> String {
-    JsonObject::new()
+pub fn header_line(clock_ns: u64, shed: u64) -> String {
+    let header = JsonObject::new()
         .str("trace", "dap-obs")
         .u64("version", 3)
-        .u64("clock_ns", clock_ns)
-        .finish()
+        .u64("clock_ns", clock_ns);
+    if shed > 0 {
+        header.u64("shed", shed)
+    } else {
+        header
+    }
+    .finish()
 }
 
 /// Writes a capture — the file [`parse_trace`](crate::parse_trace)
-/// reads back: the header line for `clock_ns`, then one JSONL line per
-/// record, then a flush. Pass the run's own
+/// reads back: the header line for `clock_ns` and `shed`, then one
+/// JSONL line per record, then a flush. Pass the run's own
 /// [`TimeSource`](crate::TimeSource) reading as `clock_ns`, so a
 /// deterministic run (frozen or manual clocks) writes a byte-identical
 /// whole file and ci gates can `cmp` traces without skipping the
-/// header; only a wall-clocked run stamps real time.
+/// header; only a wall-clocked run stamps real time. Pass as `shed`
+/// the records the rings shed, so an audit can tell a ring's lost
+/// oldest records from a gap.
 ///
 /// # Errors
 ///
@@ -421,9 +475,10 @@ pub fn header_line(clock_ns: u64) -> String {
 pub fn write_trace<W: Write>(
     mut writer: W,
     clock_ns: u64,
+    shed: u64,
     records: &[TraceRecord],
 ) -> io::Result<()> {
-    writeln!(writer, "{}", header_line(clock_ns))?;
+    writeln!(writer, "{}", header_line(clock_ns, shed))?;
     for record in records {
         writeln!(writer, "{}", record.to_json())?;
     }
@@ -451,6 +506,59 @@ pub fn render_jsonl(records: &[TraceRecord]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// One event of each kind, for tests that must cover the whole format.
+#[cfg(test)]
+pub(crate) fn one_of_each() -> Vec<TraceEvent> {
+    vec![
+        TraceEvent::FrameRx { bytes: 9 },
+        TraceEvent::VerifyEnd {
+            interval: 2,
+            outcome: "auth",
+            elapsed_ns: 5,
+        },
+        TraceEvent::BufferDecision {
+            interval: 2,
+            kept: true,
+            k: 7,
+            m: 4,
+        },
+        TraceEvent::KeyReveal { interval: 2 },
+        TraceEvent::ShardStall {
+            shard: 1,
+            depth: 64,
+        },
+        TraceEvent::FaultInjected { kind: "wire.loss" },
+        TraceEvent::SessionEvicted {
+            sender: 17,
+            shard: 1,
+            occupancy: 63,
+        },
+        TraceEvent::ShedDecision {
+            sender: 17,
+            class: "low",
+            interval: 2,
+        },
+        TraceEvent::PostureChange {
+            epoch: 1,
+            from_m: 4,
+            to_m: 13,
+            p_permille: 800,
+            give_up: false,
+        },
+        TraceEvent::FrameSpan {
+            span: (12 << 8) | 1,
+            interval: 2,
+            outcome: "auth",
+            stages: [1, 2, 3, 4, 0, 5, 6],
+        },
+        TraceEvent::ControlEstimate {
+            epoch: 1,
+            sample_ppm: 900_000,
+            p_hat_ppm: 512_345,
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -515,61 +623,7 @@ mod tests {
 
     #[test]
     fn every_event_serialises_with_its_name() {
-        let events = [
-            TraceEvent::FrameRx { bytes: 9 },
-            TraceEvent::VerifyEnd {
-                interval: 2,
-                outcome: "auth",
-                elapsed_ns: 5,
-            },
-            TraceEvent::BufferDecision {
-                interval: 2,
-                kept: true,
-                k: 7,
-                m: 4,
-            },
-            TraceEvent::KeyReveal { interval: 2 },
-            TraceEvent::ShardStall {
-                shard: 1,
-                depth: 64,
-            },
-            TraceEvent::FaultInjected { kind: "wire.loss" },
-            TraceEvent::SessionEvicted {
-                sender: 17,
-                shard: 1,
-                occupancy: 63,
-            },
-            TraceEvent::ShedDecision {
-                sender: 17,
-                class: "low",
-                interval: 2,
-            },
-            TraceEvent::PostureChange {
-                epoch: 1,
-                from_m: 4,
-                to_m: 13,
-                p_permille: 800,
-                give_up: false,
-            },
-            TraceEvent::FrameSpan {
-                span: (12 << 8) | 1,
-                interval: 2,
-                outcome: "auth",
-                ingress_ns: 1,
-                queue_ns: 2,
-                decode_ns: 3,
-                prefetch_ns: 4,
-                verify_ns: 0,
-                buffer_ns: 5,
-                reveal_ns: 6,
-            },
-            TraceEvent::ControlEstimate {
-                epoch: 1,
-                sample_ppm: 900_000,
-                p_hat_ppm: 512_345,
-            },
-        ];
-        for event in events {
+        for event in one_of_each() {
             let name = event.name();
             let record = TraceRecord {
                 source: 0,
@@ -584,14 +638,79 @@ mod tests {
     }
 
     #[test]
+    fn every_name_and_label_is_a_plain_identifier() {
+        // The parser splits a line at `,` and `:` and never unescapes,
+        // which reads the writer's lines only while no name or label
+        // needs quoting.
+        let plain = |s: &str| {
+            !s.is_empty()
+                && s.bytes()
+                    .all(|b| b.is_ascii_lowercase() || matches!(b, b'_' | b'.' | b'-'))
+        };
+        let mut words: Vec<&str> = ["src", "seq", "at", "ev", "trace", "dap-obs", "version"]
+            .into_iter()
+            .chain(["clock_ns", "shed"])
+            .chain(OUTCOMES)
+            .chain(FAULT_KINDS)
+            .chain(CLASSES)
+            .collect();
+        for event in one_of_each() {
+            words.push(event.name());
+            for (name, value) in event.fields() {
+                words.push(name);
+                if let FieldValue::Label(label) = value {
+                    words.push(label);
+                }
+            }
+        }
+        for word in words {
+            assert!(plain(word), "{word:?} is not [a-z_.-]+");
+        }
+    }
+
+    #[test]
+    fn a_span_lists_its_stages_under_their_field_names() {
+        let event = TraceEvent::FrameSpan {
+            span: 1,
+            interval: 2,
+            outcome: "auth",
+            stages: [3, 4, 5, 6, 7, 8, u32::MAX],
+        };
+        let names: Vec<&str> = event.fields().iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "span",
+                "interval",
+                "outcome",
+                "ingress_ns",
+                "queue_ns",
+                "decode_ns",
+                "prefetch_ns",
+                "verify_ns",
+                "buffer_ns",
+                "reveal_ns"
+            ]
+        );
+        assert!(TraceRecord {
+            source: 0,
+            seq: 0,
+            at: 0,
+            event
+        }
+        .to_json()
+        .ends_with(",\"buffer_ns\":8,\"reveal_ns\":4294967295}"));
+    }
+
+    #[test]
     fn write_trace_writes_the_header_then_one_line_per_record() {
         let records = [sample(0, 0), sample(0, 1)];
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, 17, &records).expect("write to a Vec");
+        write_trace(&mut bytes, 17, 5, &records).expect("write to a Vec");
         let text = String::from_utf8(bytes).expect("utf8");
         assert_eq!(
             text,
-            format!("{}\n{}", header_line(17), render_jsonl(&records))
+            format!("{}\n{}", header_line(17, 5), render_jsonl(&records))
         );
         assert_eq!(text.lines().count(), 3);
     }
@@ -599,10 +718,18 @@ mod tests {
     #[test]
     fn header_line_is_deterministic_under_frozen_clocks() {
         let frozen = TimeSource::frozen();
-        assert_eq!(header_line(frozen.now_ns()), header_line(frozen.now_ns()));
         assert_eq!(
-            header_line(0),
+            header_line(frozen.now_ns(), 0),
+            header_line(frozen.now_ns(), 0)
+        );
+        assert_eq!(
+            header_line(0, 0),
             "{\"trace\":\"dap-obs\",\"version\":3,\"clock_ns\":0}"
+        );
+        // A shed count is declared only when a ring shed.
+        assert_eq!(
+            header_line(7, 12),
+            "{\"trace\":\"dap-obs\",\"version\":3,\"clock_ns\":7,\"shed\":12}"
         );
     }
 

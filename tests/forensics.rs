@@ -1,6 +1,7 @@
 //! Forensic-layer gates: the JSONL trace dialect round-trips
 //! byte-identically, a seeded flood soak audits clean, a corrupted
-//! capture is flagged with its line number, and the daptrace report is
+//! capture is flagged with its line number, a capture whose rings shed
+//! audits clean while its edits do not, and the daptrace report is
 //! byte-stable across same-seed runs — the library-level versions of
 //! what the ci.sh `daptrace` gate checks through the binary.
 
@@ -8,7 +9,7 @@ use std::collections::BTreeSet;
 
 use crowdsense_dap::net::fleet::{run_fleet, FleetSpec};
 use crowdsense_dap::net::{forensics, AdversaryClass};
-use crowdsense_dap::obs::{header_line, parse_trace, render_jsonl, TraceEvent};
+use crowdsense_dap::obs::{header_line, parse_trace, render_jsonl, write_trace, TraceEvent};
 use crowdsense_dap::simnet::keys;
 
 /// The seeded flood capture every test here forensically examines:
@@ -31,12 +32,12 @@ fn jsonl_round_trip_is_byte_identical() {
     let records = flood_trace();
     // The on-disk shape: the frozen-clock header line plus one record
     // per line — exactly what `dapd --trace-out` writes.
-    let text = format!("{}\n{}", header_line(0), render_jsonl(&records));
+    let text = format!("{}\n{}", header_line(0, 0), render_jsonl(&records));
     let parsed = parse_trace(&text).expect("own render must parse");
     let header = parsed.header.expect("header line present");
     let rendered = format!(
         "{}\n{}",
-        header_line(header.clock_ns),
+        header_line(header.clock_ns, header.shed),
         render_jsonl(&parsed.records)
     );
     assert_eq!(text, rendered, "parse → re-render must be byte-identical");
@@ -155,4 +156,55 @@ fn report_is_byte_stable_across_same_seed_runs() {
         report_a.contains("frame_span"),
         "report census counts flight-recorder spans"
     );
+}
+
+#[test]
+fn a_shedding_capture_audits_as_shedding() {
+    // The adaptive ramp with rings far shallower than the run: each
+    // shard keeps only its newest records, so it opens mid-frame and
+    // mid-stream, while the control plane's few records all fit.
+    let report = run_fleet(&FleetSpec {
+        intervals: 60,
+        buffers: 2,
+        shards: 2,
+        flood: 0.1,
+        flood_end: Some(0.9),
+        adaptive: true,
+        trace_depth: 1024,
+        span_every: 1,
+        ..FleetSpec::untagged()
+    });
+    let shed = report.trace_shed;
+    assert!(shed > 0, "the shard rings must shed");
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, 0, shed, &report.trace).expect("write to a Vec");
+    let text = String::from_utf8(bytes).expect("utf8");
+    assert!(text.starts_with(&header_line(0, shed)));
+    let findings = |text: &str| -> Vec<(usize, &'static str)> {
+        let trace = parse_trace(text).expect("parses");
+        forensics::audit(&trace, &BTreeSet::new())
+            .iter()
+            .map(|v| (v.line, v.rule))
+            .collect()
+    };
+    assert_eq!(findings(&text), vec![]);
+    let lines: Vec<&str> = text.lines().collect();
+    let without = |cut: usize| -> String {
+        let kept = lines.iter().enumerate().filter(|(i, _)| *i != cut);
+        kept.map(|(_, line)| format!("{line}\n")).collect()
+    };
+    // A record lost inside the capture still breaks its source's seqs.
+    let mid = lines.len() / 2;
+    assert!(lines[mid + 1].starts_with(&lines[mid][..lines[mid].find(",\"seq\"").unwrap()]));
+    assert_eq!(findings(&without(mid)), vec![(mid + 1, "seq-continuity")]);
+    // A source that shed nothing starts at seq 0; cutting its first
+    // record makes the late starts outrun the declared count.
+    let first = lines
+        .iter()
+        .position(|line| line.contains(",\"seq\":0,"))
+        .expect("the control plane's ring shed nothing");
+    assert_eq!(findings(&without(first)), vec![(1, "seq-continuity")]);
+    // So does a lowered count.
+    let lowered = text.replacen(&header_line(0, shed), &header_line(0, shed - 1), 1);
+    assert_eq!(findings(&lowered), vec![(1, "seq-continuity")]);
 }
