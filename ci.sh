@@ -267,6 +267,12 @@ if $daptrace audit target/net_trace_swapped.jsonl > /dev/null 2>&1; then
     exit 1
 fi
 
+echo "== byte identity (every pinned output vs committed digests) =="
+# The cmp legs above check that two runs of this tree agree. This one
+# checks that the tree agrees with the commit that pinned digests.sha256:
+# figures, sweeps, campaigns, traces, audits, reports and examples.
+./digests.sh
+
 echo "== perf harness (every micro-bench lane, with its spread) =="
 # One binary, one timer: each lane runs 12 repetitions after a
 # discarded warm-up, and a lane timed against its baseline or twin runs
