@@ -186,26 +186,20 @@ pub fn run_sweep_sequential(config: &SweepConfig) -> Vec<SweepRow> {
     rows
 }
 
-/// Worker threads for a grid of `cells` cells: the `DAP_SWEEP_WORKERS`
-/// environment override when set, else `max(available cores, 2)` —
-/// never fewer than two for a multi-cell grid. Containers and cgroup
-/// quotas routinely report one core while the work-stealing engine is
-/// the code path under test; a floor of two keeps the parallel engine
-/// *engaged* everywhere (correctness is scheduling-independent — see
-/// `--check` — and two workers on one core cost only negligible
+/// Worker threads for a grid of `cells` cells: `max(available cores,
+/// 2)` — never fewer than two for a multi-cell grid. Containers and
+/// cgroup quotas routinely report one core while the work-stealing
+/// engine is the code path under test; a floor of two keeps the parallel
+/// engine *engaged* everywhere (correctness is scheduling-independent —
+/// see `--check` — and two workers on one core cost only negligible
 /// oversubscription). Capped at the cell count: idle workers are noise.
 #[must_use]
 pub fn worker_count(cells: usize) -> usize {
-    let requested = std::env::var("DAP_SWEEP_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .max(2)
-        });
-    requested.min(cells).max(1)
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .max(2)
+        .min(cells)
+        .max(1)
 }
 
 /// Runs the full grid with a work-stealing worker pool, returning

@@ -12,16 +12,16 @@
 //!
 //! Processing a reveal `(M_i, K_i, i)` one interval later:
 //!
-//! 3. **weak authentication** — `K_i` must verify against the chain
-//!    anchor (`h(K_i) = K_{i−1}`, generalised over gaps);
+//! 3. **weak authentication** — `K_i` must be interval `i`'s chain key
+//!    as the chain anchor decides it (`h(K_i) = K_{i−1}`, generalised
+//!    over gaps; at or behind the anchor, the key derived there), within
+//!    `ChainAnchor::MAX_STEPS` of the anchor;
 //! 4. **strong authentication** — recompute
 //!    `μMAC′ = MAC_{K_recv}(MAC_{K'_i}(M_i))` and search the buffers for
 //!    a matching entry with index `i`; equality authenticates `M_i`.
 
-use dap_crypto::mac::{
-    mac80_prepared, micro_mac_prepared, prepare_chain_key, prepare_receiver_key, MicroMac,
-};
-use dap_crypto::oneway::{one_way_iter, Domain};
+use dap_crypto::mac::{mac80, micro_mac_prepared, prepare_receiver_key, MicroMac};
+use dap_crypto::oneway::Domain;
 use dap_crypto::{ChainAnchor, Key, PreparedMacKey};
 use dap_simnet::{SimRng, SimTime};
 use dap_tesla::ReservoirBuffer;
@@ -89,7 +89,9 @@ pub struct DapStats {
     pub reveals: u64,
     /// Messages authenticated.
     pub authenticated: u64,
-    /// Reveals with a forged key.
+    /// Reveals whose key weak authentication refused: forged, for
+    /// interval 0, or claiming an interval more than
+    /// `ChainAnchor::MAX_STEPS` from the anchor.
     pub weak_rejected: u64,
     /// Reveals whose message matched no stored μMAC.
     pub strong_rejected: u64,
@@ -144,10 +146,6 @@ pub struct DapReceiver {
     /// announce hot path re-keys every kept MAC under this secret, so
     /// caching the midstates halves its compression count.
     local_key: PreparedMacKey,
-    /// Chain keys recovered while re-anchoring across a gap, kept for
-    /// duplicate reveals of in-gap intervals ([`Self::weak_authenticate`]
-    /// answers those from here instead of re-walking the chain).
-    recovered: std::collections::BTreeMap<u64, Key>,
     buffers: usize,
     /// One `m`-buffer reservoir per pending interval: the copies of
     /// interval `i` compete only with each other (the competition scope
@@ -161,14 +159,6 @@ pub struct DapReceiver {
     rx_interval: u64,
     desynced: bool,
     stats: DapStats,
-    /// The most recent interval's verified MAC-key schedule, as
-    /// `(interval, chain key, K'_i schedule)`: one F′ derivation + HMAC
-    /// re-key serves every frame claiming the same interval. Installed
-    /// only after weak authentication, so a forged key can never seed
-    /// it; a hit requires both interval and key to match, so a stale
-    /// entry is simply a miss. `prepare_chain_key` is a pure function,
-    /// making the cache invisible to outcomes, stats and traces.
-    interval_key: Option<(u64, Key, PreparedMacKey)>,
 }
 
 impl DapReceiver {
@@ -180,13 +170,11 @@ impl DapReceiver {
             anchor: ChainAnchor::new(bootstrap.commitment, 0, Domain::F),
             params: bootstrap.params,
             local_key: prepare_receiver_key(&Key::derive(b"dap/receiver-local", local_seed)),
-            recovered: std::collections::BTreeMap::new(),
             buffers: bootstrap.params.buffers,
             pools: std::collections::BTreeMap::new(),
             rx_interval: 0,
             desynced: false,
             stats: DapStats::default(),
-            interval_key: None,
         }
     }
 
@@ -286,26 +274,26 @@ impl DapReceiver {
         }
     }
 
-    /// The cached `K'` schedule for `(index, key)`, if this receiver
-    /// verified exactly that pairing before.
-    fn cached_interval_key(&self, index: u64, key: &Key) -> Option<PreparedMacKey> {
-        self.interval_key
-            .as_ref()
-            .filter(|(i, k, _)| *i == index && dap_crypto::ct_eq(k.as_bytes(), key.as_bytes()))
-            .map(|(_, _, prepared)| *prepared)
-    }
-
     /// Algorithm 2 lines 15–25: process a reveal.
     pub fn on_reveal(&mut self, reveal: &Reveal, local_time: SimTime) -> RevealOutcome {
         self.tick(local_time);
         self.stats.reveals += 1;
 
-        // Weak authentication: the disclosed key must be on the chain.
-        if !self.weak_authenticate(&reveal.key, reveal.index) {
+        // Weak authentication: the chain anchor decides whether the
+        // disclosed key is the interval's chain key, in either direction.
+        let Ok(steps) = self.anchor.authenticate(&reveal.key, reveal.index) else {
             self.stats.weak_rejected += 1;
             return RevealOutcome::WeakRejected {
                 index: reveal.index,
             };
+        };
+        // Recovery and desync bookkeeping move only when it advances.
+        if steps > 0 {
+            if steps > 1 {
+                self.stats.chain_recoveries += 1;
+            }
+            self.stats.max_recovery_depth = self.stats.max_recovery_depth.max(steps);
+            self.desynced = false;
         }
 
         // Strong authentication: match the recomputed μMAC against the
@@ -319,12 +307,6 @@ impl DapReceiver {
         // genuine reveal can at worst suppress that one interval —
         // exactly what jamming the reveal would do; it can never get a
         // forged message authenticated.
-        let prepared = self
-            .cached_interval_key(reveal.index, &reveal.key)
-            .unwrap_or_else(|| prepare_chain_key(&reveal.key));
-        // Weak auth vouched for the key, so the schedule may be cached
-        // for the interval's remaining frames.
-        self.interval_key = Some((reveal.index, reveal.key, prepared));
         let Some(pool) = self
             .pools
             .remove(&reveal.index)
@@ -335,8 +317,9 @@ impl DapReceiver {
                 index: reveal.index,
             };
         };
-        // Only a candidate can use the expected μMAC.
-        let tag = mac80_prepared(&prepared, &reveal.message);
+        // Only a candidate can use the `K'_i` schedule and the expected
+        // μMAC.
+        let tag = mac80(&reveal.key, &reveal.message);
         let expect = micro_mac_prepared(&self.local_key, &tag);
         let mut matched = false;
         for micro in pool.iter() {
@@ -395,61 +378,13 @@ impl DapReceiver {
             }
         }
     }
-
-    /// Intervals a recovered gap key stays cached behind the anchor —
-    /// long enough to answer any duplicate reveal still inside the
-    /// pending window.
-    const RECOVERED_RETENTION: u64 = 8;
-
-    fn weak_authenticate(&mut self, key: &Key, index: u64) -> bool {
-        match self.anchor.accept_recovering(key, index) {
-            Ok(segment) => {
-                let steps = segment.len() as u64;
-                if steps > 1 {
-                    self.stats.chain_recoveries += 1;
-                    // Cache the gap's keys: each duplicate reveal inside
-                    // it is then a lookup, not a fresh chain walk.
-                    let base = index - steps;
-                    for (offset, k) in segment.into_iter().enumerate() {
-                        self.recovered.insert(base + 1 + offset as u64, k);
-                    }
-                    let floor = self
-                        .anchor
-                        .index()
-                        .saturating_sub(Self::RECOVERED_RETENTION);
-                    self.recovered.retain(|i, _| *i >= floor);
-                }
-                self.stats.max_recovery_depth = self.stats.max_recovery_depth.max(steps);
-                self.desynced = false;
-                true
-            }
-            Err(dap_crypto::ChainVerifyError::NotAhead { .. }) => {
-                // Key for an interval at or before the anchor: duplicate
-                // reveal of a known interval. Answer from the recovered
-                // cache when possible, otherwise re-derive and compare.
-                let anchor_index = self.anchor.index();
-                if index > anchor_index {
-                    return false;
-                }
-                if let Some(cached) = self.recovered.get(&index) {
-                    return dap_crypto::ct_eq(cached.as_bytes(), key.as_bytes());
-                }
-                let derived = one_way_iter(
-                    Domain::F,
-                    self.anchor.key(),
-                    (anchor_index - index) as usize,
-                );
-                dap_crypto::ct_eq(derived.as_bytes(), key.as_bytes())
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sender::DapSender;
+    use dap_crypto::KeyChain;
     use dap_simnet::SimDuration;
 
     fn params_with(m: usize) -> DapParams {
@@ -715,53 +650,50 @@ mod tests {
     }
 
     #[test]
-    fn in_gap_duplicate_reveals_answered_from_recovered_cache() {
-        let (mut sender, mut receiver, _rng) = setup(4);
-        // Intervals 1..=5 lost; reveal 6 re-anchors across the gap and
-        // caches the gap's keys.
-        for i in 1..=6u64 {
-            sender.announce(i, b"x").unwrap();
+    fn reveals_behind_the_anchor_are_checked_within_the_step_bound() {
+        let chain = KeyChain::generate(b"dap", 4200, Domain::F);
+        let sender = DapSender::with_chain(chain.clone(), params_with(4));
+        let mut receiver = DapReceiver::new(sender.bootstrap(), b"node-7");
+        let reveal = |index: u64, key: Key| Reveal {
+            index,
+            message: b"x".to_vec(),
+            key,
+        };
+        let genuine = |index: u64| reveal(index, *chain.key(index as usize).unwrap());
+        let forged = Key::derive(b"forged", b"k");
+        // Nothing announced: reveals 2000 and 4101 re-anchor across
+        // their gaps, each within the bound.
+        assert_eq!(
+            receiver.on_reveal(&genuine(2000), during(2001)),
+            RevealOutcome::NoCandidate { index: 2000 }
+        );
+        assert_eq!(
+            receiver.on_reveal(&genuine(4101), during(4102)),
+            RevealOutcome::NoCandidate { index: 4101 }
+        );
+        // A genuine reveal inside the gap still passes weak auth
+        // (nothing buffered, so NoCandidate, not Rejected) ...
+        assert_eq!(
+            receiver.on_reveal(&genuine(3000), during(4102)),
+            RevealOutcome::NoCandidate { index: 3000 }
+        );
+        // ... while a forged in-gap key is weakly rejected.
+        assert_eq!(
+            receiver.on_reveal(&reveal(3001, forged), during(4102)),
+            RevealOutcome::WeakRejected { index: 3001 }
+        );
+        // Interval 1 lies 4100 steps behind the anchor, past the bound:
+        // refused before any walk, its genuine key as much as a forged one.
+        for key in [*chain.key(1).unwrap(), forged] {
+            assert_eq!(
+                receiver.on_reveal(&reveal(1, key), during(4102)),
+                RevealOutcome::WeakRejected { index: 1 }
+            );
         }
-        let r6 = sender.reveal(6).unwrap();
-        assert_eq!(
-            receiver.on_reveal(&r6, during(7)),
-            RevealOutcome::NoCandidate { index: 6 }
-        );
-        assert_eq!(receiver.stats().chain_recoveries, 1);
-        // A genuine reveal inside the gap still passes weak auth (served
-        // from the cache; nothing buffered, so NoCandidate not Rejected)…
-        let r3 = sender.reveal(3).unwrap();
-        assert_eq!(
-            receiver.on_reveal(&r3, during(7)),
-            RevealOutcome::NoCandidate { index: 3 }
-        );
-        // …while a forged in-gap key is still weakly rejected.
-        let mut forged = sender.reveal(4).unwrap();
-        forged.key = Key::derive(b"forged", b"k");
-        assert_eq!(
-            receiver.on_reveal(&forged, during(7)),
-            RevealOutcome::WeakRejected { index: 4 }
-        );
-    }
-
-    #[test]
-    fn interval_cache_is_outcome_invisible() {
-        // Replayed weak-valid reveals for one interval: second call hits
-        // the interval cache; outcomes must match a cache-cold clone.
-        let (mut sender, mut receiver, mut rng) = setup(4);
-        let ann = sender.announce(1, b"m").unwrap();
-        receiver.on_announce(&ann, during(1), &mut rng);
-        let rev = sender.reveal(1).unwrap();
-        let mut cold = receiver.clone();
-        assert!(receiver.on_reveal(&rev, during(2)).is_authenticated());
-        assert!(receiver.interval_key.is_some());
-        // Same reveal again: NoCandidate on both, stats agree.
-        let warm = receiver.on_reveal(&rev, during(2));
-        cold.on_reveal(&rev, during(2));
-        cold.interval_key = None; // force the scalar re-key
-        let cold_again = cold.on_reveal(&rev, during(2));
-        assert_eq!(warm, cold_again);
-        assert_eq!(receiver.stats(), cold.stats());
+        // Only the two re-anchorings moved the recovery counters.
+        assert_eq!(receiver.stats().chain_recoveries, 2);
+        assert_eq!(receiver.stats().max_recovery_depth, 2101);
+        assert_eq!(receiver.stats().weak_rejected, 3);
     }
 
     #[test]

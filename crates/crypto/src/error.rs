@@ -13,17 +13,19 @@ pub enum ChainVerifyError {
         /// Index claimed by the disclosure.
         claimed_index: u64,
     },
-    /// The gap between anchor and claimed index exceeds the recovery
-    /// bound [`crate::ChainAnchor::MAX_STEPS`] (guards against
-    /// CPU-exhaustion via huge indices).
-    TooFarAhead {
+    /// The claimed index lies more than [`crate::ChainAnchor::MAX_STEPS`]
+    /// one-way steps from the anchor, ahead of it or behind it (guards
+    /// against CPU exhaustion via far-off indices).
+    TooFar {
         /// How many one-way applications would be required.
         steps: u64,
         /// The bound, [`crate::ChainAnchor::MAX_STEPS`].
         max_steps: u64,
     },
-    /// Iterating the one-way function from the candidate did not reach the
-    /// anchor key: the disclosed key is not on the chain.
+    /// The disclosed key is not the chain key of the claimed interval:
+    /// iterating the one-way function from it did not reach the anchor
+    /// key, or, at or behind the anchor, it differs from the key derived
+    /// there. Interval 0 has no chain key: `K_0` is the public commitment.
     Mismatch,
 }
 
@@ -37,7 +39,7 @@ impl fmt::Display for ChainVerifyError {
                 f,
                 "claimed index {claimed_index} is not ahead of anchor index {anchor_index}"
             ),
-            ChainVerifyError::TooFarAhead { steps, max_steps } => write!(
+            ChainVerifyError::TooFar { steps, max_steps } => write!(
                 f,
                 "verification would need {steps} one-way steps, more than the bound {max_steps}"
             ),
@@ -88,7 +90,7 @@ mod tests {
         assert!(ChainVerifyError::Mismatch
             .to_string()
             .contains("not on the chain"));
-        let e = ChainVerifyError::TooFarAhead {
+        let e = ChainVerifyError::TooFar {
             steps: 10,
             max_steps: 5,
         };

@@ -10,14 +10,15 @@
 //!
 //! The sender holds the whole chain as a [`KeyChain`], every key
 //! materialised (10 bytes a key, O(1) lookup); a receiver holds only a
-//! [`ChainAnchor`], its latest trusted key and index, and walks at most
-//! [`ChainAnchor::MAX_STEPS`] one-way steps per disclosure.
+//! [`ChainAnchor`], its latest trusted key and index, which decides every
+//! disclosed key, ahead of it or behind it, in at most
+//! [`ChainAnchor::MAX_STEPS`] one-way steps.
 
 use std::sync::OnceLock;
 
 use crate::error::ChainVerifyError;
 use crate::hmac::{hmac_sha256, PreparedMacKey};
-use crate::oneway::{one_way, one_way_iter, one_way_trace, Domain};
+use crate::oneway::{one_way, one_way_iter, Domain};
 
 /// Label deriving a chain head from a seed.
 const CHAIN_HEAD_LABEL: &[u8] = b"crowdsense-dap/chain-head";
@@ -186,10 +187,11 @@ impl KeyChain {
 /// The **receiver** side of a key chain: the most recent authenticated key
 /// plus its index.
 ///
-/// Verifying a disclosure `(K_i, i)` walks the one-way function `i - j`
-/// times and compares against the anchored `K_j`; on success the anchor
-/// advances, so later verifications get cheaper and the chain can never be
-/// rolled back.
+/// It alone decides whether a disclosed key `K_i` is interval `i`'s
+/// chain key. Ahead of the anchored `K_j`, `K_i` must walk `i - j`
+/// one-way steps down to it; on success the anchor advances, so later
+/// verifications get cheaper and the chain can never be rolled back. At
+/// or behind the anchor, `K_i` must equal [`key_at`](Self::key_at).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainAnchor {
     key: Key,
@@ -198,8 +200,9 @@ pub struct ChainAnchor {
 }
 
 impl ChainAnchor {
-    /// Bound on recovery steps per verification. Bounds the CPU an
-    /// attacker can burn by claiming an enormous index.
+    /// Bound on the one-way steps between the anchor and any index it
+    /// checks or derives, ahead of it or behind it, checked before any
+    /// step: bounds the CPU an attacker can burn with a far-off index.
     pub const MAX_STEPS: u64 = 4096;
 
     /// Creates an anchor trusting `key` at `index`.
@@ -220,18 +223,12 @@ impl ChainAnchor {
         self.index
     }
 
-    /// One-way steps from `claimed_index` back to the anchor, within
+    /// One-way steps between the anchor and `index`, either way, within
     /// [`MAX_STEPS`](Self::MAX_STEPS).
-    fn steps_to(&self, claimed_index: u64) -> Result<u64, ChainVerifyError> {
-        if claimed_index <= self.index {
-            return Err(ChainVerifyError::NotAhead {
-                anchor_index: self.index,
-                claimed_index,
-            });
-        }
-        let steps = claimed_index - self.index;
+    fn steps_to(&self, index: u64) -> Result<u64, ChainVerifyError> {
+        let steps = self.index.abs_diff(index);
         if steps > Self::MAX_STEPS {
-            return Err(ChainVerifyError::TooFarAhead {
+            return Err(ChainVerifyError::TooFar {
                 steps,
                 max_steps: Self::MAX_STEPS,
             });
@@ -239,17 +236,23 @@ impl ChainAnchor {
         Ok(steps)
     }
 
-    /// Checks that `candidate` is the chain key for `claimed_index`
-    /// without mutating the anchor. Returns the number of one-way steps
-    /// used.
+    /// Checks that `candidate` is the chain key for `claimed_index`,
+    /// ahead of the anchor, without mutating the anchor. Returns the
+    /// number of one-way steps used.
     ///
     /// # Errors
     ///
     /// * [`ChainVerifyError::NotAhead`] — `claimed_index <=` anchor index.
-    /// * [`ChainVerifyError::TooFarAhead`] — gap exceeds
+    /// * [`ChainVerifyError::TooFar`] — gap exceeds
     ///   [`MAX_STEPS`](Self::MAX_STEPS).
     /// * [`ChainVerifyError::Mismatch`] — the candidate is not on the chain.
     pub fn verify(&self, candidate: &Key, claimed_index: u64) -> Result<u64, ChainVerifyError> {
+        if claimed_index <= self.index {
+            return Err(ChainVerifyError::NotAhead {
+                anchor_index: self.index,
+                claimed_index,
+            });
+        }
         let steps = self.steps_to(claimed_index)?;
         let image = one_way_iter(self.domain, candidate, steps as usize);
         if crate::ct_eq(image.as_bytes(), self.key.as_bytes()) {
@@ -272,39 +275,48 @@ impl ChainAnchor {
         Ok(steps)
     }
 
-    /// [`accept`](Self::accept), additionally returning every chain key
-    /// recovered while walking the gap: element `j` of the result is the
-    /// key for interval `old_anchor_index + 1 + j`, the last element
-    /// being the accepted candidate itself.
+    /// `K_index` derived from the anchor, for `1 ≤ index ≤` the anchor
+    /// index and within [`MAX_STEPS`](Self::MAX_STEPS) of it; `None`
+    /// otherwise. Ahead of the anchor the key is not known yet, and
+    /// `K_0` is the public commitment, the key of no interval.
+    #[must_use]
+    pub fn key_at(&self, index: u64) -> Option<Key> {
+        if index == 0 || index > self.index {
+            return None;
+        }
+        let steps = self.steps_to(index).ok()?;
+        Some(one_way_iter(self.domain, &self.key, steps as usize))
+    }
+
+    /// Weak authentication, in either direction: is `candidate` the
+    /// chain key of interval `claimed_index`?
     ///
-    /// The verification walk computes these intermediates anyway;
-    /// returning them lets receivers catching up after a blackout cache
-    /// the segment instead of re-walking it for every duplicate reveal
-    /// inside the gap.
+    /// A key ahead of the anchor is checked by [`accept`](Self::accept)
+    /// and advances the anchor; a key at or behind it must equal
+    /// [`key_at`](Self::key_at). Interval 0 never passes. Returns how
+    /// far the anchor advanced: 0 for a key at or behind it.
     ///
     /// # Errors
     ///
-    /// Same as [`verify`](Self::verify); the anchor is unchanged on error.
-    pub fn accept_recovering(
+    /// * [`ChainVerifyError::TooFar`] — the claim lies more than
+    ///   [`MAX_STEPS`](Self::MAX_STEPS) from the anchor, either way.
+    /// * [`ChainVerifyError::Mismatch`] — the candidate is not the chain
+    ///   key of `claimed_index`.
+    ///
+    /// The anchor is unchanged on error.
+    pub fn authenticate(
         &mut self,
         candidate: &Key,
         claimed_index: u64,
-    ) -> Result<Vec<Key>, ChainVerifyError> {
-        let steps = self.steps_to(claimed_index)?;
-        // trace[t] = F^{t+1}(candidate) = key for claimed_index - 1 - t.
-        let mut trace = one_way_trace(self.domain, candidate, steps as usize);
-        let image = trace.last().expect("steps >= 1");
-        if !crate::ct_eq(image.as_bytes(), self.key.as_bytes()) {
-            return Err(ChainVerifyError::Mismatch);
+    ) -> Result<u64, ChainVerifyError> {
+        if claimed_index > self.index {
+            return self.accept(candidate, claimed_index);
         }
-        // Drop F^steps (the already-anchored key), reorder ascending and
-        // append the candidate: indices old+1 ..= claimed_index.
-        trace.pop();
-        trace.reverse();
-        trace.push(*candidate);
-        self.key = *candidate;
-        self.index = claimed_index;
-        Ok(trace)
+        self.steps_to(claimed_index)?;
+        match self.key_at(claimed_index) {
+            Some(key) if crate::ct_eq(key.as_bytes(), candidate.as_bytes()) => Ok(0),
+            _ => Err(ChainVerifyError::Mismatch),
+        }
     }
 }
 
@@ -353,47 +365,6 @@ mod tests {
         let chain = KeyChain::from_head(head, 5, Domain::F1);
         assert_eq!(*chain.key(5).unwrap(), head);
         assert_eq!(chain.len(), 5);
-    }
-
-    #[test]
-    fn accept_recovering_returns_the_gap_segment() {
-        let chain = KeyChain::generate(b"s", 16, Domain::F);
-        let mut anchor = chain.anchor();
-        anchor.accept(chain.key(2).unwrap(), 2).unwrap();
-        // Disclosures 3..=6 lost; 7 arrives and recovers the segment.
-        let recovered = anchor.accept_recovering(chain.key(7).unwrap(), 7).unwrap();
-        assert_eq!(recovered.len(), 5);
-        for (j, key) in recovered.iter().enumerate() {
-            assert_eq!(key, chain.key(3 + j).unwrap(), "index {}", 3 + j);
-        }
-        assert_eq!(anchor.index(), 7);
-        assert_eq!(anchor.key(), chain.key(7).unwrap());
-    }
-
-    #[test]
-    fn accept_recovering_rejects_like_accept() {
-        let chain = KeyChain::generate(b"s", 16, Domain::F);
-        let mut anchor = chain.anchor();
-        let mut rng = SplitMix64::new(5);
-        assert_eq!(
-            anchor.accept_recovering(&Key::random(&mut rng), 3),
-            Err(ChainVerifyError::Mismatch)
-        );
-        anchor.accept(chain.key(4).unwrap(), 4).unwrap();
-        assert!(matches!(
-            anchor.accept_recovering(chain.key(4).unwrap(), 4),
-            Err(ChainVerifyError::NotAhead { .. })
-        ));
-        // One past the bound is refused before any walk, key unseen.
-        let too_far = 4 + ChainAnchor::MAX_STEPS + 1;
-        assert_eq!(
-            anchor.accept_recovering(&Key::random(&mut rng), too_far),
-            Err(ChainVerifyError::TooFarAhead {
-                steps: 4097,
-                max_steps: 4096
-            })
-        );
-        assert_eq!(anchor.index(), 4);
     }
 
     #[test]
@@ -482,11 +453,74 @@ mod tests {
         // ... one more step is refused, even for the genuine key.
         assert_eq!(
             anchor.verify(chain.key(4097).unwrap(), 4097),
-            Err(ChainVerifyError::TooFarAhead {
+            Err(ChainVerifyError::TooFar {
                 steps: 4097,
                 max_steps: 4096
             })
         );
+    }
+
+    #[test]
+    fn step_bound_holds_behind_the_anchor() {
+        let chain = KeyChain::generate(b"s", 4098, Domain::F);
+        let mut anchor = ChainAnchor::new(*chain.key(4098).unwrap(), 4098, Domain::F);
+        // A genuine key exactly the bound behind still passes ...
+        assert_eq!(anchor.key_at(2).as_ref(), chain.key(2));
+        assert_eq!(anchor.authenticate(chain.key(2).unwrap(), 2), Ok(0));
+        // ... one more step is refused before any walk, even genuine.
+        assert_eq!(anchor.key_at(1), None);
+        assert_eq!(
+            anchor.authenticate(chain.key(1).unwrap(), 1),
+            Err(ChainVerifyError::TooFar {
+                steps: 4097,
+                max_steps: 4096
+            })
+        );
+        assert_eq!(anchor.index(), 4098);
+    }
+
+    #[test]
+    fn authenticate_checks_keys_on_both_sides_of_the_anchor() {
+        let chain = KeyChain::generate(b"s", 16, Domain::F);
+        let mut anchor = chain.anchor();
+        let mut rng = SplitMix64::new(9);
+        // K_0 is the public commitment: interval 0 never passes, at
+        // the bootstrap anchor or later.
+        assert_eq!(anchor.key_at(0), None);
+        assert_eq!(
+            anchor.authenticate(chain.commitment(), 0),
+            Err(ChainVerifyError::Mismatch)
+        );
+        // Ahead: advances the anchor by the steps walked.
+        assert_eq!(anchor.authenticate(chain.key(6).unwrap(), 6), Ok(6));
+        assert_eq!(anchor.index(), 6);
+        assert_eq!(anchor.key_at(7), None);
+        // At and behind: genuine keys pass without moving it.
+        for i in 1..=6u64 {
+            assert_eq!(anchor.key_at(i).as_ref(), chain.key(i as usize));
+            assert_eq!(
+                anchor.authenticate(chain.key(i as usize).unwrap(), i),
+                Ok(0)
+            );
+        }
+        assert_eq!(
+            anchor.authenticate(chain.commitment(), 0),
+            Err(ChainVerifyError::Mismatch)
+        );
+        // A forged key, or a genuine key under another index, fails.
+        assert_eq!(
+            anchor.authenticate(&Key::random(&mut rng), 3),
+            Err(ChainVerifyError::Mismatch)
+        );
+        assert_eq!(
+            anchor.authenticate(chain.key(3).unwrap(), 4),
+            Err(ChainVerifyError::Mismatch)
+        );
+        assert_eq!(
+            anchor.authenticate(&Key::random(&mut rng), 9),
+            Err(ChainVerifyError::Mismatch)
+        );
+        assert_eq!(anchor.index(), 6);
     }
 
     #[test]

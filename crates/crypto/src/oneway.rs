@@ -122,8 +122,9 @@ pub fn one_way(domain: Domain, key: &Key) -> Key {
 
 /// Applies `one_way(domain, ·)` exactly `steps` times.
 ///
-/// `steps == 0` returns `key` unchanged. Used by receivers to recover from
-/// lost key disclosures: `K_i = F^j(K_{i+j})`.
+/// `steps == 0` returns `key` unchanged. [`crate::ChainAnchor`] walks it
+/// to check a disclosure ahead of its anchor and to derive a key behind
+/// it: `K_i = F^j(K_{i+j})`.
 #[must_use]
 pub fn one_way_iter(domain: Domain, key: &Key, steps: usize) -> Key {
     let prepared = domain.prepared();
@@ -133,28 +134,6 @@ pub fn one_way_iter(domain: Domain, key: &Key, steps: usize) -> Key {
         k = Key::from_slice(&tag[..Key::LEN]).expect("digest longer than key");
     }
     k
-}
-
-/// Like [`one_way_iter`], but collects every intermediate image:
-/// element `t` of the result is `F^{t+1}(key)`, so the last element
-/// equals `one_way_iter(domain, key, steps)`.
-///
-/// Receivers recovering a hash-chain segment after a blackout walk the
-/// same keys twice when they only keep the endpoint — once to verify the
-/// disclosure, again for every duplicate reveal inside the gap. The
-/// trace hands back the whole segment so callers can cache it (see
-/// `ChainAnchor::accept_recovering`).
-#[must_use]
-pub fn one_way_trace(domain: Domain, key: &Key, steps: usize) -> Vec<Key> {
-    let prepared = domain.prepared();
-    let mut out = Vec::with_capacity(steps);
-    let mut k = *key;
-    for _ in 0..steps {
-        let tag = prepared.mac(k.as_bytes());
-        k = Key::from_slice(&tag[..Key::LEN]).expect("digest longer than key");
-        out.push(k);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -213,17 +192,6 @@ mod tests {
                 "domain {domain}"
             );
         }
-    }
-
-    #[test]
-    fn trace_matches_iter_at_every_step() {
-        let start = k(9);
-        let trace = one_way_trace(Domain::F, &start, 12);
-        assert_eq!(trace.len(), 12);
-        for (t, key) in trace.iter().enumerate() {
-            assert_eq!(*key, one_way_iter(Domain::F, &start, t + 1));
-        }
-        assert!(one_way_trace(Domain::F, &start, 0).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the crypto substrate, on the in-tree
 //! `dap-testkit` harness (deterministic, seeded, shrinking).
 
-use dap_crypto::oneway::{one_way_iter, one_way_trace};
+use dap_crypto::oneway::one_way_iter;
 use dap_crypto::sha256::Sha256;
 use dap_crypto::{ct_eq, Domain, Key, KeyChain, PreparedMacKey};
 use dap_testkit::{check, Gen, Strategy};
@@ -102,19 +102,6 @@ fn prepared_mac_key_equals_oneshot_hmac() {
                 dap_crypto::hmac::hmac_sha256(&key, &msg)
             );
         }
-    });
-}
-
-#[test]
-fn one_way_trace_ends_where_iter_ends() {
-    let key = arb_key();
-    check("one_way_trace_ends_where_iter_ends", move |g| {
-        let key = key.sample(g);
-        let domain = arb_domain(g);
-        let steps = g.usize_in(1..16);
-        let trace = one_way_trace(domain, &key, steps);
-        assert_eq!(trace.len(), steps);
-        assert_eq!(*trace.last().unwrap(), one_way_iter(domain, &key, steps));
     });
 }
 

@@ -17,8 +17,8 @@
 //! sender would exceed either bound, the least-recently-used resident
 //! session is evicted. An evicted sender is not banished: its next frame
 //! re-admits it with a fresh receiver, which re-anchors off the chain
-//! commitment via the multi-step recovery path (`accept_recovering`) —
-//! the sender loses pending (unrevealed) intervals but authenticates
+//! commitment across the gap (`ChainAnchor::authenticate`, at most
+//! `ChainAnchor::MAX_STEPS` intervals in one step) — the sender loses pending (unrevealed) intervals but authenticates
 //! again from the next interval on. Bounded RAM thus serves an unbounded
 //! sender population, trading tail latency for the flood immunity the
 //! paper's fixed-memory analysis assumes.

@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use dap_crypto::mac::{mac80, verify_mac80, Mac80};
-use dap_crypto::oneway::{one_way, one_way_iter, Domain};
+use dap_crypto::oneway::{one_way, Domain};
 use dap_crypto::{ChainAnchor, ChainExhausted, Key, KeyChain};
 use dap_simnet::{IntervalSchedule, SimDuration, SimRng, SimTime};
 
@@ -705,7 +705,9 @@ impl MultiLevelReceiver {
         let Some(pool) = self.cdm_pools.remove(&v) else {
             return;
         };
-        let key = self.high_key(v);
+        let Some(key) = self.high_key_at(v) else {
+            return;
+        };
         let mut authenticated = false;
         for candidate in pool.iter() {
             let input = Cdm::mac_input(v, &candidate.low_commitment);
@@ -736,7 +738,10 @@ impl MultiLevelReceiver {
         if chain == 0 || self.low_anchors.contains_key(&chain) {
             return;
         }
-        let head = one_way(Domain::F01, &self.high_key(v));
+        let Some(key) = self.high_key_at(v) else {
+            return;
+        };
+        let head = one_way(Domain::F01, &key);
         self.stats.chain_recoveries += 1;
         if let Some(needed_at) = self.needed_since.get(&chain).copied() {
             self.recoveries.push(RecoveryRecord {
@@ -785,19 +790,14 @@ impl MultiLevelReceiver {
         let mut kept = Vec::with_capacity(self.pending_low.len());
         let pending = std::mem::take(&mut self.pending_low);
         for pkt in pending {
-            let Some(anchor) = self.low_anchors.get(&pkt.high) else {
+            let Some(key) = self
+                .low_anchors
+                .get(&pkt.high)
+                .and_then(|anchor| anchor.key_at(u64::from(pkt.low)))
+            else {
                 kept.push(pkt);
                 continue;
             };
-            if u64::from(pkt.low) > anchor.index() {
-                kept.push(pkt);
-                continue;
-            }
-            let key = one_way_iter(
-                Domain::F1,
-                anchor.key(),
-                (anchor.index() - u64::from(pkt.low)) as usize,
-            );
             if verify_mac80(&key, &pkt.message, &pkt.mac) {
                 self.stats.low_authenticated += 1;
                 self.authenticated
@@ -848,29 +848,16 @@ impl MultiLevelReceiver {
         events
     }
 
-    /// Crate-internal: `K_v` if the anchor has reached `v`.
+    /// Crate-internal: `K_v` if the high-level anchor can derive it
+    /// ([`ChainAnchor::key_at`]).
     pub(crate) fn high_key_at(&self, v: u64) -> Option<Key> {
-        if self.high_anchor.index() >= v && v >= 1 {
-            Some(self.high_key(v))
-        } else {
-            None
-        }
+        self.high_anchor.key_at(v)
     }
 
     /// The latest authenticated high-level key index.
     #[must_use]
     pub fn high_anchor_index(&self) -> u64 {
         self.high_anchor.index()
-    }
-
-    /// `K_v` derived from the high-level anchor (which is at `≥ v`).
-    fn high_key(&self, v: u64) -> Key {
-        debug_assert!(self.high_anchor.index() >= v);
-        one_way_iter(
-            Domain::F0,
-            self.high_anchor.key(),
-            (self.high_anchor.index() - v) as usize,
-        )
     }
 }
 

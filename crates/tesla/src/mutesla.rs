@@ -15,7 +15,7 @@
 //! the one-way chain carries over unchanged.
 
 use dap_crypto::mac::{mac80, verify_mac80};
-use dap_crypto::oneway::{one_way_iter, Domain};
+use dap_crypto::oneway::Domain;
 use dap_crypto::{ChainAnchor, ChainExhausted, Key, KeyChain, Mac80};
 use dap_simnet::SimTime;
 
@@ -286,15 +286,12 @@ impl MuTeslaReceiver {
     }
 
     fn drain_verifiable(&mut self, events: &mut Vec<ReceiverEvent>) {
-        let anchor_index = self.anchor.index();
-        let anchor_key = *self.anchor.key();
         let mut kept = Vec::with_capacity(self.buffer.len());
         for pkt in self.buffer.drain(..) {
-            if pkt.index > anchor_index || pkt.index == 0 {
+            let Some(key) = self.anchor.key_at(pkt.index) else {
                 kept.push(pkt);
                 continue;
-            }
-            let key = one_way_iter(Domain::F, &anchor_key, (anchor_index - pkt.index) as usize);
+            };
             if verify_mac80(&key, &pkt.message, &pkt.mac) {
                 self.authenticated.push((pkt.index, pkt.message.clone()));
                 events.push(ReceiverEvent::Authenticated {

@@ -19,7 +19,7 @@
 //! paper's comparison never touches it, so it is out of scope — see
 //! DESIGN.md §4.)
 
-use dap_crypto::mac::{mac80, mac80_prepared, prepare_chain_key, Mac80};
+use dap_crypto::mac::{mac80, Mac80};
 use dap_crypto::oneway::Domain;
 use dap_crypto::{ChainAnchor, ChainExhausted, Key, KeyChain, PreparedMacKey};
 use dap_simnet::SimTime;
@@ -193,11 +193,6 @@ pub struct TeslaPpReceiver {
     stored: Vec<(u64, Mac80)>,
     authenticated: Vec<(u64, Vec<u8>)>,
     expired: u64,
-    /// `(interval, chain key, K'_i schedule)` of the most recent
-    /// weak-authenticated reveal: one F′ derivation + HMAC re-key serves
-    /// every frame claiming the same interval. Pure-function cache —
-    /// invisible to outcomes (see `DapReceiver::interval_key`).
-    interval_key: Option<(u64, Key, PreparedMacKey)>,
 }
 
 impl TeslaPpReceiver {
@@ -212,7 +207,6 @@ impl TeslaPpReceiver {
             stored: Vec::new(),
             authenticated: Vec::new(),
             expired: 0,
-            interval_key: None,
         }
     }
 
@@ -234,15 +228,6 @@ impl TeslaPpReceiver {
                 key,
             } => self.on_reveal(*index, message, key),
         }
-    }
-
-    /// The cached `K'` schedule for `(index, key)`, if this receiver
-    /// verified exactly that pairing before.
-    fn cached_interval_key(&self, index: u64, key: &Key) -> Option<PreparedMacKey> {
-        self.interval_key
-            .as_ref()
-            .filter(|(i, k, _)| *i == index && dap_crypto::ct_eq(k.as_bytes(), key.as_bytes()))
-            .map(|(_, _, prepared)| *prepared)
     }
 
     /// Drops stored self-MACs whose reveal window has long passed (the
@@ -276,17 +261,13 @@ impl TeslaPpReceiver {
     }
 
     fn on_reveal(&mut self, index: u64, message: &[u8], key: &Key) -> TeslaPpOutcome {
-        // Weak authentication: the key must extend the chain.
-        match self.anchor.accept(key, index) {
-            Ok(_) | Err(dap_crypto::ChainVerifyError::NotAhead { .. }) => {}
-            Err(_) => return TeslaPpOutcome::KeyRejected { index },
+        // Weak authentication: the key must be interval `index`'s chain
+        // key, ahead of the anchor or behind it.
+        if self.anchor.authenticate(key, index).is_err() {
+            return TeslaPpOutcome::KeyRejected { index };
         }
         // Strong authentication: recompute MAC → self-MAC → search store.
-        let prepared = self
-            .cached_interval_key(index, key)
-            .unwrap_or_else(|| prepare_chain_key(key));
-        let expect = self.self_mac(&mac80_prepared(&prepared, message));
-        self.interval_key = Some((index, *key, prepared));
+        let expect = self.self_mac(&mac80(key, message));
         let before = self.stored.len();
         self.stored
             .retain(|(i, sm)| !(*i == index && *sm == expect));

@@ -2,15 +2,20 @@
 //! authenticates**, in any protocol of the family, under floods of every
 //! shape we can construct without the sender's keys.
 
+use crowdsense_dap::crypto::mac::mac80;
 use crowdsense_dap::crypto::{Key, Mac80};
-use crowdsense_dap::dap::{DapParams, DapReceiver, DapSender};
+use crowdsense_dap::dap::{
+    Announce, AnnounceOutcome, DapParams, DapReceiver, DapSender, Reveal, RevealOutcome,
+};
 use crowdsense_dap::simnet::{SimDuration, SimRng, SimTime};
 use crowdsense_dap::tesla::multilevel::{
     Linkage, MultiLevelParams, MultiLevelReceiver, MultiLevelSender,
 };
 use crowdsense_dap::tesla::mutesla::{DataPacket, MuTeslaMessage, MuTeslaReceiver, MuTeslaSender};
 use crowdsense_dap::tesla::tesla::{ReceiverEvent, TeslaPacket, TeslaReceiver, TeslaSender};
-use crowdsense_dap::tesla::teslapp::{TeslaPpMessage, TeslaPpReceiver, TeslaPpSender};
+use crowdsense_dap::tesla::teslapp::{
+    TeslaPpMessage, TeslaPpOutcome, TeslaPpReceiver, TeslaPpSender,
+};
 use crowdsense_dap::tesla::TeslaParams;
 
 const FORGERY_MARK: &[u8] = b"FORGED";
@@ -138,6 +143,17 @@ fn teslapp_never_authenticates_forgeries() {
             &sender.announce(i, format!("real {i}").as_bytes()).unwrap(),
             t_a,
         );
+        // The attacker also announces a MAC of its own message under a
+        // key of its choice, to reveal once the interval is behind the
+        // receiver's anchor.
+        let attacker_key = Key::random(&mut rng);
+        receiver.on_message(
+            &TeslaPpMessage::MacAnnounce {
+                index: i,
+                mac: mac80(&attacker_key, FORGERY_MARK),
+            },
+            t_a,
+        );
         // Attacker reveal with forged message + random key.
         let out = receiver.on_message(
             &TeslaPpMessage::Reveal {
@@ -148,25 +164,85 @@ fn teslapp_never_authenticates_forgeries() {
             t_r,
         );
         assert!(
-            !matches!(
-                out,
-                crowdsense_dap::tesla::teslapp::TeslaPpOutcome::Authenticated { .. }
-            ),
+            !matches!(out, TeslaPpOutcome::Authenticated { .. }),
             "forged reveal authenticated at {i}"
         );
         if let Some(rev) = sender.reveal(i) {
-            if let crowdsense_dap::tesla::teslapp::TeslaPpOutcome::Authenticated {
-                message, ..
-            } = receiver.on_message(&rev, t_r)
-            {
+            if let TeslaPpOutcome::Authenticated { message, .. } = receiver.on_message(&rev, t_r) {
                 authenticated.push(message);
             }
         }
+        // The genuine reveal moved the anchor to `i`: the attacker's key
+        // is now claimed for an interval at the anchor, not ahead of it.
+        let out = receiver.on_message(
+            &TeslaPpMessage::Reveal {
+                index: i,
+                message: FORGERY_MARK.to_vec(),
+                key: attacker_key,
+            },
+            t_r,
+        );
+        assert_eq!(out, TeslaPpOutcome::KeyRejected { index: i });
     }
     assert!(!authenticated.is_empty());
     for msg in &authenticated {
         assert!(msg.starts_with(b"real"));
     }
+}
+
+/// `K_0` is the public commitment, so a MAC under its `K'_0` proves
+/// nothing. With `d = 2` an announce for interval 0 still passes the
+/// safe-packet test in interval 1; its reveal must not authenticate.
+#[test]
+fn interval_zero_never_authenticates() {
+    let during_one = SimTime(10);
+
+    let mut sender = DapSender::new(b"dap", 8, DapParams::new(SimDuration(100), 2, 0, 4));
+    let commitment = sender.bootstrap().commitment;
+    let mut receiver = DapReceiver::new(sender.bootstrap(), b"rx");
+    let mut rng = SimRng::new(6);
+    let announce = Announce {
+        index: 0,
+        mac: mac80(&commitment, FORGERY_MARK),
+    };
+    assert_eq!(
+        receiver.on_announce(&announce, during_one, &mut rng),
+        AnnounceOutcome::Stored
+    );
+    let reveal = Reveal {
+        index: 0,
+        message: FORGERY_MARK.to_vec(),
+        key: commitment,
+    };
+    assert_eq!(
+        receiver.on_reveal(&reveal, during_one),
+        RevealOutcome::WeakRejected { index: 0 }
+    );
+    // The genuine stream still authenticates from interval 1.
+    receiver.on_announce(&sender.announce(1, b"real").unwrap(), during_one, &mut rng);
+    let reveal = sender.reveal(1).unwrap();
+    assert!(receiver.on_reveal(&reveal, SimTime(210)).is_authenticated());
+
+    let sender = TeslaPpSender::new(b"pp", 8, TeslaParams::new(SimDuration(100), 2, 0));
+    let commitment = sender.bootstrap().commitment;
+    let mut receiver = TeslaPpReceiver::new(sender.bootstrap(), b"rx");
+    let announce = TeslaPpMessage::MacAnnounce {
+        index: 0,
+        mac: mac80(&commitment, FORGERY_MARK),
+    };
+    assert_eq!(
+        receiver.on_message(&announce, during_one),
+        TeslaPpOutcome::AnnouncementStored { index: 0 }
+    );
+    let reveal = TeslaPpMessage::Reveal {
+        index: 0,
+        message: FORGERY_MARK.to_vec(),
+        key: commitment,
+    };
+    assert_eq!(
+        receiver.on_message(&reveal, during_one),
+        TeslaPpOutcome::KeyRejected { index: 0 }
+    );
 }
 
 #[test]
@@ -226,7 +302,7 @@ fn dap_never_authenticates_forgeries() {
         let t_r = SimTime(i * 100 + 10);
         for _ in 0..4 {
             receiver.on_announce(
-                &crowdsense_dap::dap::wire::Announce {
+                &Announce {
                     index: i,
                     mac: forged_mac(&mut rng),
                 },
